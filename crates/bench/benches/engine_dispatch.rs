@@ -3,7 +3,7 @@
 //! Three ways of answering the same seeded Figure 1 workloads, on the same engine:
 //!
 //! * **certified_naive** — `CertainEngine::evaluate` on cells Figure 1 guarantees:
-//!   the plan is `CertifiedNaive`, so each query costs one naïve evaluation pass and
+//!   the plan is `EvalPlan::Naive`, so each query costs one naïve evaluation pass and
 //!   zero world enumerations;
 //! * **bounded_enumeration** — `CertainEngine::compare` on the same queries: the
 //!   ground-truth oracle the engine avoids when the theorem applies;

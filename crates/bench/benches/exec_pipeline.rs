@@ -8,7 +8,7 @@
 //!
 //! * **interpreter** — `nev_logic::naive_eval_query`, the path every certified
 //!   cell used before `nev-exec` existed (and the fallback path today);
-//! * **compiled_cold** — `CompiledQuery::execute_naive`, interning the instance on
+//! * **compiled_cold** — `CompiledQuery::execute` under `RunOptions::naive()`, interning the instance on
 //!   every call (the engine's per-world usage pattern);
 //! * **compiled_warm** — plan + interning amortised, execution only (the repeated
 //!   same-instance usage pattern);
@@ -20,7 +20,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use nev_bench::workloads::{join_chain_query, join_workload, DEFAULT_SEED};
 use nev_core::engine::{CertainEngine, PreparedQuery};
 use nev_core::Semantics;
-use nev_exec::{CompiledQuery, ExecStats, InternedInstance};
+use nev_exec::{CompiledQuery, ExecStats, InternedInstance, RunOptions};
 use nev_logic::naive_eval_query;
 
 const TUPLES_PER_RELATION: usize = 24;
@@ -33,13 +33,16 @@ fn bench_interpreter_vs_compiled(c: &mut Criterion) {
 
     // Answer-identity sanity check before timing anything.
     let reference = naive_eval_query(&d, &q);
-    assert_eq!(compiled.execute_naive(&d).answers, reference);
+    assert_eq!(
+        compiled.execute(&d, &RunOptions::naive()).answers,
+        reference
+    );
     assert!(!reference.is_empty(), "the seeded workload has answers");
 
     let mut group = c.benchmark_group("exec_pipeline");
     group.bench_function("interpreter", |b| b.iter(|| naive_eval_query(&d, &q).len()));
     group.bench_function("compiled_cold", |b| {
-        b.iter(|| compiled.execute_naive(&d).answers.len())
+        b.iter(|| compiled.execute(&d, &RunOptions::naive()).answers.len())
     });
     group.bench_function("compiled_warm", |b| {
         b.iter(|| {

@@ -1,7 +1,7 @@
 //! Experiment E16: morsel-driven parallel execution vs the sequential
 //! vectorised pipeline, on the skewed join workload.
 //!
-//! The baseline (`sequential`) is `CompiledQuery::execute_naive` with no pool —
+//! The baseline (`sequential`) is `CompiledQuery::execute` with no pool —
 //! exactly the PR 5 configuration every earlier measurement used. The `workers_N`
 //! variants attach an `N`-worker `nev-runtime` pool through `ExecOptions` with a
 //! morsel size small enough that the workload actually fans out; answers are
@@ -21,7 +21,7 @@ use std::sync::Arc;
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use nev_bench::workloads::{join_chain_query, skewed_join_workload, DEFAULT_SEED};
-use nev_exec::{CompiledQuery, ExecOptions};
+use nev_exec::{CompiledQuery, ExecOptions, RunOptions};
 use nev_serve::WorkerPool;
 
 const BIG: usize = 2400;
@@ -35,7 +35,7 @@ fn bench_exec_scaling(c: &mut Criterion) {
     let compiled = CompiledQuery::compile(&q).expect("the join chain compiles");
 
     // Answer-identity sanity check before timing anything.
-    let reference = compiled.execute_naive(&d);
+    let reference = compiled.execute(&d, &RunOptions::naive());
     assert!(
         !reference.answers.is_empty(),
         "the seeded workload has answers"
@@ -45,7 +45,7 @@ fn bench_exec_scaling(c: &mut Criterion) {
             pool: Some(Arc::new(WorkerPool::new(workers))),
             morsel_rows: MORSEL_ROWS,
         };
-        let out = compiled.execute_naive_with(&d, &options);
+        let out = compiled.execute(&d, &RunOptions::naive().on(&options));
         assert_eq!(out.answers, reference.answers, "workers={workers}");
         if workers >= 2 {
             assert!(out.stats.morsels_dispatched > 0, "the morsel path engaged");
@@ -56,7 +56,7 @@ fn bench_exec_scaling(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("exec_scaling");
     group.bench_function("sequential", |b| {
-        b.iter(|| compiled.execute_naive(&d).answers.len())
+        b.iter(|| compiled.execute(&d, &RunOptions::naive()).answers.len())
     });
     for workers in [1usize, 2, 4] {
         let options = ExecOptions {
@@ -64,7 +64,12 @@ fn bench_exec_scaling(c: &mut Criterion) {
             morsel_rows: MORSEL_ROWS,
         };
         group.bench_function(format!("workers_{workers}"), |b| {
-            b.iter(|| compiled.execute_naive_with(&d, &options).answers.len())
+            b.iter(|| {
+                compiled
+                    .execute(&d, &RunOptions::naive().on(&options))
+                    .answers
+                    .len()
+            })
         });
     }
     group.finish();

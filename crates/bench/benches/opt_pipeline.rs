@@ -17,7 +17,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use nev_bench::workloads::{
     join_chain_query, negation_query, negation_workload, skewed_join_workload, DEFAULT_SEED,
 };
-use nev_exec::{CompiledQuery, CompilerConfig, ExecStats, InternedInstance};
+use nev_exec::{CompiledQuery, CompilerConfig, ExecStats, InternedInstance, RunOptions};
 use nev_incomplete::Instance;
 use nev_logic::Query;
 
@@ -38,17 +38,20 @@ fn bench_pair(c: &mut Criterion, group_name: &str, d: &Instance, q: &Query) {
     let interned = InternedInstance::new(d);
 
     // Answer-identity sanity check before timing anything.
-    let reference = baseline.execute_naive(d).answers;
-    assert_eq!(optimized.execute_naive(d).answers, reference);
+    let reference = baseline.execute(d, &RunOptions::naive()).answers;
+    assert_eq!(
+        optimized.execute(d, &RunOptions::naive()).answers,
+        reference
+    );
     assert!(!reference.is_empty(), "the seeded workload has answers");
 
     let mut group = c.benchmark_group(group_name);
     // Cold: intern + execute per call (the engine's per-world usage pattern).
     group.bench_function("baseline_cold", |b| {
-        b.iter(|| baseline.execute_naive(d).answers.len())
+        b.iter(|| baseline.execute(d, &RunOptions::naive()).answers.len())
     });
     group.bench_function("optimized_cold", |b| {
-        b.iter(|| optimized.execute_naive(d).answers.len())
+        b.iter(|| optimized.execute(d, &RunOptions::naive()).answers.len())
     });
     // Warm: interning amortised, plan execution only (the repeated
     // same-instance pattern — interning is identical on both sides).

@@ -9,17 +9,25 @@
 //!    (fragment, constants, arity, and — when the `nev-exec` compiler accepts its
 //!    shape — a physical relational-algebra plan) instead of re-deriving them per
 //!    call;
-//! 2. an [`EvalPlan`] is chosen per (instance, semantics, query) by consulting the
-//!    machine-readable Figure 1 ([`crate::summary::expectation`]): on guaranteed
-//!    cells the engine answers by one polynomial naïve evaluation pass — executed by
-//!    the compiled set-at-a-time engine ([`EvalPlan::CompiledNaive`]) when a plan
-//!    exists, by the tree-walking interpreter ([`EvalPlan::CertifiedNaive`])
-//!    otherwise — carrying a [`Certificate`] naming both the justifying theorem and
-//!    the executor; everything else is [`EvalPlan::BoundedEnumeration`];
-//! 3. the bounded oracle streams worlds from the lazy [`Semantics::worlds`] iterator
-//!    with early exit (a Boolean query stops at the first counter-world, a k-ary
-//!    intersection stops when it becomes empty); each per-world evaluation also
-//!    routes through the compiled plan when one exists;
+//! 2. [`CertainEngine::dispatch`] decides Figure 1 — in one place. On a cell
+//!    the machine-readable Figure 1 ([`crate::summary::expectation`])
+//!    guarantees, for the query as written or for its `nev-analyze` normal
+//!    form, it answers by one polynomial naïve pass ([`EvalPlan::Naive`]),
+//!    whose [`Certificate`] names the justifying theorem and the executor (the
+//!    compiled `nev-exec` pipeline when the query has a plan, the tree-walking
+//!    interpreter otherwise). Elsewhere it climbs the PTIME symbolic ladder
+//!    ([`EvalPlan::Symbolic`]) and only then runs the bounded world oracle
+//!    ([`EvalPlan::BoundedEnumeration`]). Every other entry point —
+//!    [`CertainEngine::evaluate`], [`CertainEngine::plan_with_symbolic`],
+//!    [`CertainEngine::evaluate_symbolic`], the planning loop of
+//!    [`CertainEngine::evaluate_all`] and the `nev-serve` request handlers —
+//!    is a thin caller of it;
+//! 3. the oracle ([`crate::oracle`]) streams worlds from the lazy
+//!    [`Semantics::worlds`] iterator with early exit (a Boolean query stops at
+//!    the first counter-world, a k-ary intersection stops when it becomes
+//!    empty), sequentially or — when the engine carries a worker pool —
+//!    chunked across the pool; each per-world evaluation routes through the
+//!    compiled plan when one exists;
 //! 4. [`CertainEngine::evaluate_all`] amortises the expensive part across a batch:
 //!    the instance's worlds are enumerated **at most once** and every per-query
 //!    certain-answer intersection is folded in that single pass.
@@ -30,13 +38,12 @@
 //!
 //! This engine **is** the evaluation API (the legacy free functions of
 //! [`crate::certain`] were removed once every caller migrated). The per-world
-//! primitives the oracle is built from — [`PreparedQuery::naive_answers`] and
-//! [`PreparedQuery::answers_in_world`] — are public, so external schedulers (the
-//! `nev-serve` parallel oracle splits the [`Semantics::worlds`] stream across a
-//! worker pool) can reassemble the exact same certain-answer intersection.
+//! primitive the oracles are built from — [`PreparedQuery::answers_in_world`] —
+//! is public, so external schedulers can reassemble the exact same
+//! certain-answer intersection.
 //!
 //! ```
-//! use nev_core::engine::{CertainEngine, EvalPlan};
+//! use nev_core::engine::CertainEngine;
 //! use nev_core::Semantics;
 //! use nev_incomplete::builder::{c, x};
 //! use nev_incomplete::inst;
@@ -53,7 +60,7 @@
 //! // so no possible world is ever enumerated — and the join pipeline compiles, so
 //! // the pass runs on the nev-exec hash-join executor, not the interpreter.
 //! let eval = engine.evaluate(&d, Semantics::Owa, &q);
-//! assert!(matches!(eval.plan, EvalPlan::CompiledNaive(_)));
+//! assert!(eval.plan.is_compiled());
 //! assert_eq!(eval.worlds_enumerated, 0);
 //! assert_eq!(eval.certain.len(), 1);
 //! assert!(eval.exec.hash_probes > 0);
@@ -61,13 +68,16 @@
 //! # Ok::<(), nev_core::engine::EngineError>(())
 //! ```
 
+use std::borrow::Borrow;
+use std::cell::OnceCell;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
 use nev_analyze::{CheckError, QueryAnalysis};
 use nev_exec::{
-    CompileError, CompiledQuery, CompilerConfig, ExecOptions, ExecStats, ExecTimings, OpProfile,
+    CompileError, CompiledQuery, CompilerConfig, ExecOptions, ExecStats, InternedInstance,
+    OpProfile, RunOptions,
 };
 use nev_hom::is_core;
 use nev_incomplete::{Constant, Instance, Tuple};
@@ -80,6 +90,7 @@ use nev_obs::{Stage, Timer, Trace, TraceRecorder};
 use nev_runtime::WorkerPool;
 use nev_symbolic::{complete_candidates, cwa_certain_answers, under_approximation, EvalProfile};
 
+use crate::oracle::{self, OracleOutcome, DEFAULT_CHUNK};
 use crate::semantics::{Semantics, WorldBounds};
 use crate::summary::{expectation, Expectation};
 
@@ -312,21 +323,11 @@ impl PreparedQuery {
         self.analysis.changed()
     }
 
-    /// The compiled plan of the normal form, when normalization changed the
-    /// formula and the compiler accepted the normalized shape.
-    pub fn normalized_compiled(&self) -> Option<&CompiledQuery> {
-        self.normalized_compiled.as_ref()
-    }
-
     /// Returns `true` iff the widened dispatch path would run on the compiled
     /// pipeline (the normal form's own plan, or the original's when the
     /// formula was already normal).
     pub fn normalized_compiles(&self) -> bool {
-        if self.analysis.changed() {
-            self.normalized_compiled.is_some()
-        } else {
-            self.compiled.is_some()
-        }
+        self.pass(true).0.is_some()
     }
 
     /// Re-checks the static analysis behind any normalized-dispatch
@@ -368,25 +369,6 @@ impl PreparedQuery {
         allowed
     }
 
-    /// The naïve answers `Q^C(D)` with the Boolean `{()} / ∅` encoding, executed by
-    /// the compiled plan when one exists (one interpreter fallback is recorded
-    /// otherwise). This is the single certified pass behind
-    /// [`EvalPlan::CompiledNaive`] / [`EvalPlan::CertifiedNaive`].
-    pub fn naive_answers(&self, d: &Instance) -> (BTreeSet<Tuple>, ExecStats) {
-        naive_answers(d, self, &ExecOptions::default())
-    }
-
-    /// [`PreparedQuery::naive_answers`] under explicit [`ExecOptions`] — with a
-    /// pool attached, the compiled pass runs morsel-parallel. This is what
-    /// [`CertainEngine::naive_answers`] calls with the engine's own options.
-    pub fn naive_answers_with(
-        &self,
-        d: &Instance,
-        options: &ExecOptions,
-    ) -> (BTreeSet<Tuple>, ExecStats) {
-        naive_answers(d, self, options)
-    }
-
     /// The query's answers in one complete world, restricted to the `allowed`
     /// constants (Boolean queries use the `{()} / ∅` encoding — the answer set is
     /// non-empty iff the sentence holds in the world). Runs on the compiled plan
@@ -404,7 +386,33 @@ impl PreparedQuery {
         allowed: &BTreeSet<Constant>,
         exec: &mut ExecStats,
     ) -> BTreeSet<Tuple> {
-        answers_in_world(world, self, allowed, exec)
+        let raw = match &self.compiled {
+            Some(compiled) => compiled.execute_interned(&InternedInstance::new(world), false, exec),
+            None => {
+                exec.fallbacks += 1;
+                if self.is_boolean() {
+                    return boolean_answers(evaluate_boolean(world, self.query.formula()));
+                }
+                evaluate_query(world, &self.query)
+            }
+        };
+        raw.into_iter()
+            .filter(|t| t.constants().all(|c| allowed.contains(c)) && t.is_complete())
+            .collect()
+    }
+
+    /// The plan and formula a naïve pass runs: the normal form's when
+    /// `normalized` asks for it and normalization changed the formula, the
+    /// query's own otherwise.
+    fn pass(&self, normalized: bool) -> (Option<&CompiledQuery>, &Query) {
+        if normalized && self.analysis.changed() {
+            (
+                self.normalized_compiled.as_ref(),
+                self.analysis.normalized(),
+            )
+        } else {
+            (self.compiled.as_ref(), &self.query)
+        }
     }
 }
 
@@ -440,7 +448,7 @@ impl fmt::Display for Executor {
 pub struct Certificate {
     /// The semantics of the cell.
     pub semantics: Semantics,
-    /// The query fragment of the cell.
+    /// The query fragment of the cell (the normal form's when `normalized`).
     pub fragment: Fragment,
     /// The guarantee Figure 1 records for the cell.
     pub expectation: Expectation,
@@ -451,6 +459,12 @@ pub struct Certificate {
     pub theorem: &'static str,
     /// The engine executing the naïve pass this certificate authorises.
     pub executor: Executor,
+    /// The query as *written* has no Figure 1 guarantee, but its `nev-analyze`
+    /// normal form classifies into `fragment`, which has one: the naïve pass
+    /// runs on the **normalized** query (semantics-preserving by construction —
+    /// the rewrite trace is replayable via
+    /// [`PreparedQuery::check_normalization`]).
+    pub normalized: bool,
 }
 
 impl Certificate {
@@ -627,21 +641,11 @@ pub fn symbolic_profile(semantics: Semantics) -> EvalProfile {
 /// How the engine answers a query on a given instance and semantics.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum EvalPlan {
-    /// Figure 1 guarantees naïve evaluation computes the certain answers **and**
-    /// the query compiled: one set-at-a-time pass on the `nev-exec` operator
-    /// pipeline, no world enumeration, with the justifying [`Certificate`].
-    CompiledNaive(Certificate),
-    /// Figure 1 guarantees naïve evaluation but the compiler rejected the query's
-    /// shape: one tree-walking interpreter pass (recorded as a fallback in
-    /// [`ExecStats`]), no world enumeration.
-    CertifiedNaive(Certificate),
-    /// The query as *written* has no Figure 1 guarantee, but its `nev-analyze`
-    /// normal form classifies into a guaranteed fragment: one naïve pass over
-    /// the **normalized** query (semantics-preserving by construction — the
-    /// rewrite trace is replayable via
-    /// [`PreparedQuery::check_normalization`]), no world enumeration. The
-    /// certificate's `fragment` is the normalized fragment.
-    NormalizedNaive(Certificate),
+    /// Figure 1 guarantees naïve evaluation computes the certain answers —
+    /// for the query as written, or for its normal form
+    /// ([`Certificate::normalized`]): one naïve pass on the certificate's
+    /// executor, no world enumeration.
+    Naive(Certificate),
     /// No Figure 1 guarantee applies, but a PTIME symbolic technique settled the
     /// answer without enumerating a single world (see [`SymbolicCertificate`]).
     /// [`CertainEngine::plan`] never returns this statically — it is the
@@ -658,9 +662,7 @@ impl EvalPlan {
     /// a [`SymbolicCertificate`] instead — see [`EvalPlan::symbolic_certificate`].
     pub fn certificate(&self) -> Option<&Certificate> {
         match self {
-            EvalPlan::CompiledNaive(cert)
-            | EvalPlan::CertifiedNaive(cert)
-            | EvalPlan::NormalizedNaive(cert) => Some(cert),
+            EvalPlan::Naive(cert) => Some(cert),
             EvalPlan::Symbolic(_) | EvalPlan::BoundedEnumeration => None,
         }
     }
@@ -673,21 +675,37 @@ impl EvalPlan {
         }
     }
 
+    /// How the plan answers, as one of the five wire labels.
+    pub fn kind(&self) -> PlanKind {
+        match self {
+            EvalPlan::Naive(cert) if cert.normalized => PlanKind::Normalized,
+            EvalPlan::Naive(cert) if cert.executor == Executor::CompiledAlgebra => {
+                PlanKind::Compiled
+            }
+            EvalPlan::Naive(_) => PlanKind::Certified,
+            EvalPlan::Symbolic(_) => PlanKind::Symbolic,
+            EvalPlan::BoundedEnumeration => PlanKind::Oracle,
+        }
+    }
+
+    /// The wire label of [`EvalPlan::kind`]: `compiled`, `certified`,
+    /// `normalized`, `symbolic` or `oracle`.
+    pub fn label(&self) -> &'static str {
+        self.kind().label()
+    }
+
     /// Returns `true` for the certified naïve fast path (compiled,
     /// interpreted, or via the normalized formula). Symbolic plans answer
     /// without enumeration too, but by a different argument — test them with
     /// [`EvalPlan::is_symbolic`].
     pub fn is_certified(&self) -> bool {
-        matches!(
-            self,
-            EvalPlan::CompiledNaive(_) | EvalPlan::CertifiedNaive(_) | EvalPlan::NormalizedNaive(_)
-        )
+        matches!(self, EvalPlan::Naive(_))
     }
 
     /// Returns `true` iff dispatch was upgraded by normalization-based
     /// fragment widening.
     pub fn is_normalized(&self) -> bool {
-        matches!(self, EvalPlan::NormalizedNaive(_))
+        self.kind() == PlanKind::Normalized
     }
 
     /// Returns `true` for the PTIME symbolic path.
@@ -695,9 +713,47 @@ impl EvalPlan {
         matches!(self, EvalPlan::Symbolic(_))
     }
 
-    /// Returns `true` iff the plan executes on the compiled `nev-exec` pipeline.
+    /// Returns `true` iff the plan runs the query as written on the compiled
+    /// `nev-exec` pipeline.
     pub fn is_compiled(&self) -> bool {
-        matches!(self, EvalPlan::CompiledNaive(_))
+        self.kind() == PlanKind::Compiled
+    }
+}
+
+/// How an evaluation was answered — the wire `plan=` token.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum PlanKind {
+    /// Certified naïve pass on the compiled `nev-exec` pipeline.
+    Compiled,
+    /// Certified naïve pass on the tree-walking interpreter.
+    Certified,
+    /// Certified naïve pass on the **normal form**: the raw query had no
+    /// Figure 1 guarantee, but static normalization landed it in a guaranteed
+    /// fragment.
+    Normalized,
+    /// PTIME symbolic certificate (conditional tables or the sandwich) on a
+    /// non-guaranteed cell — exact, zero worlds enumerated.
+    Symbolic,
+    /// Bounded possible-world oracle.
+    Oracle,
+}
+
+impl PlanKind {
+    /// The wire token.
+    pub fn label(&self) -> &'static str {
+        match self {
+            PlanKind::Compiled => "compiled",
+            PlanKind::Certified => "certified",
+            PlanKind::Normalized => "normalized",
+            PlanKind::Symbolic => "symbolic",
+            PlanKind::Oracle => "oracle",
+        }
+    }
+}
+
+impl fmt::Display for PlanKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.label())
     }
 }
 
@@ -732,13 +788,46 @@ pub struct Evaluation {
     /// The per-request stage timeline (exec pass, symbolic probe, world
     /// enumeration, …), bounded by [`nev_obs::MAX_SPANS`]. Empty when tracing is
     /// disabled (`NEV_TRACE=0`) or the entry point did not record one. Like
-    /// [`ExecTimings`], traces never participate in equality — two evaluations
-    /// that computed the same answers compare equal whatever their timelines —
-    /// so the determinism suites hold with tracing on or off.
+    /// [`nev_exec::ExecTimings`], traces never participate in equality — two
+    /// evaluations that computed the same answers compare equal whatever their
+    /// timelines — so the determinism suites hold with tracing on or off.
     pub trace: Trace,
+    /// The per-operator profile of the naïve pass, when
+    /// [`DispatchOptions::profile`] asked for one and the plan runs the query
+    /// as written on the compiled pipeline ([`EvalPlan::is_compiled`]).
+    pub profile: Option<OpProfile>,
 }
 
 impl Evaluation {
+    /// An evaluation that enumerated no worlds.
+    fn settled(
+        semantics: Semantics,
+        plan: EvalPlan,
+        naive: BTreeSet<Tuple>,
+        certain: BTreeSet<Tuple>,
+        exec: ExecStats,
+    ) -> Self {
+        Evaluation {
+            semantics,
+            plan,
+            naive,
+            certain,
+            worlds_enumerated: 0,
+            truncated: false,
+            exec,
+            trace: Trace::default(),
+            profile: None,
+        }
+    }
+
+    /// Folds an oracle verdict into an evaluation planned for the oracle.
+    fn resolve(&mut self, outcome: OracleOutcome) {
+        self.certain = outcome.certain;
+        self.worlds_enumerated = outcome.worlds_considered;
+        self.truncated = outcome.truncated;
+        self.exec.merge(&outcome.exec);
+    }
+
     /// Returns `true` iff naïve evaluation agrees with the certain answers.
     pub fn agrees(&self) -> bool {
         self.naive == self.certain
@@ -759,6 +848,14 @@ impl Evaluation {
     /// missed.
     pub fn naive_undershoots(&self) -> bool {
         self.naive.is_subset(&self.certain) && self.naive != self.certain
+    }
+
+    /// Returns `true` iff the oracle stopped on definitive evidence: some
+    /// visited world emptied the intersection (for a Boolean query, a
+    /// counter-world). This is the early exit that cancels the rest of the
+    /// world stream, on either oracle.
+    pub fn exited_early(&self) -> bool {
+        self.worlds_enumerated > 0 && self.certain.is_empty()
     }
 }
 
@@ -789,15 +886,31 @@ impl BatchEvaluation {
     pub fn all_agree(&self) -> bool {
         self.results.iter().all(Evaluation::agrees)
     }
+}
 
-    /// The batch's compiled-execution counters, aggregated across all results.
-    pub fn exec_totals(&self) -> ExecStats {
-        let mut totals = ExecStats::new();
-        for r in &self.results {
-            totals.merge(&r.exec);
-        }
-        totals
-    }
+/// What one [`CertainEngine::dispatch`] records and how far it runs. The
+/// default records nothing, profiles nothing and runs to a verdict.
+#[derive(Clone, Copy, Default)]
+pub struct DispatchOptions<'a> {
+    /// The recorder the stage spans go to (`None`: no timeline).
+    pub trace: Option<&'a TraceRecorder>,
+    /// Profile the naïve pass per operator when the plan runs the query as
+    /// written on the compiled pipeline (the wire `PROFILE` command).
+    pub profile: bool,
+    /// Stop before the oracle: an open symbolic ladder returns the
+    /// [`EvalPlan::BoundedEnumeration`] plan with its naïve answers and no
+    /// certain answers, having enumerated no world (`EXPLAIN`, `ANALYZE`, and
+    /// the planning loop of [`CertainEngine::evaluate_all`]).
+    pub stop_before_oracle: bool,
+}
+
+impl DispatchOptions<'static> {
+    /// Decide the plan, enumerating no world.
+    pub const STOP_BEFORE_ORACLE: Self = DispatchOptions {
+        trace: None,
+        profile: false,
+        stop_before_oracle: true,
+    };
 }
 
 /// The reusable query-evaluation engine: world-enumeration bounds plus the Figure 1
@@ -839,8 +952,10 @@ impl CertainEngine {
     }
 
     /// Attaches a shared worker pool: certified naïve passes dispatch scan and
-    /// join morsels on it (see [`nev_exec::ExecOptions`]). Answers are
-    /// byte-identical with or without a pool — only wall-clock changes.
+    /// join morsels on it (see [`nev_exec::ExecOptions`]), and the oracle
+    /// splits the world stream across it ([`oracle::parallel_certain_answers`]).
+    /// Answers are byte-identical with or without a pool — only wall-clock
+    /// changes.
     pub fn with_pool(mut self, pool: Arc<WorkerPool>) -> Self {
         self.exec.pool = Some(pool);
         self
@@ -868,85 +983,124 @@ impl CertainEngine {
         PreparedQuery::parse(text)
     }
 
-    /// Chooses the evaluation plan for a query on an instance by consulting the
-    /// machine-readable Figure 1: certified naïve evaluation exactly when the
-    /// (semantics, fragment) cell carries a guarantee — unconditionally for `Works`
-    /// cells, and after verifying the instance is a core for `WorksOverCores` cells.
-    /// Certified cells route to the compiled `nev-exec` pipeline when the query has
-    /// a plan, and to the interpreter otherwise.
+    /// Chooses the static evaluation plan for a query on an instance by
+    /// consulting the machine-readable Figure 1: certified naïve evaluation
+    /// exactly when the (semantics, fragment) cell carries a guarantee —
+    /// unconditionally for `Works` cells, after verifying the instance is a
+    /// core for `WorksOverCores` cells — for the query as written or, failing
+    /// that, for its normal form; [`EvalPlan::BoundedEnumeration`] otherwise.
     pub fn plan(&self, d: &Instance, semantics: Semantics, query: &PreparedQuery) -> EvalPlan {
-        let cell = expectation(semantics, query.fragment());
-        let executor = if query.compiles() {
-            Executor::CompiledAlgebra
-        } else {
-            Executor::Interpreter
-        };
-        let certificate = |core_checked: bool| Certificate {
-            semantics,
-            fragment: query.fragment(),
-            expectation: cell,
-            core_checked,
-            theorem: theorem_for(semantics),
-            executor,
-        };
-        let certified = match cell {
-            Expectation::Works => Some(certificate(false)),
-            Expectation::WorksOverCores if is_core(d) => Some(certificate(true)),
-            _ => None,
-        };
-        match certified {
-            Some(cert) if query.compiles() => EvalPlan::CompiledNaive(cert),
-            Some(cert) => EvalPlan::CertifiedNaive(cert),
-            // The syntactic fragment carries no guarantee; when the
-            // `nev-analyze` normal form classifies into a guaranteed fragment,
-            // dispatch upgrades to one naïve pass over the normalized query.
-            None => match self.normalized_certificate(d, semantics, query) {
-                Some(cert) => EvalPlan::NormalizedNaive(cert),
-                None => EvalPlan::BoundedEnumeration,
-            },
-        }
+        self.certify(d, semantics, query, &OnceCell::new())
+            .map_or(EvalPlan::BoundedEnumeration, EvalPlan::Naive)
     }
 
-    /// The fragment-widening certificate, when the query's *normal form* lands
-    /// in a Figure 1 cell with a guarantee the original fragment lacks. The
-    /// certificate records the normalized fragment; its evidence — the rewrite
-    /// trace — re-checks via [`PreparedQuery::check_normalization`].
-    fn normalized_certificate(
+    /// The Figure 1 certificate for the query as written, else for its normal
+    /// form when that widens the fragment. `core` memoises the instance's core
+    /// check, so one request pays for it at most once.
+    fn certify(
         &self,
         d: &Instance,
         semantics: Semantics,
         query: &PreparedQuery,
+        core: &OnceCell<bool>,
     ) -> Option<Certificate> {
-        if !query.analysis().widened() {
-            return None;
-        }
-        let fragment = query.normalized_fragment();
-        let cell = expectation(semantics, fragment);
-        let executor = if query.normalized_compiles() {
-            Executor::CompiledAlgebra
-        } else {
-            Executor::Interpreter
-        };
-        let certificate = |core_checked: bool| Certificate {
-            semantics,
-            fragment,
-            expectation: cell,
-            core_checked,
-            theorem: theorem_for(semantics),
-            executor,
-        };
-        match cell {
-            Expectation::Works => Some(certificate(false)),
-            Expectation::WorksOverCores if is_core(d) => Some(certificate(true)),
-            _ => None,
-        }
+        let written = Some((query.fragment(), false, query.compiles()));
+        let widened = query.analysis().widened().then(|| {
+            (
+                query.normalized_fragment(),
+                true,
+                query.normalized_compiles(),
+            )
+        });
+        [written, widened]
+            .into_iter()
+            .flatten()
+            .find_map(|(fragment, normalized, compiles)| {
+                let cell = expectation(semantics, fragment);
+                let core_checked = match cell {
+                    Expectation::Works => false,
+                    Expectation::WorksOverCores if *core.get_or_init(|| is_core(d)) => true,
+                    _ => return None,
+                };
+                Some(Certificate {
+                    semantics,
+                    fragment,
+                    expectation: cell,
+                    core_checked,
+                    theorem: theorem_for(semantics),
+                    executor: if compiles {
+                        Executor::CompiledAlgebra
+                    } else {
+                        Executor::Interpreter
+                    },
+                    normalized,
+                })
+            })
     }
 
-    /// Evaluates a query with plan dispatch: certified naïve evaluation when
-    /// Figure 1 applies (no world enumeration; compiled when the query has a
-    /// plan); on non-guaranteed cells the PTIME symbolic ladder — CWA
-    /// conditional tables, then the Kleene/naïve sandwich — and only when the
-    /// sandwich stays open the bounded world-enumeration oracle.
+    /// Figure 1 dispatch — the one function every evaluation entry point
+    /// calls. A certified cell is answered by one naïve pass; elsewhere the
+    /// PTIME symbolic ladder runs on the naïve answers, and only when it stays
+    /// open the bounded oracle — chunked across the engine's pool when it
+    /// carries one ([`oracle::parallel_certain_answers`]), the sequential
+    /// world pass otherwise. The instance's core check runs at most once.
+    ///
+    /// The query is taken by [`Borrow`], so a cached `Arc<PreparedQuery>` is
+    /// shared with the pool's oracle tasks without a deep clone.
+    pub fn dispatch<Q>(
+        &self,
+        d: &Instance,
+        semantics: Semantics,
+        query: &Q,
+        options: &DispatchOptions<'_>,
+    ) -> Evaluation
+    where
+        Q: Borrow<PreparedQuery> + Clone + Send + Sync + 'static,
+    {
+        let prepared = query.borrow();
+        let disabled = TraceRecorder::disabled();
+        let recorder = options.trace.unwrap_or(&disabled);
+        let core = OnceCell::new();
+        if let Some(cert) = self.certify(d, semantics, prepared, &core) {
+            let plan = EvalPlan::Naive(cert);
+            let profile = options.profile && plan.is_compiled();
+            let (naive, exec, profile) =
+                self.naive_pass(d, prepared, cert.normalized, profile, recorder);
+            let mut eval = Evaluation::settled(semantics, plan, naive.clone(), naive, exec);
+            eval.profile = profile;
+            return eval;
+        }
+        // The ladder starts from the naïve answers, so its span covers the
+        // naïve pass too (recorded as a child exec span).
+        let symbolic_span = recorder.span(Stage::Symbolic);
+        let (naive, exec, _) = self.naive_pass(d, prepared, false, false, recorder);
+        let symbolic = self.symbolic_ladder(d, semantics, prepared, &naive, &core);
+        drop(symbolic_span);
+        if let Some((cert, certain)) = symbolic {
+            return Evaluation::settled(semantics, EvalPlan::Symbolic(cert), naive, certain, exec);
+        }
+        let mut eval = Evaluation::settled(
+            semantics,
+            EvalPlan::BoundedEnumeration,
+            naive,
+            BTreeSet::new(),
+            exec,
+        );
+        if !options.stop_before_oracle {
+            let oracle_span = recorder.span(Stage::OracleWorlds);
+            eval.resolve(match &self.exec.pool {
+                Some(pool) => {
+                    oracle::parallel_certain_answers(pool, self, d, semantics, query, DEFAULT_CHUNK)
+                }
+                None => self.world_pass(d, semantics, prepared),
+            });
+            drop(oracle_span);
+        }
+        eval
+    }
+
+    /// Evaluates a query with plan dispatch (see [`CertainEngine::dispatch`]),
+    /// recording the stage timeline into [`Evaluation::trace`].
     pub fn evaluate(
         &self,
         d: &Instance,
@@ -954,97 +1108,28 @@ impl CertainEngine {
         query: &PreparedQuery,
     ) -> Evaluation {
         let recorder = TraceRecorder::new();
-        let mut eval = self.evaluate_traced(d, semantics, query, &recorder);
+        let options = DispatchOptions {
+            trace: Some(&recorder),
+            ..DispatchOptions::default()
+        };
+        let mut eval = self.dispatch(d, semantics, query, &options);
         eval.trace = recorder.finish();
         eval
     }
 
-    /// [`CertainEngine::evaluate`] recording its stage timeline into a
-    /// caller-owned [`TraceRecorder`] — the serve layer uses this to splice the
-    /// engine's spans into a wider per-request trace (plan-cache probe, oracle
-    /// scheduling, …). The returned evaluation's own `trace` field is left
-    /// empty; the caller finishes the recorder when the request completes.
-    pub fn evaluate_traced(
-        &self,
-        d: &Instance,
-        semantics: Semantics,
-        query: &PreparedQuery,
-        recorder: &TraceRecorder,
-    ) -> Evaluation {
-        match self.plan(d, semantics, query) {
-            plan @ (EvalPlan::CompiledNaive(_) | EvalPlan::CertifiedNaive(_)) => {
-                let (naive, exec) = self.naive_answers_traced(d, query, recorder);
-                Evaluation {
-                    semantics,
-                    plan,
-                    certain: naive.clone(),
-                    naive,
-                    worlds_enumerated: 0,
-                    truncated: false,
-                    exec,
-                    trace: Trace::default(),
-                }
-            }
-            plan @ EvalPlan::NormalizedNaive(_) => {
-                // One naïve pass over the *normalized* query. Every rewrite in
-                // the trace preserves naïve evaluation on arbitrary instances
-                // (nulls included), so this is also the original query's naïve
-                // answer — and the widened cell's guarantee makes it certain.
-                let (naive, exec) = self.normalized_naive_answers_traced(d, query, recorder);
-                Evaluation {
-                    semantics,
-                    plan,
-                    certain: naive.clone(),
-                    naive,
-                    worlds_enumerated: 0,
-                    truncated: false,
-                    exec,
-                    trace: Trace::default(),
-                }
-            }
-            EvalPlan::Symbolic(_) | EvalPlan::BoundedEnumeration => {
-                let (naive, mut exec) = self.naive_answers_traced(d, query, recorder);
-                let symbolic_span = recorder.span(Stage::Symbolic);
-                let symbolic = self.symbolic_with_naive(d, semantics, query, &naive, &exec);
-                drop(symbolic_span);
-                if let Some(eval) = symbolic {
-                    return eval;
-                }
-                let oracle_span = recorder.span(Stage::OracleWorlds);
-                let (certain, worlds_enumerated, truncated) =
-                    self.bounded_certain(d, semantics, query, &mut exec);
-                drop(oracle_span);
-                Evaluation {
-                    semantics,
-                    plan: EvalPlan::BoundedEnumeration,
-                    naive,
-                    certain,
-                    worlds_enumerated,
-                    truncated,
-                    exec,
-                    trace: Trace::default(),
-                }
-            }
-        }
-    }
-
-    /// Attempts the PTIME exact symbolic techniques on a non-guaranteed cell.
-    /// Returns `Some` iff one of them *certified* the certain answers — with
-    /// `worlds_enumerated == 0` and an [`EvalPlan::Symbolic`] plan — and `None`
-    /// when the query should fall back to the bounded oracle. Certified
-    /// Figure 1 cells also return `None`: naïve evaluation already answers
-    /// them exactly without any symbolic machinery.
+    /// The evaluation when the PTIME symbolic ladder certifies the certain
+    /// answers — with `worlds_enumerated == 0` and an [`EvalPlan::Symbolic`]
+    /// plan — and `None` when the query would fall back to the bounded
+    /// oracle. Certified Figure 1 cells also return `None`: naïve evaluation
+    /// already answers them exactly without any symbolic machinery.
     pub fn evaluate_symbolic(
         &self,
         d: &Instance,
         semantics: Semantics,
         query: &PreparedQuery,
     ) -> Option<Evaluation> {
-        if self.plan(d, semantics, query).is_certified() {
-            return None;
-        }
-        let (naive, exec) = naive_answers(d, query, &self.exec);
-        self.symbolic_with_naive(d, semantics, query, &naive, &exec)
+        Some(self.dispatch(d, semantics, query, &DispatchOptions::STOP_BEFORE_ORACLE))
+            .filter(|eval| eval.plan.is_symbolic())
     }
 
     /// The unconditional Kleene under-approximation: every returned tuple is a
@@ -1057,121 +1142,80 @@ impl CertainEngine {
         semantics: Semantics,
         query: &PreparedQuery,
     ) -> Evaluation {
-        let (naive, exec) = naive_answers(d, query, &self.exec);
+        let (naive, exec) = self.naive_answers(d, query);
         let under = under_approximation(d, query.query(), symbolic_profile(semantics));
-        Evaluation {
+        let plan = EvalPlan::Symbolic(SymbolicCertificate {
             semantics,
-            plan: EvalPlan::Symbolic(SymbolicCertificate {
-                semantics,
-                fragment: query.fragment(),
-                mode: SymbolicMode::UnderApprox,
-                technique: SymbolicTechnique::Kleene,
-                core_checked: false,
-            }),
-            naive,
-            certain: under,
-            worlds_enumerated: 0,
-            truncated: false,
-            exec,
-            trace: Trace::default(),
-        }
+            fragment: query.fragment(),
+            mode: SymbolicMode::UnderApprox,
+            technique: SymbolicTechnique::Kleene,
+            core_checked: false,
+        });
+        Evaluation::settled(semantics, plan, naive, under, exec)
     }
 
-    /// Like [`CertainEngine::plan`], but additionally runs the PTIME symbolic
-    /// probe on non-guaranteed cells: when conditional tables or the sandwich
-    /// would certify the answer, returns the [`EvalPlan::Symbolic`] plan
-    /// [`CertainEngine::evaluate`] would report. Costs up to one naïve pass
-    /// plus the symbolic evaluation — still polynomial, never a world.
+    /// The plan [`CertainEngine::evaluate`] would report, without enumerating
+    /// a world: [`CertainEngine::plan`] upgraded to [`EvalPlan::Symbolic`]
+    /// when conditional tables or the sandwich certify the answer. Costs one
+    /// naïve pass plus, on non-guaranteed cells, the symbolic evaluation.
     pub fn plan_with_symbolic(
         &self,
         d: &Instance,
         semantics: Semantics,
         query: &PreparedQuery,
     ) -> EvalPlan {
-        match self.plan(d, semantics, query) {
-            EvalPlan::Symbolic(_) | EvalPlan::BoundedEnumeration => {
-                let (naive, exec) = naive_answers(d, query, &self.exec);
-                match self.symbolic_with_naive(d, semantics, query, &naive, &exec) {
-                    Some(eval) => eval.plan,
-                    None => EvalPlan::BoundedEnumeration,
-                }
-            }
-            plan => plan,
-        }
+        self.dispatch(d, semantics, query, &DispatchOptions::STOP_BEFORE_ORACLE)
+            .plan
     }
 
-    /// The symbolic ladder, reusing an already-computed naïve pass: (1) under
+    /// The symbolic ladder over an already-computed naïve pass: (1) under
     /// CWA, conditional tables — exact whenever the surviving conditions are
     /// equality-only; (2) the sandwich — the Kleene under-approximation `U`
     /// satisfies `U ⊆ certain`, and `certain ⊆ naive` whenever the
     /// fresh-injective image of `d` is a possible world (always, except under
     /// the minimal semantics off cores), so `U == naive` pins the certain
     /// answers exactly. Returns `None` when neither technique certifies.
-    fn symbolic_with_naive(
+    fn symbolic_ladder(
         &self,
         d: &Instance,
         semantics: Semantics,
         query: &PreparedQuery,
         naive: &BTreeSet<Tuple>,
-        exec: &ExecStats,
-    ) -> Option<Evaluation> {
-        let certificate = |mode, technique, core_checked| SymbolicCertificate {
+        core: &OnceCell<bool>,
+    ) -> Option<(SymbolicCertificate, BTreeSet<Tuple>)> {
+        let certificate = |technique, core_checked| SymbolicCertificate {
             semantics,
             fragment: query.fragment(),
-            mode,
+            mode: SymbolicMode::Exact,
             technique,
             core_checked,
         };
         if semantics == Semantics::Cwa {
             let report = cwa_certain_answers(d, query.query());
             if report.exact {
-                return Some(Evaluation {
-                    semantics,
-                    plan: EvalPlan::Symbolic(certificate(
-                        SymbolicMode::Exact,
-                        SymbolicTechnique::ConditionalTables,
-                        false,
-                    )),
-                    naive: naive.clone(),
-                    certain: report.answers,
-                    worlds_enumerated: 0,
-                    truncated: false,
-                    exec: *exec,
-                    trace: Trace::default(),
-                });
+                let cert = certificate(SymbolicTechnique::ConditionalTables, false);
+                return Some((cert, report.answers));
             }
         }
-        let core_checked = semantics.is_minimal() && is_core(d);
-        if !semantics.is_minimal() || core_checked {
-            let under = under_approximation(d, query.query(), symbolic_profile(semantics));
-            // Tighten the sandwich upper bound before comparing: a certain
-            // answer must hold in every world, so it can contain no nulls,
-            // and `under ⊆ certain ⊆ complete(naive)`. When null-flow
-            // analysis proves every answer column null-safe the filter is a
-            // no-op and we skip the extra pass.
-            let candidates = if query.analysis().nullability().all_null_safe() {
-                naive.clone()
-            } else {
-                complete_candidates(naive)
-            };
-            if under == candidates {
-                return Some(Evaluation {
-                    semantics,
-                    plan: EvalPlan::Symbolic(certificate(
-                        SymbolicMode::Exact,
-                        SymbolicTechnique::Sandwich,
-                        core_checked,
-                    )),
-                    naive: naive.clone(),
-                    certain: candidates,
-                    worlds_enumerated: 0,
-                    truncated: false,
-                    exec: *exec,
-                    trace: Trace::default(),
-                });
-            }
+        let core_checked = semantics.is_minimal() && *core.get_or_init(|| is_core(d));
+        if semantics.is_minimal() && !core_checked {
+            return None;
         }
-        None
+        let under = under_approximation(d, query.query(), symbolic_profile(semantics));
+        // Tighten the sandwich upper bound before comparing: a certain answer
+        // must hold in every world, so it can contain no nulls, and
+        // `under ⊆ certain ⊆ complete(naive)`. When null-flow analysis proves
+        // every answer column null-safe the filter is a no-op and we skip the
+        // extra pass.
+        let candidates = if query.analysis().nullability().all_null_safe() {
+            naive.clone()
+        } else {
+            complete_candidates(naive)
+        };
+        (under == candidates).then(|| {
+            let cert = certificate(SymbolicTechnique::Sandwich, core_checked);
+            (cert, candidates)
+        })
     }
 
     /// Decides a Boolean query with plan dispatch. Returns
@@ -1190,16 +1234,16 @@ impl CertainEngine {
         Ok(self.evaluate(d, semantics, query).is_certainly_true())
     }
 
-    /// The naïve answers of one prepared query under **this engine's** execution
-    /// options — the single certified pass, morsel-parallel when the engine
-    /// carries a shared pool. Prefer this over [`PreparedQuery::naive_answers`]
-    /// when an engine is at hand, so the configured pool is actually used.
+    /// The naïve answers `Q^C(D)` of one prepared query (Boolean queries use
+    /// the `{()} / ∅` encoding) under **this engine's** execution options —
+    /// compiled and morsel-parallel when the engine carries a shared pool, one
+    /// recorded interpreter fallback when the query has no plan.
     pub fn naive_answers(
         &self,
         d: &Instance,
         query: &PreparedQuery,
     ) -> (BTreeSet<Tuple>, ExecStats) {
-        naive_answers(d, query, &self.exec)
+        self.naive_answers_traced(d, query, &TraceRecorder::disabled())
     }
 
     /// [`CertainEngine::naive_answers`] wrapped in a [`Stage::Exec`] span on the
@@ -1212,114 +1256,113 @@ impl CertainEngine {
         query: &PreparedQuery,
         recorder: &TraceRecorder,
     ) -> (BTreeSet<Tuple>, ExecStats) {
-        let span = recorder.span(Stage::Exec);
-        let (naive, exec, timings) = naive_answers_timed(d, query, &self.exec);
-        if recorder.is_enabled() {
-            if timings.scan_us > 0 {
-                recorder.leaf(Stage::Scan, timings.scan_us);
-            }
-            if timings.join_build_us > 0 {
-                recorder.leaf(Stage::JoinBuild, timings.join_build_us);
-            }
-            if timings.join_probe_us > 0 {
-                recorder.leaf(Stage::JoinProbe, timings.join_probe_us);
-            }
-        }
-        drop(span);
+        let (naive, exec, _) = self.naive_pass(d, query, false, false, recorder);
         (naive, exec)
     }
 
     /// The naïve answers of the query's `nev-analyze` *normal form* — the
-    /// single pass behind [`EvalPlan::NormalizedNaive`] — wrapped in a
+    /// single pass behind a normalized [`Certificate`] — wrapped in a
     /// [`Stage::Exec`] span like [`CertainEngine::naive_answers_traced`].
+    /// Every rewrite preserves naïve evaluation, so these are also the
+    /// original query's naïve answers.
     pub fn normalized_naive_answers_traced(
         &self,
         d: &Instance,
         query: &PreparedQuery,
         recorder: &TraceRecorder,
     ) -> (BTreeSet<Tuple>, ExecStats) {
-        let span = recorder.span(Stage::Exec);
-        let (naive, exec, timings) = normalized_naive_answers_timed(d, query, &self.exec);
-        if recorder.is_enabled() {
-            if timings.scan_us > 0 {
-                recorder.leaf(Stage::Scan, timings.scan_us);
-            }
-            if timings.join_build_us > 0 {
-                recorder.leaf(Stage::JoinBuild, timings.join_build_us);
-            }
-            if timings.join_probe_us > 0 {
-                recorder.leaf(Stage::JoinProbe, timings.join_probe_us);
-            }
-        }
-        drop(span);
+        let (naive, exec, _) = self.naive_pass(d, query, true, false, recorder);
         (naive, exec)
     }
 
-    /// [`CertainEngine::naive_answers`] with per-operator profiling — the
-    /// engine half of the wire `PROFILE` command. When the query has a
-    /// compiled plan, the pass runs on `nev-exec` with an [`OpProfile`]
-    /// recording inclusive wall time, output rows and the cost model's
-    /// estimate for every executed operator (answers and counters are
-    /// identical to the unprofiled pass). Interpreter fallbacks have no
-    /// operator tree to attribute and return `None`.
-    pub fn naive_answers_profiled(
+    /// The one naïve pass: over the normal form when `normalized`, on its
+    /// compiled plan when it has one (optionally profiled), else one
+    /// interpreter fallback.
+    fn naive_pass(
         &self,
         d: &Instance,
         query: &PreparedQuery,
+        normalized: bool,
+        profile: bool,
+        recorder: &TraceRecorder,
     ) -> (BTreeSet<Tuple>, ExecStats, Option<OpProfile>) {
-        match query.compiled() {
-            Some(compiled) => {
-                let (out, profile) = compiled.execute_naive_profiled(d, &self.exec);
-                (out.answers, out.stats, Some(profile))
-            }
-            None => {
-                let (naive, exec) = naive_answers(d, query, &self.exec);
-                (naive, exec, None)
+        let span = recorder.span(Stage::Exec);
+        let (compiled, formula) = query.pass(normalized);
+        let Some(compiled) = compiled else {
+            return (naive_eval_query(d, formula), ExecStats::fallback(), None);
+        };
+        let options = RunOptions {
+            naive: true,
+            profile,
+            exec: self.exec.clone(),
+        };
+        let out = compiled.execute(d, &options);
+        if recorder.is_enabled() {
+            for (stage, us) in [
+                (Stage::Scan, out.timings.scan_us),
+                (Stage::JoinBuild, out.timings.join_build_us),
+                (Stage::JoinProbe, out.timings.join_probe_us),
+            ] {
+                if us > 0 {
+                    recorder.leaf(stage, us);
+                }
             }
         }
+        drop(span);
+        (out.answers, out.stats, out.profile)
     }
 
     /// Runs the ground-truth oracle unconditionally — naïve evaluation **and** the
-    /// bounded possible-world intersection — regardless of what Figure 1 guarantees.
+    /// sequential bounded possible-world intersection — regardless of what Figure 1
+    /// guarantees.
     ///
     /// This is the validation entry point: the Figure 1 harness uses it to *check*
     /// the theorems that [`CertainEngine::evaluate`] *assumes*.
     pub fn compare(&self, d: &Instance, semantics: Semantics, query: &PreparedQuery) -> Evaluation {
         let recorder = TraceRecorder::new();
-        let (naive, mut exec) = self.naive_answers_traced(d, query, &recorder);
-        let oracle_span = recorder.span(Stage::OracleWorlds);
-        let (certain, worlds_enumerated, truncated) =
-            self.bounded_certain(d, semantics, query, &mut exec);
-        drop(oracle_span);
-        Evaluation {
+        let (naive, exec) = self.naive_answers_traced(d, query, &recorder);
+        let mut eval = Evaluation::settled(
             semantics,
-            plan: EvalPlan::BoundedEnumeration,
+            EvalPlan::BoundedEnumeration,
             naive,
-            certain,
-            worlds_enumerated,
-            truncated,
+            BTreeSet::new(),
             exec,
-            trace: recorder.finish(),
-        }
+        );
+        let oracle_span = recorder.span(Stage::OracleWorlds);
+        eval.resolve(self.world_pass(d, semantics, query));
+        drop(oracle_span);
+        eval.trace = recorder.finish();
+        eval
     }
 
-    /// The certain answers over the bounded world enumeration (the oracle side of
-    /// [`CertainEngine::compare`], without the naïve pass). For Boolean queries the
-    /// singleton-empty-tuple encoding is used.
+    /// The certain answers over the sequential bounded world enumeration (the
+    /// oracle side of [`CertainEngine::compare`], without the naïve pass). For
+    /// Boolean queries the singleton-empty-tuple encoding is used.
     pub fn certain_answers(
         &self,
         d: &Instance,
         semantics: Semantics,
         query: &PreparedQuery,
     ) -> BTreeSet<Tuple> {
-        self.bounded_certain(d, semantics, query, &mut ExecStats::new())
-            .0
+        self.world_pass(d, semantics, query).certain
+    }
+
+    /// The sequential world pass over one query.
+    fn world_pass(
+        &self,
+        d: &Instance,
+        semantics: Semantics,
+        query: &PreparedQuery,
+    ) -> OracleOutcome {
+        oracle::world_pass(&self.bounds, d, semantics, &[query])
+            .pop()
+            .expect("one outcome per query")
     }
 
     /// Evaluates a batch of prepared queries on one instance, enumerating the
-    /// instance's possible worlds **at most once**: queries whose Figure 1 cell is
-    /// guaranteed take the certified naïve path, and all remaining per-query
-    /// certain-answer intersections are folded in a single shared world pass.
+    /// instance's possible worlds **at most once**: each query is dispatched up
+    /// to the oracle, and the certain-answer intersections of those the
+    /// ladder left open are folded in a single shared sequential world pass.
     ///
     /// The shared pass runs over bounds extended with the **union** of the pending
     /// queries' constants, so each such query may be intersected over a different
@@ -1333,310 +1376,58 @@ impl CertainEngine {
     /// answers coincide whenever the batch's queries mention the same constants (in
     /// particular, no constants at all).
     ///
-    /// Queries are taken by [`std::borrow::Borrow`], so `&[PreparedQuery]` and
+    /// Queries are taken by [`Borrow`], so `&[PreparedQuery]` and
     /// `&[Arc<PreparedQuery>]` both work — cached plans need not be cloned to be
     /// batched.
-    pub fn evaluate_all<Q: std::borrow::Borrow<PreparedQuery>>(
+    pub fn evaluate_all<Q: Borrow<PreparedQuery>>(
         &self,
         d: &Instance,
         semantics: Semantics,
         queries: &[Q],
     ) -> BatchEvaluation {
-        struct PendingQuery {
-            index: usize,
-            allowed: BTreeSet<Constant>,
-            naive: BTreeSet<Tuple>,
-            acc: Option<BTreeSet<Tuple>>,
-            resolved: bool,
-            exec: ExecStats,
-        }
-
         let recorder = TraceRecorder::new();
-        let mut results: Vec<Option<Evaluation>> = (0..queries.len()).map(|_| None).collect();
-        let mut pending: Vec<PendingQuery> = Vec::new();
-        let mut merged = self.bounds.clone();
         let planning_span = recorder.span(Stage::Exec);
-        for (index, query) in queries.iter().map(std::borrow::Borrow::borrow).enumerate() {
-            match self.plan(d, semantics, query) {
-                plan @ (EvalPlan::CompiledNaive(_)
-                | EvalPlan::CertifiedNaive(_)
-                | EvalPlan::NormalizedNaive(_)) => {
-                    let (naive, exec, _) = if plan.is_normalized() {
-                        normalized_naive_answers_timed(d, query, &self.exec)
-                    } else {
-                        naive_answers_timed(d, query, &self.exec)
-                    };
-                    results[index] = Some(Evaluation {
-                        semantics,
-                        plan,
-                        certain: naive.clone(),
-                        naive,
-                        worlds_enumerated: 0,
-                        truncated: false,
-                        exec,
-                        trace: Trace::default(),
-                    });
-                }
-                EvalPlan::Symbolic(_) | EvalPlan::BoundedEnumeration => {
-                    // The naïve pass is needed either way — by the symbolic
-                    // sandwich now or as the pending query's over-approximation
-                    // report later — so it is computed once, here.
-                    let (naive, exec) = naive_answers(d, query, &self.exec);
-                    if let Some(eval) = self.symbolic_with_naive(d, semantics, query, &naive, &exec)
-                    {
-                        results[index] = Some(eval);
-                        continue;
-                    }
-                    merged
-                        .extra_constants
-                        .extend(query.constants().iter().cloned());
-                    let mut allowed = d.constants();
-                    allowed.extend(query.constants().iter().cloned());
-                    pending.push(PendingQuery {
-                        index,
-                        allowed,
-                        naive,
-                        acc: None,
-                        resolved: false,
-                        exec,
-                    });
-                }
-            }
-        }
+        let mut results: Vec<Evaluation> = queries
+            .iter()
+            .map(|query| {
+                self.dispatch(
+                    d,
+                    semantics,
+                    query.borrow(),
+                    &DispatchOptions::STOP_BEFORE_ORACLE,
+                )
+            })
+            .collect();
         drop(planning_span);
 
-        let enumeration_passes = usize::from(!pending.is_empty());
-        let mut worlds_enumerated = 0usize;
-        let mut batch_truncated = false;
+        let pending: Vec<usize> = (0..results.len())
+            .filter(|&i| results[i].plan == EvalPlan::BoundedEnumeration)
+            .collect();
+        let mut worlds_enumerated = 0;
         if !pending.is_empty() {
             let oracle_span = recorder.span(Stage::OracleWorlds);
-            let mut worlds = semantics.worlds(d, &merged);
-            for world in worlds.by_ref() {
-                worlds_enumerated += 1;
-                let mut all_resolved = true;
-                for p in &mut pending {
-                    if p.resolved {
-                        continue;
-                    }
-                    let query = queries[p.index].borrow();
-                    let answers = answers_in_world(&world, query, &p.allowed, &mut p.exec);
-                    let next: BTreeSet<Tuple> = match p.acc.take() {
-                        None => answers,
-                        Some(prev) => prev.intersection(&answers).cloned().collect(),
-                    };
-                    p.resolved = next.is_empty();
-                    p.acc = Some(next);
-                    all_resolved &= p.resolved;
-                }
-                if all_resolved {
-                    break;
-                }
-            }
+            let pending_queries: Vec<&PreparedQuery> =
+                pending.iter().map(|&i| queries[i].borrow()).collect();
+            let outcomes = oracle::world_pass(&self.bounds, d, semantics, &pending_queries);
             drop(oracle_span);
-            // Queries that emptied their intersection exited definitively; the
-            // rest drew on the whole stream, so a capped stream taints them.
-            let stream_truncated = worlds.truncated();
-            for p in pending {
-                let truncated = !p.resolved && stream_truncated;
-                batch_truncated |= truncated;
-                results[p.index] = Some(Evaluation {
-                    semantics,
-                    plan: EvalPlan::BoundedEnumeration,
-                    naive: p.naive,
-                    certain: p.acc.unwrap_or_default(),
-                    worlds_enumerated,
-                    truncated,
-                    exec: p.exec,
-                    trace: Trace::default(),
-                });
+            for (&i, outcome) in pending.iter().zip(outcomes) {
+                worlds_enumerated = outcome.worlds_considered;
+                results[i].resolve(outcome);
             }
         }
-
         BatchEvaluation {
-            results: results
-                .into_iter()
-                .map(|r| r.expect("every query was planned"))
-                .collect(),
-            enumeration_passes,
+            enumeration_passes: usize::from(!pending.is_empty()),
             worlds_enumerated,
-            truncated: batch_truncated,
+            truncated: results.iter().any(|r| r.truncated),
+            results,
             trace: recorder.finish(),
         }
     }
-
-    /// The bounded oracle: intersect the query's answers over the streamed worlds,
-    /// exiting early when a Boolean query meets a counter-world or a k-ary
-    /// intersection becomes empty. Per-world evaluations run on the compiled plan
-    /// when one exists; otherwise each world's evaluation is one interpreter
-    /// fallback in `exec` — `fallbacks` uniformly counts interpreter-routed
-    /// evaluation passes, whichever entry point triggered them. Per-world
-    /// executions stay sequential even when the engine carries a pool: worlds
-    /// are small and freshly interned, so the profitable parallel axis is
-    /// *across* worlds (the serve layer's chunked oracle), not within one.
-    ///
-    /// The third component reports truncation: `true` iff the world stream was
-    /// cut off by [`WorldBounds::max_worlds`] *and* the verdict depended on
-    /// exhausting it. Early exits — a Boolean counter-world, an emptied k-ary
-    /// intersection — are definitive, so they report `false` even when more
-    /// worlds existed beyond the cap.
-    fn bounded_certain(
-        &self,
-        d: &Instance,
-        semantics: Semantics,
-        query: &PreparedQuery,
-        exec: &mut ExecStats,
-    ) -> (BTreeSet<Tuple>, usize, bool) {
-        let bounds = query.bounds(&self.bounds);
-        let mut visited = 0usize;
-        if query.is_boolean() {
-            let mut worlds = semantics.worlds(d, &bounds);
-            let mut certain = true;
-            for world in worlds.by_ref() {
-                visited += 1;
-                let holds = match query.compiled() {
-                    Some(compiled) => {
-                        let out = compiled.execute(&world);
-                        exec.merge(&out.stats);
-                        !out.answers.is_empty()
-                    }
-                    None => {
-                        exec.fallbacks += 1;
-                        evaluate_boolean(&world, query.query().formula())
-                    }
-                };
-                if !holds {
-                    certain = false;
-                    break;
-                }
-            }
-            // A counter-world is a definitive "not certain"; a "certain" verdict
-            // rests on having seen *every* world, so a capped stream taints it.
-            let truncated = certain && worlds.truncated();
-            (encode_boolean(certain), visited, truncated)
-        } else {
-            // Certain answers of a generic query can only mention constants of the
-            // instance or the query; restricting to them keeps the enumeration's
-            // internal fresh constants out of the result.
-            let mut allowed = d.constants();
-            allowed.extend(query.constants().iter().cloned());
-            let mut worlds = semantics.worlds(d, &bounds);
-            let mut certain: Option<BTreeSet<Tuple>> = None;
-            let mut emptied = false;
-            for world in worlds.by_ref() {
-                visited += 1;
-                let answers = answers_in_world(&world, query, &allowed, exec);
-                let next: BTreeSet<Tuple> = match certain.take() {
-                    None => answers,
-                    Some(prev) => prev.intersection(&answers).cloned().collect(),
-                };
-                emptied = next.is_empty();
-                certain = Some(next);
-                if emptied {
-                    break;
-                }
-            }
-            // An emptied intersection can only shrink further: definitive. A
-            // non-empty one is an over-approximation if worlds were suppressed.
-            let truncated = !emptied && worlds.truncated();
-            (certain.unwrap_or_default(), visited, truncated)
-        }
-    }
-}
-
-/// The naïve answers `Q^C(D)` with the Boolean `{()} / ∅` encoding, executed by the
-/// compiled plan when one exists (one interpreter fallback is recorded otherwise).
-/// The compiled pass runs under `options` — morsel-parallel when a pool is
-/// attached, plain sequential otherwise.
-fn naive_answers(
-    d: &Instance,
-    query: &PreparedQuery,
-    options: &ExecOptions,
-) -> (BTreeSet<Tuple>, ExecStats) {
-    let (answers, stats, _) = naive_answers_timed(d, query, options);
-    (answers, stats)
-}
-
-/// [`naive_answers`] keeping the executor's per-phase wall-clock telemetry
-/// (all-zero for interpreter fallbacks and under `NEV_TRACE=0`).
-fn naive_answers_timed(
-    d: &Instance,
-    query: &PreparedQuery,
-    options: &ExecOptions,
-) -> (BTreeSet<Tuple>, ExecStats, ExecTimings) {
-    match query.compiled() {
-        Some(compiled) => {
-            let out = compiled.execute_naive_with(d, options);
-            (out.answers, out.stats, out.timings)
-        }
-        None => (
-            naive_eval_query(d, query.query()),
-            ExecStats::fallback(),
-            ExecTimings::default(),
-        ),
-    }
-}
-
-/// The naïve answers of the query's normal form (the [`EvalPlan::NormalizedNaive`]
-/// pass): the normal form's own compiled plan when it has one, the interpreter on
-/// the normalized AST otherwise. When normalization changed nothing this is
-/// exactly [`naive_answers_timed`] on the original.
-fn normalized_naive_answers_timed(
-    d: &Instance,
-    query: &PreparedQuery,
-    options: &ExecOptions,
-) -> (BTreeSet<Tuple>, ExecStats, ExecTimings) {
-    if !query.normalization_changed() {
-        return naive_answers_timed(d, query, options);
-    }
-    match query.normalized_compiled() {
-        Some(compiled) => {
-            let out = compiled.execute_naive_with(d, options);
-            (out.answers, out.stats, out.timings)
-        }
-        None => (
-            naive_eval_query(d, query.analysis().normalized()),
-            ExecStats::fallback(),
-            ExecTimings::default(),
-        ),
-    }
-}
-
-/// The query's answers in one complete world, restricted to the allowed constants
-/// (Boolean queries use the `{()} / ∅` encoding). Runs on the compiled plan when
-/// one exists, merging its counters into `exec`; an interpreter evaluation counts
-/// as one fallback.
-fn answers_in_world(
-    world: &Instance,
-    query: &PreparedQuery,
-    allowed: &BTreeSet<Constant>,
-    exec: &mut ExecStats,
-) -> BTreeSet<Tuple> {
-    let raw = match query.compiled() {
-        Some(compiled) => {
-            let out = compiled.execute(world);
-            exec.merge(&out.stats);
-            out.answers
-        }
-        None => {
-            exec.fallbacks += 1;
-            if query.is_boolean() {
-                return encode_boolean(evaluate_boolean(world, query.query().formula()));
-            }
-            evaluate_query(world, query.query())
-        }
-    };
-    raw.into_iter()
-        .filter(|t| t.constants().all(|c| allowed.contains(c)) && t.is_complete())
-        .collect()
 }
 
 /// The `{()} / ∅` Boolean answer encoding used throughout the engine: `true` is the
 /// singleton empty tuple, `false` the empty set.
 pub fn boolean_answers(value: bool) -> BTreeSet<Tuple> {
-    encode_boolean(value)
-}
-
-fn encode_boolean(value: bool) -> BTreeSet<Tuple> {
     if value {
         [Tuple::new(Vec::new())].into_iter().collect()
     } else {
@@ -1745,6 +1536,7 @@ mod tests {
             core_checked: false,
             theorem: "made up",
             executor: Executor::Interpreter,
+            normalized: false,
         };
         assert!(!forged.check());
         let missing_core_check = Certificate {
@@ -1754,6 +1546,7 @@ mod tests {
             core_checked: false,
             theorem: theorem_for(Semantics::MinimalCwa),
             executor: Executor::CompiledAlgebra,
+            normalized: false,
         };
         assert!(!missing_core_check.check());
     }
@@ -1948,8 +1741,8 @@ mod tests {
         assert_eq!(raw.rules_fired(), 0);
         let d = inst! { "R" => [[c(1), c(2)]], "S" => [[c(1)]], "T" => [[c(2)]] };
         assert_eq!(
-            plan.execute_naive(&d).answers,
-            raw.execute_naive(&d).answers
+            plan.execute(&d, &RunOptions::naive()).answers,
+            raw.execute(&d, &RunOptions::naive()).answers
         );
     }
 
@@ -2152,6 +1945,30 @@ mod tests {
         assert_eq!(batch.results[0].worlds_enumerated, 0);
         assert!(batch.results[1].truncated);
         assert!(batch.truncated);
+    }
+
+    #[test]
+    fn batch_and_solo_oracles_agree_on_an_empty_world_stream() {
+        // A zero world cap leaves the oracle nothing to intersect: a Boolean
+        // query is then vacuously certain, and the verdict is truncated. The
+        // solo path and the batch's shared pass must say the same.
+        let engine = CertainEngine::with_bounds(WorldBounds {
+            max_worlds: 0,
+            ..WorldBounds::default()
+        });
+        let d = inst! { "D" => [[x(1), x(2)], [x(2), x(1)]], "R" => [[c(1)]] };
+        let q = engine
+            .prepare("exists u . R(u) & !D(u, u)")
+            .expect("valid query");
+        for semantics in [Semantics::Owa, Semantics::Wcwa, Semantics::Cwa] {
+            let solo = engine.evaluate(&d, semantics, &q);
+            assert_eq!(solo.plan, EvalPlan::BoundedEnumeration, "{semantics}");
+            let batch = engine.evaluate_all(&d, semantics, std::slice::from_ref(&q));
+            let batched = &batch.results[0];
+            assert_eq!(batched.certain, solo.certain, "{semantics}");
+            assert_eq!(batched.truncated, solo.truncated, "{semantics}");
+            assert!(solo.truncated && solo.is_certainly_true(), "{semantics}");
+        }
     }
 
     #[test]

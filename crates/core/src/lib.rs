@@ -9,9 +9,12 @@
 //! The crate is organised to mirror the paper:
 //!
 //! * [`engine`] — **the evaluation API**: [`engine::CertainEngine`] turns Figure 1
-//!   into a dispatch table — queries are prepared (classified) once, answered by
-//!   certified naïve evaluation when the paper guarantees it and by the bounded
+//!   into one dispatch function — queries are prepared (classified) once,
+//!   answered by certified naïve evaluation when the paper guarantees it, by the
+//!   PTIME symbolic ladder when it settles the answer, and by the bounded
 //!   possible-world oracle otherwise, with batched single-pass evaluation;
+//! * [`oracle`] — the two bounded world oracles: a sequential pass shared by a
+//!   slice of queries, and the chunked oracle across a worker pool;
 //! * [`semantics`] — the six concrete semantics of incompleteness (OWA, CWA, WCWA,
 //!   powerset CWA, minimal CWA, minimal powerset CWA), exact possible-world
 //!   membership tests, and lazy bounded possible-world enumeration (§2.3, §4.3, §7,
@@ -47,6 +50,7 @@ pub mod cores;
 pub mod domain;
 pub mod engine;
 pub mod monotone;
+pub mod oracle;
 pub mod ordering;
 pub mod preservation;
 pub mod relations;
@@ -55,7 +59,8 @@ pub mod summary;
 pub mod updates;
 
 pub use engine::{
-    symbolic_profile, BatchEvaluation, CertainEngine, Certificate, EngineError, EvalPlan,
-    Evaluation, PrepTimings, PreparedQuery, SymbolicCertificate, SymbolicMode, SymbolicTechnique,
+    symbolic_profile, BatchEvaluation, CertainEngine, Certificate, DispatchOptions, EngineError,
+    EvalPlan, Evaluation, PlanKind, PrepTimings, PreparedQuery, SymbolicCertificate, SymbolicMode,
+    SymbolicTechnique,
 };
 pub use semantics::{ParseSemanticsError, Semantics, WorldBounds, Worlds};

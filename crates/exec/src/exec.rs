@@ -85,11 +85,6 @@ impl Default for ExecOptions {
 }
 
 impl ExecOptions {
-    /// Sequential options (no pool, default morsel size).
-    pub fn sequential() -> Self {
-        ExecOptions::default()
-    }
-
     /// Options dispatching morsels on `pool` at the default granularity.
     pub fn with_pool(pool: Arc<WorkerPool>) -> Self {
         ExecOptions {
@@ -115,6 +110,39 @@ pub struct ExecOutput {
     /// Phase timings for this pass (always-equal telemetry; zero when the
     /// `NEV_TRACE=0` kill switch disables instrumentation).
     pub timings: ExecTimings,
+    /// The per-operator profile, when [`RunOptions::profile`] asked for one.
+    pub profile: Option<OpProfile>,
+}
+
+/// How one [`CompiledQuery::execute`] call runs. The default returns raw
+/// answers, sequentially, unprofiled.
+#[derive(Clone, Debug, Default)]
+pub struct RunOptions {
+    /// Keep only the all-constant answers — **naïve evaluation**.
+    pub naive: bool,
+    /// Record an [`OpProfile`] of every executed operator (the wire `PROFILE`
+    /// command). Answers and counters are the same either way.
+    pub profile: bool,
+    /// The pool morsels dispatch on, and their granularity.
+    pub exec: ExecOptions,
+}
+
+impl RunOptions {
+    /// Naïve evaluation, sequential, unprofiled.
+    pub fn naive() -> Self {
+        RunOptions {
+            naive: true,
+            ..RunOptions::default()
+        }
+    }
+
+    /// These options on `exec`'s pool and morsel granularity.
+    pub fn on(self, exec: &ExecOptions) -> Self {
+        RunOptions {
+            exec: exec.clone(),
+            ..self
+        }
+    }
 }
 
 /// An intermediate binding relation, column-major: `cols[i][r]` is the code of
@@ -985,132 +1013,21 @@ fn eval_complement(b: Batch, ctx: &mut ExecContext<'_>) -> Batch {
 }
 
 impl CompiledQuery {
-    /// Executes the plan on an instance, returning **all** answers — including
-    /// tuples containing nulls — like [`nev_logic::eval::evaluate_query`].
-    pub fn execute(&self, d: &Instance) -> ExecOutput {
-        self.execute_with(d, &ExecOptions::default())
-    }
-
-    /// Executes the plan and keeps only the all-constant answers — **naïve
-    /// evaluation**, like [`nev_logic::eval::naive_eval_query`].
-    pub fn execute_naive(&self, d: &Instance) -> ExecOutput {
-        self.execute_naive_with(d, &ExecOptions::default())
-    }
-
-    /// [`CompiledQuery::execute`] under explicit [`ExecOptions`] (e.g. with a
-    /// shared worker pool for morsel-driven parallelism).
-    pub fn execute_with(&self, d: &Instance, options: &ExecOptions) -> ExecOutput {
+    /// Executes the plan on an instance under `options`: raw answers (nulls
+    /// included, like [`nev_logic::eval::evaluate_query`]) or naïve ones
+    /// (all-constant rows only, like [`nev_logic::eval::naive_eval_query`]),
+    /// optionally with a per-operator [`OpProfile`].
+    pub fn execute(&self, d: &Instance, options: &RunOptions) -> ExecOutput {
+        let wall = options.profile.then(Timer::start_always);
         let interned = Arc::new(InternedInstance::new(d));
-        let mut stats = ExecStats::new();
-        let mut timings = ExecTimings::default();
-        let answers =
-            self.execute_interned_timed(&interned, false, &mut stats, &mut timings, options);
-        ExecOutput {
-            answers,
-            stats,
-            timings,
-        }
-    }
-
-    /// [`CompiledQuery::execute_naive`] under explicit [`ExecOptions`].
-    pub fn execute_naive_with(&self, d: &Instance, options: &ExecOptions) -> ExecOutput {
-        let interned = Arc::new(InternedInstance::new(d));
-        let mut stats = ExecStats::new();
-        let mut timings = ExecTimings::default();
-        let answers =
-            self.execute_interned_timed(&interned, true, &mut stats, &mut timings, options);
-        ExecOutput {
-            answers,
-            stats,
-            timings,
-        }
-    }
-
-    /// Executes against an already-interned instance, sequentially, merging
-    /// counters into `stats`. With `complete_only`, rows containing null codes
-    /// are dropped — the "discard tuples with nulls" half of naïve evaluation,
-    /// decided with one integer comparison per position.
-    pub fn execute_interned(
-        &self,
-        inst: &InternedInstance,
-        complete_only: bool,
-        stats: &mut ExecStats,
-    ) -> BTreeSet<Tuple> {
-        let mut timings = ExecTimings::default();
-        self.run_interned(
-            inst,
-            None,
-            complete_only,
-            stats,
-            &mut timings,
-            DEFAULT_MORSEL_ROWS,
-        )
-    }
-
-    /// [`CompiledQuery::execute_interned`] under explicit [`ExecOptions`]: the
-    /// instance arrives in an `Arc` so morsel tasks (which outlive no borrow)
-    /// can share it across the pool.
-    pub fn execute_interned_with(
-        &self,
-        inst: &Arc<InternedInstance>,
-        complete_only: bool,
-        stats: &mut ExecStats,
-        options: &ExecOptions,
-    ) -> BTreeSet<Tuple> {
-        let mut timings = ExecTimings::default();
-        self.execute_interned_timed(inst, complete_only, stats, &mut timings, options)
-    }
-
-    /// [`CompiledQuery::execute_interned_with`], additionally merging the
-    /// pass's phase timings into `timings`.
-    pub fn execute_interned_timed(
-        &self,
-        inst: &Arc<InternedInstance>,
-        complete_only: bool,
-        stats: &mut ExecStats,
-        timings: &mut ExecTimings,
-        options: &ExecOptions,
-    ) -> BTreeSet<Tuple> {
         // Fanning out only pays when the pool genuinely adds parallel capacity:
         // with zero or one background workers the submitting thread is doing
         // (essentially) all the work anyway, and every morsel would still pay
         // queue, boxing and partition-hash overhead. Below two workers the
         // sequential kernels run unchanged — the pay-as-you-go guarantee the
         // `exec_scaling` bench pins against the set-at-a-time baseline.
-        match options.pool.as_ref().filter(|pool| pool.workers() >= 2) {
-            Some(pool) => self.run_interned(
-                inst,
-                Some(SharedExec { inst, pool }),
-                complete_only,
-                stats,
-                timings,
-                options.morsel_rows,
-            ),
-            None => self.run_interned(
-                inst,
-                None,
-                complete_only,
-                stats,
-                timings,
-                options.morsel_rows,
-            ),
-        }
-    }
-
-    /// [`CompiledQuery::execute_naive_with`] with per-operator profiling: runs
-    /// the same evaluation (same answers, same counters) while recording an
-    /// [`OpProfile`] of inclusive wall times, output rows and cost-model
-    /// estimates per executed operator — the collector behind the wire
-    /// `PROFILE` command.
-    pub fn execute_naive_profiled(
-        &self,
-        d: &Instance,
-        options: &ExecOptions,
-    ) -> (ExecOutput, OpProfile) {
-        let interned = Arc::new(InternedInstance::new(d));
-        let mut stats = ExecStats::new();
-        let mut timings = ExecTimings::default();
         let shared = options
+            .exec
             .pool
             .as_ref()
             .filter(|pool| pool.workers() >= 2)
@@ -1118,61 +1035,45 @@ impl CompiledQuery {
                 inst: &interned,
                 pool,
             });
-        let (answers, profile) = self.run_profiled(
+        let mut out = self.run(
             &interned,
             shared,
-            true,
-            &mut stats,
-            &mut timings,
-            options.morsel_rows,
-            true,
+            options.naive,
+            options.exec.morsel_rows,
+            options.profile,
         );
-        (
-            ExecOutput {
-                answers,
-                stats,
-                timings,
-            },
-            profile,
-        )
+        if let (Some(profile), Some(wall)) = (out.profile.as_mut(), wall) {
+            profile.exec_us = wall.elapsed_us();
+        }
+        out
     }
 
-    fn run_interned(
+    /// Executes against an already-interned instance, sequentially, merging
+    /// counters into `stats` — the per-world step of the bounded oracle. With
+    /// `complete_only`, rows containing null codes are dropped — the "discard
+    /// tuples with nulls" half of naïve evaluation, decided with one integer
+    /// comparison per position.
+    pub fn execute_interned(
         &self,
         inst: &InternedInstance,
-        shared: Option<SharedExec<'_>>,
         complete_only: bool,
         stats: &mut ExecStats,
-        timings: &mut ExecTimings,
-        morsel_rows: usize,
     ) -> BTreeSet<Tuple> {
-        self.run_profiled(
-            inst,
-            shared,
-            complete_only,
-            stats,
-            timings,
-            morsel_rows,
-            false,
-        )
-        .0
+        let out = self.run(inst, None, complete_only, DEFAULT_MORSEL_ROWS, false);
+        stats.merge(&out.stats);
+        out.answers
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn run_profiled(
+    fn run(
         &self,
         inst: &InternedInstance,
         shared: Option<SharedExec<'_>>,
         complete_only: bool,
-        stats: &mut ExecStats,
-        timings: &mut ExecTimings,
         morsel_rows: usize,
         profile: bool,
-    ) -> (BTreeSet<Tuple>, OpProfile) {
+    ) -> ExecOutput {
         let mut ctx = ExecContext::new(inst, shared, self.reorder, morsel_rows);
-        if profile {
-            ctx.profile = Some(OpProfile::default());
-        }
+        ctx.profile = profile.then(OpProfile::default);
         // Replay the compile-time rule count and the root cardinality estimate
         // into this execution's telemetry (`as` saturates, never panics).
         ctx.stats.rules_fired = self.rules.total();
@@ -1192,9 +1093,12 @@ impl CompiledQuery {
                 .collect();
             answers.insert(tuple);
         }
-        stats.merge(&ctx.stats);
-        timings.merge(&ctx.timings);
-        (answers, ctx.profile.unwrap_or_default())
+        ExecOutput {
+            answers,
+            stats: ctx.stats,
+            timings: ctx.timings,
+            profile: ctx.profile,
+        }
     }
 }
 
@@ -1209,9 +1113,9 @@ mod tests {
     fn check(text: &str, d: &Instance) -> ExecOutput {
         let q = parse_query(text).expect("valid query");
         let compiled = CompiledQuery::compile(&q).expect("compiles");
-        let out = compiled.execute(d);
+        let out = compiled.execute(d, &RunOptions::default());
         assert_eq!(out.answers, evaluate_query(d, &q), "raw answers on {text}");
-        let naive = compiled.execute_naive(d);
+        let naive = compiled.execute(d, &RunOptions::naive());
         assert_eq!(
             naive.answers,
             naive_eval_query(d, &q),
@@ -1318,13 +1222,13 @@ mod tests {
         let d = chain_instance(300);
         let q = parse_query("Q(u, w) :- exists v . R(u, v) & S(v, w)").expect("valid query");
         let compiled = CompiledQuery::compile(&q).expect("compiles");
-        let sequential = compiled.execute_naive(&d);
+        let sequential = compiled.execute(&d, &RunOptions::naive());
         for workers in [0, 1, 2, 8] {
             let options = ExecOptions {
                 pool: Some(Arc::new(WorkerPool::new(workers))),
                 morsel_rows: 64,
             };
-            let parallel = compiled.execute_naive_with(&d, &options);
+            let parallel = compiled.execute(&d, &RunOptions::naive().on(&options));
             assert_eq!(
                 parallel.answers, sequential.answers,
                 "workers={workers}: answers changed"
@@ -1341,7 +1245,7 @@ mod tests {
                 assert_eq!(parallel.stats, sequential.stats, "workers={workers}");
             }
             // Morsel counts are a function of the data, never the worker count.
-            let again = compiled.execute_naive_with(&d, &options);
+            let again = compiled.execute(&d, &RunOptions::naive().on(&options));
             assert_eq!(parallel.stats, again.stats, "workers={workers}");
         }
         // Parallel-capable worker counts report identical telemetry.
@@ -1352,7 +1256,9 @@ mod tests {
                     pool: Some(Arc::new(WorkerPool::new(workers))),
                     morsel_rows: 64,
                 };
-                compiled.execute_naive_with(&d, &options).stats
+                compiled
+                    .execute(&d, &RunOptions::naive().on(&options))
+                    .stats
             })
             .collect();
         assert_eq!(stats[0], stats[1]);
@@ -1365,13 +1271,16 @@ mod tests {
         let q = parse_query("Q(x, y) :- exists z . R(x, z) & S(z, y)").expect("valid query");
         let compiled = CompiledQuery::compile(&q).expect("compiles");
         let options = ExecOptions::with_pool(Arc::new(WorkerPool::new(4)));
-        let out = compiled.execute_naive_with(&d, &options);
+        let out = compiled.execute(&d, &RunOptions::naive().on(&options));
         assert_eq!(
             out.stats.morsels_dispatched, 0,
             "below the morsel threshold"
         );
         assert_eq!(out.stats.parallel_joins, 0);
-        assert_eq!(out.answers, compiled.execute_naive(&d).answers);
+        assert_eq!(
+            out.answers,
+            compiled.execute(&d, &RunOptions::naive()).answers
+        );
     }
 
     #[test]
@@ -1382,7 +1291,7 @@ mod tests {
             pool: Some(Arc::new(WorkerPool::new(2))),
             morsel_rows: 1,
         };
-        let out = compiled.execute_naive_with(&Instance::new(), &options);
+        let out = compiled.execute(&Instance::new(), &RunOptions::naive().on(&options));
         assert!(out.answers.is_empty());
         assert_eq!(out.stats.morsels_dispatched, 0);
         assert_eq!(out.stats.batches_processed, 0);
@@ -1401,7 +1310,7 @@ mod tests {
             pool: Some(Arc::new(WorkerPool::new(2))),
             morsel_rows: 2,
         };
-        let out = compiled.execute_naive_with(&d, &options);
+        let out = compiled.execute(&d, &RunOptions::naive().on(&options));
         assert_eq!(out.answers.len(), 10);
         assert_eq!(out.stats.morsels_dispatched, 5);
         assert_eq!(out.stats.batches_processed, 5);
@@ -1413,8 +1322,18 @@ mod tests {
         let d = chain_instance(300);
         let q = parse_query("Q(u, w) :- exists v . R(u, v) & S(v, w)").expect("valid query");
         let compiled = CompiledQuery::compile(&q).expect("compiles");
-        let plain = compiled.execute_naive(&d);
-        let (out, profile) = compiled.execute_naive_profiled(&d, &ExecOptions::default());
+        let plain = compiled.execute(&d, &RunOptions::naive());
+        let out = compiled.execute(
+            &d,
+            &RunOptions {
+                profile: true,
+                ..RunOptions::naive()
+            },
+        );
+        let profile = out
+            .profile
+            .clone()
+            .expect("a profiled run returns its profile");
         // Profiling changes nothing about the evaluation itself.
         assert_eq!(out.answers, plain.answers);
         assert_eq!(out.stats, plain.stats);
@@ -1444,7 +1363,7 @@ mod tests {
         let d = chain_instance(300);
         let q = parse_query("Q(u, w) :- exists v . R(u, v) & S(v, w)").expect("valid query");
         let compiled = CompiledQuery::compile(&q).expect("compiles");
-        let out = compiled.execute_naive(&d);
+        let out = compiled.execute(&d, &RunOptions::naive());
         if nev_obs::enabled() {
             // A scan and a hash join ran: their phases were measured. (µs
             // clocks can legitimately read 0 on a fast pass, so assert the
@@ -1455,7 +1374,7 @@ mod tests {
         }
         // Timings never affect output equality — the cross-worker-count
         // equality pins in this module rely on this.
-        let again = compiled.execute_naive(&d);
+        let again = compiled.execute(&d, &RunOptions::naive());
         assert_eq!(out, again);
     }
 
@@ -1466,12 +1385,14 @@ mod tests {
         let d = chain_instance(200);
         let q = parse_query("Q(u, w) :- exists v . R(u, v) & S(v, w)").expect("valid query");
         let compiled = CompiledQuery::compile(&q).expect("compiles");
-        let sequential = compiled.execute_naive(&d).stats;
+        let sequential = compiled.execute(&d, &RunOptions::naive()).stats;
         let options = ExecOptions {
             pool: Some(Arc::new(WorkerPool::new(3))),
             morsel_rows: 32,
         };
-        let parallel = compiled.execute_naive_with(&d, &options).stats;
+        let parallel = compiled
+            .execute(&d, &RunOptions::naive().on(&options))
+            .stats;
         assert_eq!(parallel.rows_scanned, sequential.rows_scanned);
         assert_eq!(parallel.hash_probes, sequential.hash_probes);
         assert_eq!(parallel.index_builds, sequential.index_builds);

@@ -32,13 +32,14 @@
 //!
 //! The crate is semantics-complete over the executable core: for every query it
 //! *accepts*, [`CompiledQuery::execute`] returns exactly
-//! [`nev_logic::eval::evaluate_query`]'s answers and [`CompiledQuery::execute_naive`]
-//! exactly [`nev_logic::eval::naive_eval_query`]'s — the differential property suite
+//! [`nev_logic::eval::evaluate_query`]'s answers, and exactly
+//! [`nev_logic::eval::naive_eval_query`]'s under [`RunOptions::naive`] — the
+//! differential property suite
 //! in the workspace root (`tests/exec_equivalence.rs`) holds this equation under
 //! seeded workloads across all five fragments.
 //!
 //! ```
-//! use nev_exec::CompiledQuery;
+//! use nev_exec::{CompiledQuery, RunOptions};
 //! use nev_incomplete::builder::{c, x};
 //! use nev_incomplete::inst;
 //! use nev_logic::parse_query;
@@ -49,7 +50,7 @@
 //! };
 //! let q = parse_query("Q(x, y) :- exists z . R(x, z) & S(z, y)")?;
 //! let compiled = CompiledQuery::compile(&q).expect("a join pipeline compiles");
-//! let out = compiled.execute_naive(&d);
+//! let out = compiled.execute(&d, &RunOptions::naive());
 //! assert_eq!(out.answers.len(), 1); // {(1, 4)} — the paper's §1 answer
 //! assert!(out.stats.hash_probes > 0);
 //! # Ok::<(), nev_logic::ParseError>(())
@@ -69,7 +70,7 @@ pub mod rules;
 pub mod stats;
 
 pub use algebra::{PlanNode, ScanTerm};
-pub use exec::{ExecOptions, ExecOutput, DEFAULT_MORSEL_ROWS};
+pub use exec::{ExecOptions, ExecOutput, RunOptions, DEFAULT_MORSEL_ROWS};
 pub use intern::{ColumnarRelation, Dictionary, InternedInstance};
 pub use lower::{CompileError, CompiledQuery, CompilerConfig};
 pub use optimize::greedy_join_order;

@@ -42,11 +42,26 @@ pub struct OpSample {
 }
 
 /// The per-operator profile of one plan execution: [`OpSample`]s in pre-order.
-#[derive(Clone, Debug, Default, PartialEq)]
+///
+/// A profile is wall-clock telemetry: like [`crate::ExecTimings`], two
+/// profiles always compare equal, so a profiled result equals an unprofiled
+/// one wherever both carry a profile.
+#[derive(Clone, Debug, Default)]
 pub struct OpProfile {
     /// The recorded samples, pre-order over the executed operator tree.
     pub ops: Vec<OpSample>,
+    /// Wall time of the whole profiled pass in microseconds: interning the
+    /// instance plus running the plan. Bounds [`OpProfile::root_wall_us`].
+    pub exec_us: u64,
 }
+
+impl PartialEq for OpProfile {
+    fn eq(&self, _other: &OpProfile) -> bool {
+        true // telemetry: never part of a result's value (see type docs)
+    }
+}
+
+impl Eq for OpProfile {}
 
 impl OpProfile {
     /// Inclusive wall time of the plan root (0 for an empty profile).
@@ -169,6 +184,7 @@ mod tests {
                 sample(2, "Scan S(y,z)", 20, 2, false),
                 sample(2, "HashJoin[x,y,z]", 25, 4, true),
             ],
+            ..OpProfile::default()
         };
         assert_eq!(profile.root_wall_us(), 100);
         assert_eq!(profile.self_us(0), 20); // 100 - 80
@@ -187,6 +203,7 @@ mod tests {
                 sample(0, "Union(arms=2)", 10, 1, true),
                 sample(1, "Unit", 12, 1, false),
             ],
+            ..OpProfile::default()
         };
         assert_eq!(profile.self_us(0), 0);
         assert!(profile.total_self_us() >= profile.self_us(0));
@@ -199,6 +216,7 @@ mod tests {
                 sample(0, "Project[x]", 7, 2, true),
                 sample(1, "Scan R(x)", 3, 3, false),
             ],
+            ..OpProfile::default()
         };
         let line = profile.render();
         assert_eq!(

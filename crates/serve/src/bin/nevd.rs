@@ -1,12 +1,14 @@
 //! `nevd` — the certain-answer service daemon.
 //!
 //! ```text
-//! nevd [--port P] [--workers N] [--cache-capacity C] [--oracle-chunk K]
+//! nevd [--port P] [--workers N] [--cache-capacity C]
 //! ```
 //!
 //! Binds a loopback TCP listener (`--port 0`, the default, picks an ephemeral
 //! port and prints it) and serves the line protocol documented in
-//! `nev_serve::wire`: `LOAD`, `PREPARE`, `EVAL`, `STATS`, `QUIT`.
+//! `nev_serve::wire`: `LOAD`, `PREPARE`, `EVAL`, `STATS`, `QUIT`. The
+//! parallel oracle splits world streams into chunks of
+//! `nev_serve::oracle::DEFAULT_CHUNK` worlds.
 
 use std::sync::Arc;
 
@@ -15,7 +17,7 @@ use nev_serve::server::Server;
 use nev_serve::state::{ServeConfig, ServeState};
 
 fn usage_and_exit(code: i32) -> ! {
-    println!("usage: nevd [--port P] [--workers N] [--cache-capacity C] [--oracle-chunk K]");
+    println!("usage: nevd [--port P] [--workers N] [--cache-capacity C]");
     std::process::exit(code);
 }
 
@@ -29,9 +31,6 @@ fn main() {
             "--workers" => config.workers = parse_flag_value("--workers", args.next()),
             "--cache-capacity" => {
                 config.cache_capacity = parse_flag_value("--cache-capacity", args.next());
-            }
-            "--oracle-chunk" => {
-                config.oracle_chunk = parse_flag_value("--oracle-chunk", args.next());
             }
             "--help" | "-h" => usage_and_exit(0),
             other => {

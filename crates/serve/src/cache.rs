@@ -1,56 +1,60 @@
-//! The plan cache: parse + classify + compile once per distinct (query, semantics)
-//! pair, not once per request.
+//! The plan cache: parse + classify + compile once per distinct query, not once
+//! per request.
 //!
 //! A [`PreparedQuery`] is the expensive per-query preparation the engine performs —
 //! parsing, fragment classification, constant collection and relational-algebra
 //! compilation (rule-optimised by `nev-opt`, so the cache stores the optimised
 //! plan). Under service traffic the same query text arrives over and over, so the
-//! cache keys an LRU on the **parsed query's canonical `Display` rendering ×
-//! semantics** and stores the prepared query behind an `Arc` together with the
-//! instance-independent half of the Figure 1 dispatch (the cell's
-//! [`Expectation`]). Canonical keying means *every* superficial spelling
-//! difference — whitespace, punctuation spacing (`exists u.R(u)` vs
-//! `exists u . R(u)`), redundant parentheses — hits the same entry; each lookup
-//! pays one parse, which is cheap next to the classification + compilation a
-//! miss would repeat. The semantics is part of the key because the cached
-//! dispatch metadata is per-cell; the `Arc<PreparedQuery>` itself is shared
-//! across the semantics entries of the same canonical text, so compilation still
-//! happens once per distinct query.
+//! cache keys an LRU on the **parsed query's canonical `Display` rendering** and
+//! stores the prepared query behind an `Arc`. Canonical keying means *every*
+//! superficial spelling difference — whitespace, punctuation spacing
+//! (`exists u.R(u)` vs `exists u . R(u)`), redundant parentheses — hits the same
+//! entry; each lookup pays one parse, which is cheap next to the classification +
+//! compilation a miss would repeat. The semantics is not part of the key: the
+//! Figure 1 cell is a pure function of fragment × semantics, so each lookup
+//! derives it ([`CachedPlan::cell`]).
+//!
+//! Preparation is **single-flight**: each key owns a slot, and concurrent misses
+//! on one key wait for the first caller's preparation instead of each compiling
+//! (they count as hits). Misses on different keys prepare in parallel, outside
+//! the cache lock.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use nev_core::engine::{EngineError, PreparedQuery};
 use nev_core::summary::{expectation, Expectation};
 use nev_core::Semantics;
 use nev_logic::{parse_query, Query};
 
-/// A cached entry: the shared prepared query plus the Figure 1 cell guarantee for
-/// the keyed semantics (the instance-independent part of plan dispatch).
+/// A cache lookup: the shared prepared query plus the Figure 1 cell guarantee for
+/// the requested semantics (the instance-independent part of plan dispatch).
 #[derive(Clone, Debug)]
 pub struct CachedPlan {
-    /// The prepared (parsed, classified, compiled) query, shared across semantics.
+    /// The prepared (parsed, classified, compiled) query, shared across lookups.
     pub prepared: Arc<PreparedQuery>,
-    /// The semantics this entry was keyed under.
+    /// The semantics of the lookup.
     pub semantics: Semantics,
     /// `expectation(semantics, fragment)` — what Figure 1 guarantees for the cell.
     pub cell: Expectation,
 }
 
+/// One key's prepared query, filled by whichever lookup prepares it first.
+type Slot = Arc<OnceLock<Arc<PreparedQuery>>>;
+
 struct Entry {
-    plan: CachedPlan,
+    slot: Slot,
     last_used: u64,
 }
 
 struct Inner {
-    entries: HashMap<(String, Semantics), Entry>,
-    /// Monotonic recency clock; bumped on every hit or insertion.
+    entries: HashMap<String, Entry>,
+    /// Monotonic recency clock; bumped on every lookup.
     clock: u64,
 }
 
-/// An LRU cache of [`CachedPlan`]s keyed on (canonical query rendering,
-/// semantics).
+/// An LRU cache of prepared queries keyed on the canonical query rendering.
 ///
 /// ```
 /// use nev_serve::cache::PlanCache;
@@ -94,8 +98,8 @@ pub fn canonical(text: &str) -> Result<(String, Query), EngineError> {
 }
 
 impl PlanCache {
-    /// A cache holding at most `capacity` (text, semantics) entries; a capacity of
-    /// zero disables caching (every lookup prepares afresh).
+    /// A cache holding at most `capacity` queries; a capacity of zero disables
+    /// caching (every lookup prepares afresh).
     pub fn new(capacity: usize) -> Self {
         PlanCache {
             inner: Mutex::new(Inner {
@@ -128,7 +132,7 @@ impl PlanCache {
         self.len() == 0
     }
 
-    /// Cache hits so far.
+    /// Cache hits so far (lookups that found, or waited for, a preparation).
     pub fn hits(&self) -> u64 {
         // relaxed: telemetry read; may lag concurrent bumps.
         self.hits.load(Ordering::Relaxed)
@@ -146,9 +150,9 @@ impl PlanCache {
         self.evictions.load(Ordering::Relaxed)
     }
 
-    /// Looks up the (canonical `text`, `semantics`) entry, preparing and inserting
-    /// it on a miss. Parse/classification errors are returned verbatim, cache
-    /// nothing and count nothing.
+    /// Looks up the canonical `text`, preparing and inserting it on a miss, and
+    /// pairs it with `semantics`' Figure 1 cell. Parse errors are returned
+    /// verbatim, cache nothing and count nothing.
     pub fn get_or_prepare(
         &self,
         text: &str,
@@ -158,104 +162,68 @@ impl PlanCache {
             .map(|(plan, _hit)| plan)
     }
 
-    /// [`PlanCache::get_or_prepare`] reporting whether the entry was a cache
-    /// hit (`true`) or had to be prepared on this call (`false`). The serve
-    /// layer's request tracing uses the flag to replay parse/classify/compile
-    /// timings only for requests that actually paid them.
+    /// [`PlanCache::get_or_prepare`] reporting whether the lookup was a cache
+    /// hit (`true`) or prepared the query itself (`false`). The serve layer's
+    /// request tracing uses the flag to replay parse/classify/compile timings
+    /// only for requests that actually paid them.
     pub fn get_or_prepare_with_status(
         &self,
         text: &str,
         semantics: Semantics,
     ) -> Result<(CachedPlan, bool), EngineError> {
-        let (canonical_text, query) = canonical(text)?;
-        let key = (canonical_text, semantics);
-        if let Some(plan) = self.lookup(&key) {
-            // relaxed: hit/miss tallies are telemetry only.
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((plan, true));
-        }
-        // Prepare outside the lock: classification + compilation is the expensive
-        // part and must not serialise concurrent misses on different texts.
-        // relaxed: hit/miss tallies are telemetry only.
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let (prepared, _reused) = self.shared_prepared(&key.0, query);
+        let (prepared, hit) = self.prepared(text)?;
         let plan = CachedPlan {
             cell: expectation(semantics, prepared.fragment()),
             prepared,
             semantics,
         };
-        self.insert(key, plan.clone());
-        Ok((plan, false))
+        Ok((plan, hit))
     }
 
-    /// Warms the cache for `text` under **every** semantics (the `PREPARE`
-    /// command): one parse + compile, six cell entries sharing the same `Arc`.
-    /// Counts one hit when a semantics sibling already held the compiled query
-    /// and one miss when it had to be compiled afresh — so the hit/miss counters
-    /// reflect preparations actually performed, `PREPARE` and `EVAL` alike (with
-    /// `capacity == 0` nothing is retained and every call is one miss).
+    /// Warms the cache for `text` (the `PREPARE` command) and returns the shared
+    /// prepared query; it counts as one hit or one miss, like any lookup.
     pub fn prepare_all(&self, text: &str) -> Result<Arc<PreparedQuery>, EngineError> {
-        let (canonical_text, query) = canonical(text)?;
-        let (prepared, reused) = self.shared_prepared(&canonical_text, query);
-        if reused {
-            // relaxed: hit/miss tallies are telemetry only.
-            self.hits.fetch_add(1, Ordering::Relaxed);
+        self.prepared(text).map(|(prepared, _hit)| prepared)
+    }
+
+    /// The shared prepared query for `text` and whether another lookup had
+    /// prepared it. Preparation runs outside the cache lock, once per slot.
+    fn prepared(&self, text: &str) -> Result<(Arc<PreparedQuery>, bool), EngineError> {
+        let (key, query) = canonical(text)?;
+        let slot = self.slot(key);
+        let mut prepared_here = false;
+        let prepared = Arc::clone(slot.get_or_init(|| {
+            prepared_here = true;
+            Arc::new(PreparedQuery::new(query))
+        }));
+        let counter = if prepared_here {
+            &self.misses
         } else {
-            // relaxed: hit/miss tallies are telemetry only.
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        }
-        for semantics in Semantics::ALL {
-            let key = (canonical_text.clone(), semantics);
-            if self.lookup(&key).is_none() {
-                self.insert(
-                    key,
-                    CachedPlan {
-                        prepared: Arc::clone(&prepared),
-                        semantics,
-                        cell: expectation(semantics, prepared.fragment()),
-                    },
-                );
-            }
-        }
-        Ok(prepared)
+            &self.hits
+        };
+        // relaxed: hit/miss tallies are telemetry only.
+        counter.fetch_add(1, Ordering::Relaxed);
+        Ok((prepared, !prepared_here))
     }
 
-    /// An `Arc<PreparedQuery>` for the canonical text, reusing any
-    /// semantics-sibling entry's `Arc` (so one query is compiled at most once
-    /// while cached, and a re-prepared sibling re-joins the surviving `Arc`
-    /// after an eviction). The flag reports whether a sibling was reused.
-    fn shared_prepared(&self, canonical_text: &str, query: Query) -> (Arc<PreparedQuery>, bool) {
-        {
-            let inner = self.inner.lock().expect("cache lock poisoned");
-            for sibling in Semantics::ALL {
-                if let Some(e) = inner.entries.get(&(canonical_text.to_string(), sibling)) {
-                    return (Arc::clone(&e.plan.prepared), true);
-                }
-            }
-        }
-        (Arc::new(PreparedQuery::new(query)), false)
-    }
-
-    fn lookup(&self, key: &(String, Semantics)) -> Option<CachedPlan> {
-        let mut inner = self.inner.lock().expect("cache lock poisoned");
-        inner.clock += 1;
-        let clock = inner.clock;
-        let entry = inner.entries.get_mut(key)?;
-        entry.last_used = clock;
-        Some(entry.plan.clone())
-    }
-
-    fn insert(&self, key: (String, Semantics), plan: CachedPlan) {
+    /// The slot for `key`, inserted (evicting least-recently-used entries past
+    /// capacity) when absent. With capacity zero the slot is never retained.
+    fn slot(&self, key: String) -> Slot {
         if self.capacity == 0 {
-            return;
+            return Slot::default();
         }
         let mut inner = self.inner.lock().expect("cache lock poisoned");
         inner.clock += 1;
         let clock = inner.clock;
+        if let Some(entry) = inner.entries.get_mut(&key) {
+            entry.last_used = clock;
+            return Arc::clone(&entry.slot);
+        }
+        let slot = Slot::default();
         inner.entries.insert(
             key,
             Entry {
-                plan,
+                slot: Arc::clone(&slot),
                 last_used: clock,
             },
         );
@@ -272,6 +240,7 @@ impl PlanCache {
             // relaxed: eviction tally is telemetry only.
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
+        slot
     }
 }
 
@@ -323,17 +292,17 @@ mod tests {
         // Different cells…
         assert_ne!(owa.cell, cwa.cell);
         assert_eq!(owa.prepared.fragment(), Fragment::Positive);
-        // …but one compilation: the sibling entry's Arc is reused.
+        // …but one entry and one compilation: the cell is derived per lookup.
         assert!(Arc::ptr_eq(&owa.prepared, &cwa.prepared));
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.misses(), 2);
+        assert_eq!(cache.len(), 1);
+        assert_eq!((cache.hits(), cache.misses()), (1, 1));
     }
 
     #[test]
     fn prepare_all_warms_every_semantics_row() {
         let cache = PlanCache::new(16);
         let prepared = cache.prepare_all("exists u v . D(u, v)").unwrap();
-        assert_eq!(cache.len(), Semantics::ALL.len());
+        assert_eq!(cache.len(), 1);
         for semantics in Semantics::ALL {
             let hit = cache
                 .get_or_prepare("exists u v . D(u, v)", semantics)
@@ -402,32 +371,29 @@ mod tests {
     }
 
     #[test]
-    fn sibling_eviction_keeps_the_shared_arc_and_counters_consistent() {
-        // Capacity 3 < 6 semantics rows: prepare_all inserts six siblings and
-        // the LRU immediately evicts the three oldest.
-        let cache = PlanCache::new(3);
-        let prepared = cache.prepare_all("exists u . A(u)").unwrap();
-        assert_eq!(cache.len(), 3);
-        assert_eq!(cache.evictions(), 3);
-        assert_eq!((cache.hits(), cache.misses()), (0, 1));
-        // An evicted sibling misses but re-joins the *surviving* Arc — one
-        // compilation total, no divergent plans.
-        let evicted = cache
-            .get_or_prepare("exists u . A(u)", Semantics::ALL[0])
-            .unwrap();
-        assert!(Arc::ptr_eq(&evicted.prepared, &prepared));
-        assert_eq!((cache.hits(), cache.misses()), (0, 2));
-        // A surviving sibling is a genuine hit on the same Arc.
-        let survivor = cache
-            .get_or_prepare("exists u . A(u)", Semantics::ALL[5])
-            .unwrap();
-        assert!(Arc::ptr_eq(&survivor.prepared, &prepared));
-        assert_eq!((cache.hits(), cache.misses()), (1, 2));
-        // A warm re-PREPARE is one hit (the sibling Arc), not six.
-        let again = cache.prepare_all("exists u . A(u)").unwrap();
-        assert!(Arc::ptr_eq(&again, &prepared));
-        assert_eq!((cache.hits(), cache.misses()), (2, 2));
-        assert_eq!(cache.len(), 3, "capacity is still respected");
+    fn concurrent_misses_on_one_key_prepare_once() {
+        // Eight threads miss on one key at once: one prepares, the other seven
+        // wait for its result and count as hits.
+        let cache = Arc::new(PlanCache::new(16));
+        let barrier = Arc::new(std::sync::Barrier::new(8));
+        let threads: Vec<_> = (0..8)
+            .map(|_| {
+                let cache = Arc::clone(&cache);
+                let barrier = Arc::clone(&barrier);
+                std::thread::spawn(move || {
+                    barrier.wait();
+                    cache
+                        .get_or_prepare("forall u . exists v . D(u, v)", Semantics::Owa)
+                        .unwrap()
+                        .prepared
+                })
+            })
+            .collect();
+        let prepared: Vec<Arc<PreparedQuery>> =
+            threads.into_iter().map(|t| t.join().unwrap()).collect();
+        assert!(prepared.iter().all(|p| Arc::ptr_eq(p, &prepared[0])));
+        assert_eq!((cache.hits(), cache.misses()), (7, 1));
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]

@@ -265,7 +265,7 @@ pub fn run_load(
 ) -> io::Result<LoadReport> {
     use std::collections::HashMap;
 
-    use nev_core::engine::{CertainEngine, EvalPlan, PreparedQuery};
+    use nev_core::engine::{CertainEngine, PreparedQuery};
 
     let workload = workload(seed, instances, requests);
     let engine = CertainEngine::with_bounds(ServeConfig::default().bounds);
@@ -315,15 +315,9 @@ pub fn run_load(
                 Err(e) => format!("ERR {e}"),
                 Ok(prepared) => {
                     let evaluation = engine.evaluate(instance, request.semantics, &prepared);
-                    let plan = match evaluation.plan {
-                        EvalPlan::CompiledNaive(_) => "compiled",
-                        EvalPlan::CertifiedNaive(_) => "certified",
-                        EvalPlan::NormalizedNaive(_) => "normalized",
-                        EvalPlan::Symbolic(_) => "symbolic",
-                        EvalPlan::BoundedEnumeration => "oracle",
-                    };
                     format!(
-                        "OK plan={plan} certain={}{}",
+                        "OK plan={} certain={}{}",
+                        evaluation.plan.label(),
                         crate::wire::render_answers(&evaluation.certain),
                         if evaluation.truncated {
                             " truncated=true"
@@ -363,14 +357,9 @@ pub fn run_load(
             Some(instance) => match PreparedQuery::parse(&request.query) {
                 Err(e) => format!("ERR {e}"),
                 Ok(prepared) => {
-                    let dispatch =
-                        match engine.plan_with_symbolic(instance, request.semantics, &prepared) {
-                            EvalPlan::CompiledNaive(_) => "compiled",
-                            EvalPlan::CertifiedNaive(_) => "certified",
-                            EvalPlan::NormalizedNaive(_) => "normalized",
-                            EvalPlan::Symbolic(_) => "symbolic",
-                            EvalPlan::BoundedEnumeration => "oracle",
-                        };
+                    let dispatch = engine
+                        .plan_with_symbolic(instance, request.semantics, &prepared)
+                        .label();
                     match prepared.compiled() {
                         Some(compiled) => {
                             format!("OK dispatch={dispatch} {}", compiled.explain_compact())

@@ -14,13 +14,16 @@
 //! ```text
 //! server (nevd accept loop, one thread per connection)
 //!   └──► state    (ServeState: LOAD/PREPARE/EVAL/EXPLAIN/TRACE/PROFILE/
-//!         │        STATS/TOP/METRICS handlers, grouped batch evaluation
-//!         │        over evaluate_all)
+//!         │        STATS/TOP/METRICS handlers rendering the engine's one
+//!         │        Figure 1 dispatch, grouped batch evaluation over
+//!         │        evaluate_all)
 //!         ├──► catalog  (named Arc<Instance> snapshots, copy-on-write swaps)
 //!         ├──► cache    (LRU of Arc<PreparedQuery> holding the nev-opt
-//!         │              optimised plan, keyed canonical rendering × semantics)
-//!         ├──► oracle   (possible-world stream chunked across the pool,
-//!         │              early-exit cancellation; verdicts ≡ sequential)
+//!         │              optimised plan, keyed on the canonical rendering,
+//!         │              single-flight preparation)
+//!         ├──► oracle   (re-export of nev_core::oracle: the possible-world
+//!         │              stream chunked across the pool, early-exit
+//!         │              cancellation; verdicts ≡ sequential)
 //!         ├──► pool     (re-export of nev_runtime::WorkerPool: work-stealing
 //!         │              deques, caller-helps, deterministic maps — shared by
 //!         │              request batches, oracle chunks and exec morsels)

@@ -1,301 +1,6 @@
-//! The parallel bounded oracle: the possible-world stream split into chunks
-//! evaluated across the worker pool, with early-exit cancellation.
-//!
-//! On non-guaranteed Figure 1 cells the engine must intersect the query's answers
-//! over the bounded world enumeration — the one expensive path left after the
-//! certified cells went compiled-naïve. The intersection is associative and
-//! commutative, and (in the `{()} / ∅` Boolean encoding) uniform across arities, so
-//! it parallelises cleanly:
-//!
-//! 1. the calling thread drives [`Semantics::worlds`] (world *generation* is cheap
-//!    and inherently sequential — each world is one valuation image or extension),
-//!    batching worlds into fixed-size chunks;
-//! 2. each chunk becomes a pool task intersecting
-//!    [`PreparedQuery::answers_in_world`] over its worlds — the expensive per-world
-//!    query evaluation is where the parallelism pays;
-//! 3. a shared cancellation flag is raised the moment any chunk's intersection goes
-//!    empty (for a Boolean query: a counter-world was found); queued chunks then
-//!    return immediately and the stream stops, mirroring the sequential oracle's
-//!    early exit.
-//!
-//! **The verdict is scheduling-independent.** If any world refutes a tuple, the
-//! final intersection excludes it no matter which worker saw the world first; if the
-//! intersection ever goes empty the result is the empty set on every schedule; and
-//! if no early exit triggers, every enumerated world was intersected, which is
-//! exactly the sequential result. `worlds_considered` *is* schedule-dependent (a
-//! cancelled run may have evaluated a few more or fewer worlds) — it is telemetry,
-//! not part of the answer. The property suite checks parallel ≡ sequential verdicts
-//! across every fragment, and the determinism suite checks byte-identical answers at
-//! 1, 2 and 8 workers.
+//! Compatibility shim: the chunked parallel oracle moved to
+//! [`nev_core::oracle`], next to the sequential world pass, so the engine's
+//! Figure 1 dispatch can run it whenever the engine carries a worker pool.
+//! Existing `nev_serve::oracle` imports keep working through this re-export.
 
-use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-
-use nev_core::engine::{CertainEngine, PreparedQuery};
-use nev_core::Semantics;
-use nev_exec::ExecStats;
-use nev_incomplete::{Constant, Instance, Tuple};
-
-use crate::pool::WorkerPool;
-
-/// Worlds per pool task. Small enough to rebalance across workers, large enough to
-/// amortise task overhead; fixed so runs are reproducible.
-pub const DEFAULT_CHUNK: usize = 32;
-
-/// The outcome of one parallel oracle run.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct OracleOutcome {
-    /// The certain answers over the bounded enumeration (Boolean queries use the
-    /// `{()} / ∅` encoding). Identical to the sequential oracle's answer.
-    pub certain: BTreeSet<Tuple>,
-    /// Worlds actually evaluated (telemetry; schedule-dependent under early exit).
-    pub worlds_considered: usize,
-    /// Chunks dispatched to the pool.
-    pub chunks: usize,
-    /// Whether early-exit cancellation fired.
-    pub cancelled: bool,
-    /// Whether the world stream was cut off by the world cap with the verdict
-    /// still drawing on it. A cancelled run exited on definitive evidence (a
-    /// counter-world, an emptied intersection), so it is never truncated; an
-    /// exhausted run over a capped stream is an over-approximation and is.
-    pub truncated: bool,
-    /// Aggregated executor counters across all per-world evaluations.
-    pub exec: ExecStats,
-}
-
-/// Intersects `query`'s answers over the bounded worlds of `d` under `semantics`,
-/// splitting the stream into `chunk`-sized pool tasks. Uses `engine` only for its
-/// world bounds; plan dispatch is the caller's business (run this exactly where the
-/// engine would pick `EvalPlan::BoundedEnumeration`).
-pub fn parallel_certain_answers(
-    pool: &WorkerPool,
-    engine: &CertainEngine,
-    d: &Instance,
-    semantics: Semantics,
-    query: &Arc<PreparedQuery>,
-    chunk: usize,
-) -> OracleOutcome {
-    let chunk = chunk.max(1);
-    let bounds = query.bounds(engine.bounds());
-    let allowed = Arc::new(query.allowed_constants(d));
-    let cancel = Arc::new(AtomicBool::new(false));
-
-    let mut worlds = semantics.worlds(d, &bounds);
-    let mut acc: Option<BTreeSet<Tuple>> = None;
-    let mut worlds_considered = 0usize;
-    let mut chunks = 0usize;
-    let mut exec = ExecStats::new();
-    // One wave = one chunk per potential runner (workers + the helping caller), so
-    // the stream never materialises more worlds than the pool can chew on.
-    let wave_width = pool.workers() + 1;
-
-    'stream: loop {
-        let mut wave: Vec<Vec<Instance>> = Vec::with_capacity(wave_width);
-        for _ in 0..wave_width {
-            let mut batch = Vec::with_capacity(chunk);
-            for world in worlds.by_ref().take(chunk) {
-                batch.push(world);
-            }
-            let exhausted = batch.len() < chunk;
-            if !batch.is_empty() {
-                wave.push(batch);
-            }
-            if exhausted {
-                break;
-            }
-        }
-        if wave.is_empty() {
-            break;
-        }
-        chunks += wave.len();
-        let results = pool.run(wave, {
-            let query = Arc::clone(query);
-            let allowed = Arc::clone(&allowed);
-            let cancel = Arc::clone(&cancel);
-            move |_, batch: Vec<Instance>| evaluate_chunk(&query, &allowed, &cancel, batch)
-        });
-        for r in results {
-            worlds_considered += r.worlds;
-            exec.merge(&r.exec);
-            if let Some(partial) = r.answers {
-                let next = match acc.take() {
-                    None => partial,
-                    Some(prev) => prev.intersection(&partial).cloned().collect(),
-                };
-                let empty = next.is_empty();
-                acc = Some(next);
-                if empty {
-                    // relaxed: advisory flag — a late observer only does spare work.
-                    cancel.store(true, Ordering::Relaxed);
-                    break 'stream;
-                }
-            } else {
-                // The chunk itself went empty (and raised the flag).
-                acc = Some(BTreeSet::new());
-                break 'stream;
-            }
-        }
-    }
-
-    // `acc` is still `None` only when no world was evaluated at all; mirror the
-    // sequential oracle exactly: a Boolean query is vacuously certain over an empty
-    // enumeration, a k-ary intersection is empty.
-    let certain = acc.unwrap_or_else(|| nev_core::engine::boolean_answers(query.is_boolean()));
-    // relaxed: post-join read; the pool's workers have quiesced.
-    let cancelled = cancel.load(Ordering::Relaxed);
-    OracleOutcome {
-        certain,
-        worlds_considered,
-        chunks,
-        cancelled,
-        truncated: !cancelled && worlds.truncated(),
-        exec,
-    }
-}
-
-struct ChunkResult {
-    /// The chunk's intersection; `None` when it went empty (early exit raised).
-    answers: Option<BTreeSet<Tuple>>,
-    worlds: usize,
-    exec: ExecStats,
-}
-
-fn evaluate_chunk(
-    query: &PreparedQuery,
-    allowed: &BTreeSet<Constant>,
-    cancel: &AtomicBool,
-    batch: Vec<Instance>,
-) -> ChunkResult {
-    let mut exec = ExecStats::new();
-    let mut acc: Option<BTreeSet<Tuple>> = None;
-    let mut worlds = 0usize;
-    for world in &batch {
-        // relaxed: advisory cancellation probe; a missed flag costs one extra world.
-        if cancel.load(Ordering::Relaxed) {
-            // Another chunk already refuted everything; whatever we intersected so
-            // far is still a sound factor, so report it rather than discard it.
-            break;
-        }
-        worlds += 1;
-        let answers = query.answers_in_world(world, allowed, &mut exec);
-        let next = match acc.take() {
-            None => answers,
-            Some(prev) => prev.intersection(&answers).cloned().collect(),
-        };
-        if next.is_empty() {
-            // relaxed: advisory flag — a late observer only does spare work.
-            cancel.store(true, Ordering::Relaxed);
-            return ChunkResult {
-                answers: None,
-                worlds,
-                exec,
-            };
-        }
-        acc = Some(next);
-    }
-    ChunkResult {
-        answers: acc,
-        worlds,
-        exec,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use nev_core::WorldBounds;
-    use nev_incomplete::builder::{c, x};
-    use nev_incomplete::inst;
-
-    fn pool() -> WorkerPool {
-        WorkerPool::new(3)
-    }
-
-    fn engine() -> CertainEngine {
-        CertainEngine::new()
-    }
-
-    fn outcome(d: &Instance, semantics: Semantics, text: &str, chunk: usize) -> OracleOutcome {
-        let engine = engine();
-        let query = Arc::new(engine.prepare(text).expect("valid query"));
-        parallel_certain_answers(&pool(), &engine, d, semantics, &query, chunk)
-    }
-
-    #[test]
-    fn matches_the_sequential_oracle_on_the_owa_counterexample() {
-        let d0 = inst! { "D" => [[x(1), x(2)], [x(2), x(1)]] };
-        let text = "forall u . exists v . D(u, v)";
-        for chunk in [1, 2, 7, 64] {
-            let parallel = outcome(&d0, Semantics::Owa, text, chunk);
-            let sequential = engine()
-                .compare(&d0, Semantics::Owa, &engine().prepare(text).unwrap())
-                .certain;
-            assert_eq!(parallel.certain, sequential, "chunk={chunk}");
-            assert!(parallel.certain.is_empty());
-            assert!(parallel.cancelled, "a counter-world exists");
-        }
-    }
-
-    #[test]
-    fn matches_the_sequential_oracle_on_kary_queries() {
-        // Two nulls and tight extension bounds keep the WCWA enumeration small;
-        // the cross-fragment sweep lives in the release-mode determinism suite.
-        let d = inst! {
-            "R" => [[c(1), x(1)], [x(1), c(2)]],
-        };
-        let text = "Q(x, y) :- exists z . R(x, z) & R(z, y)";
-        let bounds = WorldBounds {
-            owa_max_extra_tuples: 1,
-            wcwa_max_extra_tuples: 1,
-            ..WorldBounds::default()
-        };
-        for semantics in [Semantics::Owa, Semantics::Cwa, Semantics::Wcwa] {
-            let engine = CertainEngine::with_bounds(bounds.clone());
-            let query = Arc::new(engine.prepare(text).expect("valid query"));
-            let parallel = parallel_certain_answers(&pool(), &engine, &d, semantics, &query, 8);
-            let sequential = engine.certain_answers(&d, semantics, &query);
-            assert_eq!(parallel.certain, sequential, "{semantics}");
-            assert!(!parallel.certain.is_empty(), "{semantics}");
-            assert!(!parallel.cancelled, "{semantics}: every world keeps (1,2)");
-            assert!(parallel.worlds_considered > 0);
-            assert!(parallel.chunks > 0);
-        }
-    }
-
-    #[test]
-    fn zero_worlds_is_vacuously_certain_for_boolean_queries() {
-        // A complete instance under CWA has exactly one world; trivially certain.
-        let d = inst! { "R" => [[c(1)]] };
-        let parallel = outcome(&d, Semantics::Cwa, "exists u . R(u)", 4);
-        assert_eq!(parallel.certain.len(), 1);
-        assert_eq!(parallel.worlds_considered, 1);
-        // An empty enumeration (max_worlds = 0) matches the sequential oracle:
-        // vacuously true for Boolean queries, empty for k-ary ones.
-        let engine = CertainEngine::with_bounds(WorldBounds {
-            max_worlds: 0,
-            ..WorldBounds::default()
-        });
-        let boolean = Arc::new(engine.prepare("exists u . R(u)").unwrap());
-        let kary = Arc::new(engine.prepare("Q(u) :- R(u)").unwrap());
-        for query in [&boolean, &kary] {
-            let out = parallel_certain_answers(&pool(), &engine, &d, Semantics::Cwa, query, 4);
-            let sequential = engine.certain_answers(&d, Semantics::Cwa, query);
-            assert_eq!(out.certain, sequential);
-            assert_eq!(out.worlds_considered, 0);
-        }
-    }
-
-    #[test]
-    fn respects_the_engine_world_bounds() {
-        let d = inst! { "R" => [[x(1), x(2), x(3)]] };
-        let engine = CertainEngine::with_bounds(WorldBounds {
-            max_worlds: 5,
-            ..WorldBounds::default()
-        });
-        let query = Arc::new(engine.prepare("exists u v w . R(u, v, w)").unwrap());
-        let out = parallel_certain_answers(&pool(), &engine, &d, Semantics::Cwa, &query, 2);
-        assert!(out.worlds_considered <= 5);
-        assert_eq!(out.certain.len(), 1, "every truncated world satisfies ∃R");
-    }
-}
+pub use nev_core::oracle::{parallel_certain_answers, OracleOutcome, DEFAULT_CHUNK};

@@ -8,24 +8,31 @@
 //! catalog hands out immutable snapshots, the cache hands out `Arc`s, the pool is
 //! its own synchronisation, and the engine is immutable configuration.
 //!
-//! Two evaluation paths exist:
+//! Figure 1 dispatch is the engine's ([`CertainEngine::dispatch`]); the handlers
+//! resolve the snapshot and the cached plan, call it, and render its
+//! [`Evaluation`]. Two evaluation paths exist:
 //!
-//! * [`ServeState::eval`] — one request: Figure 1 dispatch via the cached plan; a
-//!   certified cell is answered by one naïve pass on the snapshot, everything else
-//!   goes to the **parallel oracle** (the world stream chunked across the pool with
-//!   early-exit cancellation);
+//! * [`ServeState::eval`] — one request: the engine carries this state's pool, so
+//!   a cell the symbolic ladder leaves open runs the **parallel oracle** (the
+//!   world stream chunked across the pool with early-exit cancellation);
 //! * [`ServeState::eval_batch`] — many requests: requests are grouped by (instance,
 //!   semantics), each group's distinct queries are folded into **one shared world
 //!   pass** (`CertainEngine::evaluate_all`), and the groups run in parallel across
 //!   the pool. Repeated queries hit the plan cache and duplicate (query, instance,
 //!   semantics) triples are answered by a single evaluation.
+//!
+//! Both paths bump the `STATS` dispatch counters from the returned evaluations
+//! through one function.
 
 use std::collections::BTreeSet;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-use nev_core::engine::{CertainEngine, EngineError, EvalPlan, PreparedQuery, SymbolicTechnique};
+pub use nev_core::engine::PlanKind;
+use nev_core::engine::{
+    CertainEngine, DispatchOptions, EngineError, Evaluation, PreparedQuery, SymbolicTechnique,
+};
 use nev_core::{Semantics, WorldBounds};
 use nev_exec::{ExecOptions, DEFAULT_MORSEL_ROWS};
 use nev_incomplete::{Instance, Tuple};
@@ -35,9 +42,8 @@ use nev_obs::{
 };
 use nev_runtime::env_workers;
 
-use crate::cache::PlanCache;
+use crate::cache::{CachedPlan, PlanCache};
 use crate::catalog::Catalog;
-use crate::oracle::{parallel_certain_answers, DEFAULT_CHUNK};
 use crate::pool::WorkerPool;
 use crate::stats::{ServeStats, StatsSnapshot};
 use crate::wire::{self, Command};
@@ -47,12 +53,10 @@ use crate::wire::{self, Command};
 pub struct ServeConfig {
     /// Background worker threads (callers help, so `0` is sequential).
     pub workers: usize,
-    /// Plan-cache capacity in (query, semantics) entries.
+    /// Plan-cache capacity in distinct queries.
     pub cache_capacity: usize,
     /// World-enumeration bounds used by every evaluation.
     pub bounds: WorldBounds,
-    /// Worlds per parallel-oracle chunk.
-    pub oracle_chunk: usize,
     /// Rows per exec-layer morsel on the shared pool (certified naïve passes).
     pub morsel_rows: usize,
 }
@@ -66,7 +70,6 @@ impl Default for ServeConfig {
             workers: env_workers().unwrap_or(4),
             cache_capacity: 256,
             bounds: WorldBounds::default(),
-            oracle_chunk: DEFAULT_CHUNK,
             morsel_rows: DEFAULT_MORSEL_ROWS,
         }
     }
@@ -112,60 +115,12 @@ impl From<EngineError> for ServeError {
     }
 }
 
-/// How an `EVAL` was answered (the wire `plan=` token).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum PlanKind {
-    /// Certified naïve pass on the compiled `nev-exec` pipeline.
-    Compiled,
-    /// Certified naïve pass on the tree-walking interpreter.
-    Certified,
-    /// Certified naïve pass on the **normal form**: the raw query had no
-    /// Figure 1 guarantee, but static normalization landed it in a guaranteed
-    /// fragment (the certificate carries the replayable rewrite trace).
-    Normalized,
-    /// PTIME symbolic certificate (conditional tables or the sandwich) on a
-    /// non-guaranteed cell — exact, zero worlds enumerated.
-    Symbolic,
-    /// Bounded possible-world oracle (parallel in [`ServeState::eval`]).
-    Oracle,
-}
-
 /// The fixed dispatch-kind label set of the metrics registry — one
 /// request-latency histogram per [`PlanKind`].
 pub const PLAN_LABELS: &[&str] = &["compiled", "certified", "normalized", "symbolic", "oracle"];
 
 /// How many top-latency requests the slow-query log retains.
 pub const SLOW_LOG_CAPACITY: usize = 8;
-
-impl PlanKind {
-    fn of(plan: &EvalPlan) -> Self {
-        match plan {
-            EvalPlan::CompiledNaive(_) => PlanKind::Compiled,
-            EvalPlan::CertifiedNaive(_) => PlanKind::Certified,
-            EvalPlan::NormalizedNaive(_) => PlanKind::Normalized,
-            EvalPlan::Symbolic(_) => PlanKind::Symbolic,
-            EvalPlan::BoundedEnumeration => PlanKind::Oracle,
-        }
-    }
-
-    /// The wire token, as a `'static` label for the metrics registry (always
-    /// one of [`PLAN_LABELS`]).
-    pub fn label(&self) -> &'static str {
-        match self {
-            PlanKind::Compiled => "compiled",
-            PlanKind::Certified => "certified",
-            PlanKind::Normalized => "normalized",
-            PlanKind::Symbolic => "symbolic",
-            PlanKind::Oracle => "oracle",
-        }
-    }
-}
-
-impl fmt::Display for PlanKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.label())
-    }
-}
 
 /// The ` reason=<code>` suffix for `compiled=false` responses: the compiler's
 /// own rejection when the query failed to compile, empty when there simply is
@@ -202,6 +157,15 @@ pub struct EvalResponse {
 }
 
 impl EvalResponse {
+    /// The response an evaluation renders to.
+    pub fn of(evaluation: Evaluation) -> Self {
+        EvalResponse {
+            plan: evaluation.plan.kind(),
+            certain: evaluation.certain,
+            truncated: evaluation.truncated,
+        }
+    }
+
     /// The canonical wire payload: `plan=<plan> certain=<answers>`, extended
     /// with ` truncated=true` exactly when the oracle verdict was cut short —
     /// untruncated responses render byte-identically to before the flag
@@ -230,7 +194,6 @@ pub struct ServeState {
     stats: ServeStats,
     metrics: MetricsRegistry,
     series: TimeSeries,
-    oracle_chunk: usize,
 }
 
 impl ServeState {
@@ -252,7 +215,6 @@ impl ServeState {
             stats: ServeStats::new(),
             metrics: MetricsRegistry::new(PLAN_LABELS, SLOW_LOG_CAPACITY),
             series: TimeSeries::new(),
-            oracle_chunk: config.oracle_chunk.max(1),
         }
     }
 
@@ -322,16 +284,78 @@ impl ServeState {
         self.catalog.register(name, instance).is_some()
     }
 
-    /// Parses, classifies and compiles a query into the plan cache (all semantics).
+    /// Parses, classifies and compiles a query into the plan cache.
     pub fn prepare(&self, text: &str) -> Result<Arc<PreparedQuery>, ServeError> {
         ServeStats::bump(&self.stats.prepares);
         Ok(self.cache.prepare_all(text)?)
     }
 
+    /// Resolves the named snapshot and the cached plan — recording the cache
+    /// probe, with the preparation phases of a miss as children, when
+    /// `options` traces — and runs the engine's Figure 1 dispatch.
+    fn dispatch(
+        &self,
+        name: &str,
+        semantics: Semantics,
+        query_text: &str,
+        options: &DispatchOptions<'_>,
+    ) -> Result<(CachedPlan, Evaluation), ServeError> {
+        let instance = self
+            .catalog
+            .get(name)
+            .ok_or_else(|| ServeError::UnknownInstance(name.to_string()))?;
+        let probe = options
+            .trace
+            .map(|recorder| recorder.span(Stage::CacheProbe));
+        let (plan, hit) = self
+            .cache
+            .get_or_prepare_with_status(query_text, semantics)?;
+        if let Some(recorder) = options.trace.filter(|r| !hit && r.is_enabled()) {
+            // A miss paid the full preparation inside the probe span; replay
+            // its phases as children. Hits skip this — their preparation
+            // happened on some earlier request.
+            let prep = plan.prepared.prep_timings();
+            for (stage, us) in [
+                (Stage::Parse, prep.parse_us),
+                (Stage::Classify, prep.classify_us),
+                (Stage::Optimize, prep.compile_us),
+            ] {
+                if us > 0 {
+                    recorder.leaf(stage, us);
+                }
+            }
+        }
+        drop(probe);
+        let evaluation = self
+            .engine
+            .dispatch(&instance, semantics, &plan.prepared, options);
+        Ok((plan, evaluation))
+    }
+
+    /// One evaluating request (`EVAL`, `TRACE`, `PROFILE`): the dispatch, its
+    /// `STATS` counters, and one sample in the per-plan latency histogram, so
+    /// histogram counts reconcile with `evals`. Returns the latency too.
+    fn evaluate(
+        &self,
+        name: &str,
+        semantics: Semantics,
+        query_text: &str,
+        options: &DispatchOptions<'_>,
+    ) -> Result<(CachedPlan, Evaluation, u64), ServeError> {
+        let total = Timer::start_always();
+        let (plan, evaluation) = self.dispatch(name, semantics, query_text, options)?;
+        self.record(&plan.prepared, &evaluation);
+        ServeStats::add(&self.stats.worlds, evaluation.worlds_enumerated as u64);
+        ServeStats::bump(&self.stats.evals);
+        let latency = total.elapsed_us();
+        self.metrics.observe_plan(evaluation.plan.label(), latency);
+        Ok((plan, evaluation, latency))
+    }
+
     /// Answers one `EXPLAIN` request: the Figure 1 dispatch decision for the
-    /// query on the named instance (the core check needs real data) plus the
-    /// `nev-opt` plan pair — `rules=<fired> logical=(…) optimized=(…)` — without
-    /// executing anything. Compiler-rejected shapes report
+    /// query on the named instance (the core check and the symbolic probe need
+    /// real data, but no world is enumerated) plus the `nev-opt` plan pair —
+    /// `rules=<fired> logical=(…) optimized=(…)`. Compiler-rejected shapes report
     /// `compiled=false reason=<code>` instead of plans, where the reason is the
     /// compiler's own rejection (e.g. `complement_too_wide(columns=4,limit=3)`).
     pub fn explain(
@@ -340,19 +364,13 @@ impl ServeState {
         semantics: Semantics,
         query_text: &str,
     ) -> Result<String, ServeError> {
-        let instance = self
-            .catalog
-            .get(name)
-            .ok_or_else(|| ServeError::UnknownInstance(name.to_string()))?;
-        let plan = self.cache.get_or_prepare(query_text, semantics)?;
-        // `plan_with_symbolic` runs the PTIME probe on non-guaranteed cells, so
-        // EXPLAIN reports `dispatch=symbolic` exactly when EVAL would answer
-        // symbolically — still without enumerating a single world.
-        let dispatch = PlanKind::of(&self.engine.plan_with_symbolic(
-            &instance,
+        let (plan, evaluation) = self.dispatch(
+            name,
             semantics,
-            &plan.prepared,
-        ));
+            query_text,
+            &DispatchOptions::STOP_BEFORE_ORACLE,
+        )?;
+        let dispatch = evaluation.plan.kind();
         ServeStats::bump(&self.stats.explains);
         let exec = self.engine.exec_options();
         let runtime = format!(
@@ -376,24 +394,21 @@ impl ServeState {
     /// query on the named instance — raw vs normalized Figure 1 fragment, the
     /// rewrite-trace length, the dispatch the engine would pick (so upgrades
     /// are visible), the re-checked certificate status, per-answer-column
-    /// null-safety, and the analyser's diagnostics. Executes nothing.
+    /// null-safety, and the analyser's diagnostics. Enumerates no world.
     pub fn analyze(
         &self,
         name: &str,
         semantics: Semantics,
         query_text: &str,
     ) -> Result<String, ServeError> {
-        let instance = self
-            .catalog
-            .get(name)
-            .ok_or_else(|| ServeError::UnknownInstance(name.to_string()))?;
-        let plan = self.cache.get_or_prepare(query_text, semantics)?;
-        let analysis = plan.prepared.analysis();
-        let dispatch = PlanKind::of(&self.engine.plan_with_symbolic(
-            &instance,
+        let (plan, evaluation) = self.dispatch(
+            name,
             semantics,
-            &plan.prepared,
-        ));
+            query_text,
+            &DispatchOptions::STOP_BEFORE_ORACLE,
+        )?;
+        let analysis = plan.prepared.analysis();
+        let dispatch = evaluation.plan.kind();
         // The wire never trusts the analyzer blindly: the trace is replayed
         // and both fragments re-classified before the verdict is reported.
         let certificate = match plan.prepared.check_normalization() {
@@ -431,10 +446,11 @@ impl ServeState {
         ))
     }
 
-    /// Answers one `EVAL` request: certified naïve pass when Figure 1 guarantees
-    /// it, the chunked **parallel oracle** otherwise. The certain answers are
-    /// identical to `CertainEngine::evaluate` on the same inputs — dispatch is the
-    /// engine's, only the oracle's schedule differs.
+    /// Answers one `EVAL` request through the engine's dispatch: certified
+    /// naïve pass when Figure 1 guarantees it, else the symbolic ladder, else
+    /// the chunked **parallel oracle**. The certain answers are identical to
+    /// `CertainEngine::evaluate` on the same inputs — only the oracle's
+    /// schedule differs.
     pub fn eval(
         &self,
         name: &str,
@@ -459,41 +475,12 @@ impl ServeState {
         semantics: Semantics,
         query_text: &str,
     ) -> Result<(EvalResponse, Trace), ServeError> {
-        let total = Timer::start_always();
         let recorder = TraceRecorder::new();
-        let instance = self
-            .catalog
-            .get(name)
-            .ok_or_else(|| ServeError::UnknownInstance(name.to_string()))?;
-        let probe = recorder.span(Stage::CacheProbe);
-        let lookup = self.cache.get_or_prepare_with_status(query_text, semantics);
-        let (plan, hit) = match lookup {
-            Ok(found) => found,
-            Err(e) => {
-                drop(probe);
-                return Err(e.into());
-            }
+        let options = DispatchOptions {
+            trace: Some(&recorder),
+            ..DispatchOptions::default()
         };
-        if !hit && recorder.is_enabled() {
-            // A miss paid the full preparation inside the probe span; replay
-            // its phases as children. Hits skip this — their preparation
-            // happened on some earlier request.
-            let prep = plan.prepared.prep_timings();
-            if prep.parse_us > 0 {
-                recorder.leaf(Stage::Parse, prep.parse_us);
-            }
-            if prep.classify_us > 0 {
-                recorder.leaf(Stage::Classify, prep.classify_us);
-            }
-            if prep.compile_us > 0 {
-                recorder.leaf(Stage::Optimize, prep.compile_us);
-            }
-        }
-        drop(probe);
-        let response = self.eval_prepared(&instance, semantics, &plan.prepared, &recorder);
-        ServeStats::bump(&self.stats.evals);
-        let latency = total.elapsed_us();
-        self.metrics.observe_plan(response.plan.label(), latency);
+        let (plan, evaluation, latency) = self.evaluate(name, semantics, query_text, &options)?;
         let trace = recorder.finish();
         self.metrics.observe_trace(&trace);
         self.metrics.record_slow(SlowQuery {
@@ -501,7 +488,7 @@ impl ServeState {
             query: plan.prepared.query().to_string(),
             semantics: semantics.to_string(),
             cell: format!("{:?}", plan.cell),
-            plan: response.plan.label().to_string(),
+            plan: evaluation.plan.label().to_string(),
             stages: trace
                 .spans()
                 .iter()
@@ -509,7 +496,7 @@ impl ServeState {
                 .map(|s| (s.stage, s.dur_us))
                 .collect(),
         });
-        Ok((response, trace))
+        Ok((EvalResponse::of(evaluation), trace))
     }
 
     /// Answers one `PROFILE` request: a **real** evaluation (it counts in
@@ -517,173 +504,74 @@ impl ServeState {
     /// additionally returns the per-operator annotated plan on compiled
     /// dispatches — inclusive wall time, output rows, and the `nev-opt` cost
     /// model's estimate for every executed operator, including each pairwise
-    /// join fold in the greedy order. Non-compiled dispatches (interpreter
-    /// fallback, symbolic, oracle) run normally and report `compiled=false`:
-    /// there is no operator pipeline to annotate.
+    /// join fold in the greedy order. Other dispatches (interpreter fallback,
+    /// normalized, symbolic, oracle) run normally and report `compiled=false`:
+    /// only the written query's compiled pipeline is annotated.
     pub fn profile(
         &self,
         name: &str,
         semantics: Semantics,
         query_text: &str,
     ) -> Result<String, ServeError> {
-        let total = Timer::start_always();
-        let instance = self
-            .catalog
-            .get(name)
-            .ok_or_else(|| ServeError::UnknownInstance(name.to_string()))?;
-        let plan = self.cache.get_or_prepare(query_text, semantics)?;
-        let (kind, line) = match self.engine.plan(&instance, semantics, &plan.prepared) {
-            dispatch @ (EvalPlan::CompiledNaive(_) | EvalPlan::CertifiedNaive(_)) => {
-                ServeStats::bump(&self.stats.certified);
-                if dispatch.is_compiled() {
-                    ServeStats::bump(&self.stats.compiled);
-                }
-                let kind = PlanKind::of(&dispatch);
-                // The exec span the profile must reconcile with: it strictly
-                // contains the plan root's inclusive time.
-                let exec_timer = Timer::start_always();
-                let (certain, exec, profile) = self
-                    .engine
-                    .naive_answers_profiled(&instance, &plan.prepared);
-                let exec_us = exec_timer.elapsed_us();
-                ServeStats::add(&self.stats.morsels, exec.morsels_dispatched);
-                ServeStats::add(&self.stats.parallel_joins, exec.parallel_joins);
-                let line = match profile {
-                    Some(profile) => format!(
-                        "profile plan={kind} certain={} exec_us={exec_us} ops=[{}]",
-                        wire::render_answers(&certain),
-                        profile.render()
-                    ),
-                    None => format!(
-                        "profile plan={kind} certain={} compiled=false{}",
-                        wire::render_answers(&certain),
-                        render_compile_reason(&plan.prepared)
-                    ),
-                };
-                (kind, line)
-            }
-            EvalPlan::NormalizedNaive(_) | EvalPlan::Symbolic(_) | EvalPlan::BoundedEnumeration => {
-                // The regular dispatch (normalized naïve pass, symbolic
-                // ladder, then the parallel oracle) — profiled only at the
-                // whole-request grain: only the raw query's compiled pipeline
-                // carries per-operator annotations.
-                let recorder = TraceRecorder::new();
-                let response = self.eval_prepared(&instance, semantics, &plan.prepared, &recorder);
-                let line = format!(
-                    "profile plan={} certain={}{} compiled=false{}",
-                    response.plan,
-                    wire::render_answers(&response.certain),
-                    if response.truncated {
-                        " truncated=true"
-                    } else {
-                        ""
-                    },
-                    render_compile_reason(&plan.prepared)
-                );
-                (response.plan, line)
-            }
+        let options = DispatchOptions {
+            profile: true,
+            ..DispatchOptions::default()
         };
-        ServeStats::bump(&self.stats.evals);
-        self.metrics.observe_plan(kind.label(), total.elapsed_us());
-        Ok(line)
+        let (plan, mut evaluation, _) = self.evaluate(name, semantics, query_text, &options)?;
+        let profile = evaluation.profile.take();
+        let response = EvalResponse::of(evaluation);
+        Ok(match profile {
+            Some(profile) => format!(
+                "profile plan={} certain={} exec_us={} ops=[{}]",
+                response.plan,
+                wire::render_answers(&response.certain),
+                profile.exec_us,
+                profile.render()
+            ),
+            None => format!(
+                "profile {} compiled=false{}",
+                response.render(),
+                render_compile_reason(&plan.prepared)
+            ),
+        })
     }
 
-    /// The dispatch core behind [`ServeState::eval_with_trace`]: certified
-    /// cells run one naïve pass, the rest run the symbolic probe and then the
-    /// parallel oracle on this state's pool — each stage recorded on the
-    /// caller's trace.
-    fn eval_prepared(
-        &self,
-        instance: &Instance,
-        semantics: Semantics,
-        prepared: &Arc<PreparedQuery>,
-        recorder: &TraceRecorder,
-    ) -> EvalResponse {
+    /// Bumps the `STATS` dispatch counters for one evaluation — shared by the
+    /// solo and batch paths. World counts are the caller's: a batch's shared
+    /// pass is counted once, not once per query drawing on it.
+    fn record(&self, prepared: &PreparedQuery, evaluation: &Evaluation) {
+        let stats = &self.stats;
         if prepared.analysis().static_truth().is_some() {
-            // The normal form is ⊤/⊥: whatever the dispatch below, the exec
-            // layer's empty-annihilation rules answer without scanning data.
-            ServeStats::bump(&self.stats.static_prunes);
+            // The normal form is ⊤/⊥: whatever the dispatch, the exec layer's
+            // empty-annihilation rules answer without scanning data.
+            ServeStats::bump(&stats.static_prunes);
         }
-        match self.engine.plan(instance, semantics, prepared) {
-            plan @ (EvalPlan::CompiledNaive(_)
-            | EvalPlan::CertifiedNaive(_)
-            | EvalPlan::NormalizedNaive(_)) => {
-                if plan.is_normalized() {
-                    // No guarantee for the raw query; the normal form earned
-                    // one, so the naïve pass runs on *it* (the rewrites
-                    // preserve naïve evaluation, so answers are identical).
-                    ServeStats::bump(&self.stats.normalized_upgrades);
-                } else {
-                    ServeStats::bump(&self.stats.certified);
-                }
-                if plan.is_compiled() {
-                    ServeStats::bump(&self.stats.compiled);
-                }
-                // Through the engine, so the pass runs under the shared pool's
-                // ExecOptions (morsel-parallel scans and joins on large data).
-                let (naive, exec) = if plan.is_normalized() {
-                    self.engine
-                        .normalized_naive_answers_traced(instance, prepared, recorder)
-                } else {
-                    self.engine
-                        .naive_answers_traced(instance, prepared, recorder)
-                };
-                ServeStats::add(&self.stats.morsels, exec.morsels_dispatched);
-                ServeStats::add(&self.stats.parallel_joins, exec.parallel_joins);
-                EvalResponse {
-                    plan: PlanKind::of(&plan),
-                    certain: naive,
-                    truncated: false,
-                }
+        let counter = match evaluation.plan.kind() {
+            PlanKind::Compiled => {
+                ServeStats::bump(&stats.compiled);
+                &stats.certified
             }
-            EvalPlan::Symbolic(_) | EvalPlan::BoundedEnumeration => {
-                // The PTIME symbolic ladder first: when conditional tables or
-                // the sandwich certify, the exponential oracle is retired for
-                // this request — zero worlds, nothing to truncate. (The span
-                // includes the ladder's own naïve pass.)
-                let symbolic_span = recorder.span(Stage::Symbolic);
-                let symbolic = self.engine.evaluate_symbolic(instance, semantics, prepared);
-                drop(symbolic_span);
-                if let Some(evaluation) = symbolic {
-                    ServeStats::bump(&self.stats.symbolic);
-                    if evaluation
-                        .plan
-                        .symbolic_certificate()
-                        .is_some_and(|c| c.technique == SymbolicTechnique::Sandwich)
-                    {
-                        ServeStats::bump(&self.stats.sandwich_exact);
-                    }
-                    return EvalResponse {
-                        plan: PlanKind::Symbolic,
-                        certain: evaluation.certain,
-                        truncated: false,
-                    };
-                }
-                ServeStats::bump(&self.stats.oracle);
-                let oracle_span = recorder.span(Stage::OracleWorlds);
-                let outcome = parallel_certain_answers(
-                    &self.pool,
-                    &self.engine,
-                    instance,
-                    semantics,
-                    prepared,
-                    self.oracle_chunk,
-                );
-                drop(oracle_span);
-                ServeStats::add(&self.stats.worlds, outcome.worlds_considered as u64);
-                if outcome.cancelled {
-                    ServeStats::bump(&self.stats.oracle_cancelled);
-                }
-                if outcome.truncated {
-                    ServeStats::bump(&self.stats.truncated);
-                }
-                EvalResponse {
-                    plan: PlanKind::Oracle,
-                    certain: outcome.certain,
-                    truncated: outcome.truncated,
-                }
-            }
+            PlanKind::Certified => &stats.certified,
+            PlanKind::Normalized => &stats.normalized_upgrades,
+            PlanKind::Symbolic => &stats.symbolic,
+            PlanKind::Oracle => &stats.oracle,
+        };
+        ServeStats::bump(counter);
+        if evaluation
+            .plan
+            .symbolic_certificate()
+            .is_some_and(|c| c.technique == SymbolicTechnique::Sandwich)
+        {
+            ServeStats::bump(&stats.sandwich_exact);
         }
+        if evaluation.exited_early() {
+            ServeStats::bump(&stats.oracle_cancelled);
+        }
+        if evaluation.truncated {
+            ServeStats::bump(&stats.truncated);
+        }
+        ServeStats::add(&stats.morsels, evaluation.exec.morsels_dispatched);
+        ServeStats::add(&stats.parallel_joins, evaluation.exec.parallel_joins);
     }
 
     /// Answers a batch of `EVAL` requests, amortising across them:
@@ -699,137 +587,81 @@ impl ServeState {
     /// whenever the grouped queries mention the same constants (in particular, no
     /// constants at all) or the world cap does not truncate.
     pub fn eval_batch(&self, requests: &[EvalRequest]) -> Vec<Result<EvalResponse, ServeError>> {
-        // Resolve instances + plans up front, building (group key → unique queries).
-        struct Slot {
-            group: usize,
-            query_in_group: usize,
-        }
-        struct Group {
-            instance: Arc<Instance>,
-            semantics: Semantics,
-            queries: Vec<Arc<PreparedQuery>>,
-            seen: HashMap<String, usize>,
-        }
-        let mut groups: Vec<Group> = Vec::new();
+        // Resolve instances + plans up front: each request becomes a (group,
+        // query-in-group) slot, each group one (instance, semantics) pair with
+        // its distinct queries.
+        let mut groups: Vec<(Arc<Instance>, Semantics, Vec<Arc<PreparedQuery>>)> = Vec::new();
         let mut group_index: HashMap<(String, Semantics), usize> = HashMap::new();
-        let mut slots: Vec<Result<Slot, ServeError>> = Vec::with_capacity(requests.len());
-        for request in requests {
-            let resolved = self
-                .catalog
-                .get(&request.instance)
-                .ok_or_else(|| ServeError::UnknownInstance(request.instance.clone()))
-                .and_then(|instance| {
-                    let plan = self
-                        .cache
-                        .get_or_prepare(&request.query, request.semantics)?;
-                    Ok((instance, plan))
+        let mut query_index: HashMap<(usize, String), usize> = HashMap::new();
+        let slots: Vec<Result<(usize, usize), ServeError>> = requests
+            .iter()
+            .map(|request| {
+                let instance = self
+                    .catalog
+                    .get(&request.instance)
+                    .ok_or_else(|| ServeError::UnknownInstance(request.instance.clone()))?;
+                let plan = self
+                    .cache
+                    .get_or_prepare(&request.query, request.semantics)?;
+                let key = (request.instance.clone(), request.semantics);
+                let gi = *group_index.entry(key).or_insert_with(|| {
+                    groups.push((instance, request.semantics, Vec::new()));
+                    groups.len() - 1
                 });
-            match resolved {
-                Err(e) => slots.push(Err(e)),
-                Ok((instance, plan)) => {
-                    let key = (request.instance.clone(), request.semantics);
-                    let gi = *group_index.entry(key).or_insert_with(|| {
-                        groups.push(Group {
-                            instance,
-                            semantics: request.semantics,
-                            queries: Vec::new(),
-                            seen: HashMap::new(),
-                        });
-                        groups.len() - 1
-                    });
-                    let group = &mut groups[gi];
-                    // Dedup on the same canonical rendering the cache keys on,
-                    // so spelling variants collapse to one evaluation too.
-                    let canonical_text = plan.prepared.query().to_string();
-                    let qi = match group.seen.get(&canonical_text) {
-                        Some(&qi) => qi,
-                        None => {
-                            // The Arc from the cache is batched as-is: evaluate_all
-                            // takes queries by Borrow, so no plan is deep-cloned.
-                            group.queries.push(Arc::clone(&plan.prepared));
-                            group.seen.insert(canonical_text, group.queries.len() - 1);
-                            group.queries.len() - 1
-                        }
-                    };
-                    slots.push(Ok(Slot {
-                        group: gi,
-                        query_in_group: qi,
-                    }));
-                }
-            }
-        }
+                // Dedup on the same canonical rendering the cache keys on, so
+                // spelling variants collapse to one evaluation too. The Arc from
+                // the cache is batched as-is: evaluate_all takes queries by
+                // Borrow, so no plan is deep-cloned.
+                let queries = &mut groups[gi].2;
+                let key = (gi, plan.prepared.query().to_string());
+                let qi = *query_index.entry(key).or_insert_with(|| {
+                    queries.push(plan.prepared);
+                    queries.len() - 1
+                });
+                Ok((gi, qi))
+            })
+            .collect();
 
         // One pool task per group: a single shared world pass for its queries.
         let engine = self.engine.clone();
-        let items: Vec<(Arc<Instance>, Semantics, Vec<Arc<PreparedQuery>>)> = groups
-            .into_iter()
-            .map(|g| (g.instance, g.semantics, g.queries))
-            .collect();
         let batch_results = self
             .pool
-            .run(items, move |_, (instance, semantics, queries)| {
+            .run(groups, move |_, (instance, semantics, queries)| {
                 let group_timer = Timer::start_always();
                 let batch = engine.evaluate_all(&instance, semantics, &queries);
-                let sandwiches = batch
-                    .results
-                    .iter()
-                    .filter(|e| {
-                        e.plan
-                            .symbolic_certificate()
-                            .is_some_and(|c| c.technique == SymbolicTechnique::Sandwich)
-                    })
-                    .count() as u64;
-                let responses: Vec<EvalResponse> = batch
-                    .results
-                    .into_iter()
-                    .map(|evaluation| EvalResponse {
-                        plan: PlanKind::of(&evaluation.plan),
-                        certain: evaluation.certain,
-                        truncated: evaluation.truncated,
-                    })
-                    .collect();
-                (
-                    responses,
-                    batch.worlds_enumerated,
-                    sandwiches,
-                    group_timer.elapsed_us(),
-                )
+                (queries, batch, group_timer.elapsed_us())
             });
 
         // Telemetry parity with the solo path: per evaluation actually performed
         // (one per unique query of each group), plus the shared-pass world counts.
-        for (responses, worlds, sandwiches, _group_us) in &batch_results {
-            ServeStats::add(&self.stats.worlds, *worlds as u64);
-            ServeStats::add(&self.stats.sandwich_exact, *sandwiches);
-            for response in responses {
-                match response.plan {
-                    PlanKind::Compiled => {
-                        ServeStats::bump(&self.stats.certified);
-                        ServeStats::bump(&self.stats.compiled);
-                    }
-                    PlanKind::Certified => ServeStats::bump(&self.stats.certified),
-                    PlanKind::Normalized => ServeStats::bump(&self.stats.normalized_upgrades),
-                    PlanKind::Symbolic => ServeStats::bump(&self.stats.symbolic),
-                    PlanKind::Oracle => ServeStats::bump(&self.stats.oracle),
-                }
-                if response.truncated {
-                    ServeStats::bump(&self.stats.truncated);
-                }
-            }
-        }
+        let responses: Vec<(Vec<EvalResponse>, u64)> = batch_results
+            .into_iter()
+            .map(|(queries, batch, group_us)| {
+                ServeStats::add(&self.stats.worlds, batch.worlds_enumerated as u64);
+                let group = queries
+                    .iter()
+                    .zip(batch.results)
+                    .map(|(query, evaluation)| {
+                        self.record(query, &evaluation);
+                        EvalResponse::of(evaluation)
+                    })
+                    .collect();
+                (group, group_us)
+            })
+            .collect();
 
         slots
             .into_iter()
             .map(|slot| match slot {
-                Ok(s) => {
+                Ok((gi, qi)) => {
                     ServeStats::bump(&self.stats.evals);
-                    let response = batch_results[s.group].0[s.query_in_group].clone();
+                    let response = responses[gi].0[qi].clone();
                     // One histogram sample per answered request, so histogram
                     // counts stay reconcilable with `evals`. Batched requests
                     // are attributed their group's shared-pass wall time (the
                     // latency the slowest request of the group experienced).
                     self.metrics
-                        .observe_plan(response.plan.label(), batch_results[s.group].3);
+                        .observe_plan(response.plan.label(), responses[gi].1);
                     Ok(response)
                 }
                 Err(e) => {
@@ -1095,7 +927,7 @@ mod tests {
             let served = state.eval("d0", semantics, text).expect("served");
             let reference = engine.evaluate(&d0(), semantics, &engine.prepare(text).unwrap());
             assert_eq!(served.certain, reference.certain, "{text}");
-            assert_eq!(served.plan, PlanKind::of(&reference.plan), "{text}");
+            assert_eq!(served.plan, reference.plan.kind(), "{text}");
         }
         let snap = state.snapshot();
         assert_eq!(snap.evals, 3);

@@ -9,7 +9,7 @@
 //! (EXPLAIN-style), the execution telemetry (`ExecStats`), the answer-identity
 //! check against the tree-walking interpreter, the same plan re-run morsel-driven
 //! on a `nev-runtime` worker pool (with the batch telemetry read back), the
-//! engine's `CompiledNaive` dispatch on a guaranteed Figure 1 cell, and a query
+//! engine's compiled naïve dispatch on a guaranteed Figure 1 cell, and a query
 //! the compiler *rejects* — demonstrating the automatic interpreter fallback.
 
 use std::sync::Arc;
@@ -20,7 +20,7 @@ use nev_bench::workloads::{
 };
 use nev_core::engine::{CertainEngine, EngineError};
 use nev_core::Semantics;
-use nev_exec::{CompiledQuery, ExecOptions};
+use nev_exec::{CompiledQuery, ExecOptions, RunOptions};
 use nev_logic::naive_eval_query;
 use nev_serve::WorkerPool;
 
@@ -38,7 +38,7 @@ fn main() -> Result<(), EngineError> {
     // 2. Execute set-at-a-time over interned codes, and time the interpreter on
     //    the same input as the differential baseline.
     let t0 = Instant::now();
-    let out = compiled.execute_naive(&d);
+    let out = compiled.execute(&d, &RunOptions::naive());
     let compiled_time = t0.elapsed();
     let t1 = Instant::now();
     let reference = naive_eval_query(&d, &q);
@@ -64,7 +64,7 @@ fn main() -> Result<(), EngineError> {
         morsel_rows: 8,
     };
     let t2 = Instant::now();
-    let parallel = compiled.execute_naive_with(&d, &parallel_options);
+    let parallel = compiled.execute(&d, &RunOptions::naive().on(&parallel_options));
     let parallel_time = t2.elapsed();
     assert_eq!(parallel.answers, out.answers, "parallel ≡ sequential");
     println!(
@@ -80,7 +80,7 @@ fn main() -> Result<(), EngineError> {
     );
 
     // 4. The engine dispatch: ∃Pos × OWA is a guaranteed cell and the query
-    //    compiles, so the plan is CompiledNaive with a certificate naming both the
+    //    compiles, so the plan is a compiled naïve pass with a certificate naming both the
     //    theorem and the executor.
     let engine = CertainEngine::new();
     let prepared = engine.prepare("Q(x, w) :- exists y z . R(x, y) & S(y, z) & T(z, w)")?;
@@ -115,7 +115,7 @@ fn main() -> Result<(), EngineError> {
     let optimised = CompiledQuery::compile(&neg_q).expect("the negation query compiles");
     println!("\n{}", optimised.explain());
     println!("Rule report: {:?}", optimised.rules());
-    let out = optimised.execute_naive(&neg_d);
+    let out = optimised.execute(&neg_d, &RunOptions::naive());
     assert_eq!(
         out.answers,
         naive_eval_query(&neg_d, &neg_q),

@@ -4,7 +4,7 @@
 //! * is **widened** by the normalization pipeline (`FO → ∃Pos`, non-empty
 //!   replayable trace),
 //! * dispatches on the **certified naïve path over its normal form**
-//!   (`EvalPlan::NormalizedNaive`, zero worlds enumerated),
+//!   (`EvalPlan::Naive` with a normalized certificate, zero worlds enumerated),
 //! * carries a certificate that **re-checks** — both the trace replay and the
 //!   differential run on the concrete instance — and
 //! * returns answers **byte-identical** to the *untruncated* bounded oracle's.

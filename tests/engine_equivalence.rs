@@ -4,7 +4,7 @@
 //! * the engine's planned dispatch returns **identical answers** to its forced
 //!   bounded oracle and to the raw interpreter's naïve pass — the certified naïve
 //!   fast path never changes a result, it only skips work;
-//! * `CertifiedNaive` plans are chosen **only** for cells Figure 1 guarantees
+//! * certified naïve plans are chosen **only** for cells Figure 1 guarantees
 //!   (`Works` unconditionally, `WorksOverCores` after verifying the instance is a
 //!   core), and every issued certificate passes its own `check()`;
 //! * `evaluate_all` enumerates an instance's worlds at most once and reproduces the
@@ -53,7 +53,7 @@ proptest! {
     // Plans never enumerate worlds, so this property can afford many seeds.
     #![proptest_config(ProptestConfig { cases: 25, .. ProptestConfig::default() })]
 
-    /// `CertifiedNaive` is chosen exactly where Figure 1 guarantees it, and every
+    /// A certified naïve plan is chosen exactly where Figure 1 guarantees it, and every
     /// certificate re-checks against the machine-readable table.
     #[test]
     fn certified_plans_only_on_guaranteed_cells(seed in 0u64..10_000) {

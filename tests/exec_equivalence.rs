@@ -3,14 +3,14 @@
 //!
 //! * On seeded generated workloads across **all five fragments**, every query the
 //!   compiler accepts satisfies `execute ≡ evaluate_query` (raw answers, nulls
-//!   included) and `execute_naive ≡ naive_eval_query` (naïve answers) — on the
+//!   included) and naïve `execute ≡ naive_eval_query` (naïve answers) — on the
 //!   generated instance, on its empty-schema variant, and on the empty instance.
 //! * Handcrafted edge cases: empty instances, constants in atoms (present and
 //!   absent from the instance), answer variables absent from the formula, repeated
 //!   variables, equality atoms, shadowed quantifiers.
 //! * Fallback behaviour: queries the compiler rejects (wide active-domain
 //!   complements) route to the interpreter — `PreparedQuery::compiles()` is false,
-//!   the engine's plan is `CertifiedNaive` (not `CompiledNaive`) on guaranteed
+//!   the engine's plan is certified (not compiled) on guaranteed
 //!   cells, `ExecStats::fallbacks > 0`, and the answers are identical to the
 //!   oracle's.
 //! * Morsel-driven parallelism: execution under a shared worker pool — at worker
@@ -25,7 +25,7 @@ use proptest::prelude::*;
 use nev_bench::workloads::cell_workload;
 use nev_core::engine::{CertainEngine, EvalPlan, PreparedQuery};
 use nev_core::{Semantics, WorldBounds};
-use nev_exec::{CompileError, CompiledQuery, ExecOptions};
+use nev_exec::{CompileError, CompiledQuery, ExecOptions, RunOptions};
 use nev_incomplete::Instance;
 use nev_logic::eval::{evaluate_query, naive_eval_query};
 use nev_logic::{parse_query, Fragment, Query};
@@ -38,12 +38,12 @@ fn assert_equivalent(d: &Instance, q: &Query) -> bool {
         return false;
     };
     assert_eq!(
-        compiled.execute(d).answers,
+        compiled.execute(d, &RunOptions::default()).answers,
         evaluate_query(d, q),
         "raw answers differ for `{q}` on\n{d}"
     );
     assert_eq!(
-        compiled.execute_naive(d).answers,
+        compiled.execute(d, &RunOptions::naive()).answers,
         naive_eval_query(d, q),
         "naive answers differ for `{q}` on\n{d}"
     );
@@ -57,18 +57,18 @@ fn assert_parallel_equivalent(d: &Instance, q: &Query, options: &[ExecOptions]) 
     let Ok(compiled) = CompiledQuery::compile(q) else {
         return;
     };
-    let raw = compiled.execute(d);
-    let naive = compiled.execute_naive(d);
+    let raw = compiled.execute(d, &RunOptions::default());
+    let naive = compiled.execute(d, &RunOptions::naive());
     let mut telemetry: Option<(u64, u64, u64)> = None;
     for opt in options {
-        let praw = compiled.execute_with(d, opt);
+        let praw = compiled.execute(d, &RunOptions::default().on(opt));
         assert_eq!(
             praw.answers,
             raw.answers,
             "raw answers differ at workers={} for `{q}` on\n{d}",
             opt.workers()
         );
-        let pnaive = compiled.execute_naive_with(d, opt);
+        let pnaive = compiled.execute(d, &RunOptions::naive().on(opt));
         assert_eq!(
             pnaive.answers,
             naive.answers,
@@ -172,11 +172,14 @@ fn empty_and_tiny_instances_dispatch_no_morsels_at_default_granularity() {
     for d in [&Instance::new(), &tiny] {
         let q = parse_query("Q(u, w) :- exists v . R(u, v) & S(v, w)").expect("valid query");
         let compiled = CompiledQuery::compile(&q).expect("compiles");
-        let out = compiled.execute_naive_with(d, &options);
+        let out = compiled.execute(d, &RunOptions::naive().on(&options));
         assert_eq!(out.stats.morsels_dispatched, 0);
         assert_eq!(out.stats.batches_processed, 0);
         assert_eq!(out.stats.parallel_joins, 0);
-        assert_eq!(out.answers, compiled.execute_naive(d).answers);
+        assert_eq!(
+            out.answers,
+            compiled.execute(d, &RunOptions::naive()).answers
+        );
     }
 }
 
@@ -281,7 +284,7 @@ fn rejected_queries_fall_back_to_the_interpreter_with_identical_answers() {
                     eval.exec
                 );
                 assert!(!eval.plan.is_compiled());
-                if let EvalPlan::CertifiedNaive(cert) = eval.plan {
+                if let EvalPlan::Naive(cert) = eval.plan {
                     assert_eq!(
                         cert.executor,
                         nev_core::engine::Executor::Interpreter,

@@ -29,7 +29,7 @@
 use std::sync::Arc;
 use std::thread;
 
-use naive_eval::core::engine::CertainEngine;
+use naive_eval::core::engine::{CertainEngine, DispatchOptions};
 use naive_eval::core::Semantics;
 use naive_eval::obs::{validate_exposition, Timer, TraceRecorder};
 use naive_eval::serve::state::{ServeConfig, ServeState};
@@ -219,7 +219,12 @@ fn profile_reconciles_with_the_exec_accounting() {
         .prepare("Q(x) :- exists y z . R(x, y) & R(y, z)")
         .expect("a join chain compiles");
     let span = Timer::start_always();
-    let (answers, stats, profile) = engine.naive_answers_profiled(&d, &prepared);
+    let options = DispatchOptions {
+        profile: true,
+        ..DispatchOptions::default()
+    };
+    let evaluation = engine.dispatch(&d, Semantics::Owa, &prepared, &options);
+    let (answers, stats, profile) = (evaluation.certain, evaluation.exec, evaluation.profile);
     let span_us = span.elapsed_us();
     let profile = profile.expect("compiled dispatch yields a profile");
     // Rows: the flagged samples sum to exactly the executor's counter.

@@ -4,7 +4,7 @@
 //! five fragments and three semantics.
 //!
 //! * `optimised ≡ unoptimised ≡ interpreter` on raw answers
-//!   (`execute` vs `evaluate_query`) and naïve answers (`execute_naive` vs
+//!   (`execute` vs `evaluate_query`) and naïve answers (naïve `execute` vs
 //!   `naive_eval_query`), on the generated instance and on the empty instance;
 //! * certain answers under OWA / CWA / WCWA: a `CertainEngine` dispatching on
 //!   the optimised plan, one on the unoptimised plan, and an
@@ -23,7 +23,7 @@ use nev_bench::workloads::{
 };
 use nev_core::engine::{boolean_answers, CertainEngine, PreparedQuery};
 use nev_core::{Semantics, WorldBounds};
-use nev_exec::{CompiledQuery, CompilerConfig, ExecStats};
+use nev_exec::{CompiledQuery, CompilerConfig, ExecStats, RunOptions};
 use nev_incomplete::{Instance, Tuple};
 use nev_logic::eval::{evaluate_boolean, evaluate_query, naive_eval_query};
 use nev_logic::{Fragment, Query};
@@ -93,20 +93,24 @@ fn assert_exec_equivalent(d: &Instance, q: &Query) -> Option<CompiledQuery> {
     let unoptimized =
         CompiledQuery::compile_with(q, &unoptimized_config()).expect("same shape gate");
     let raw = evaluate_query(d, q);
-    assert_eq!(optimized.execute(d).answers, raw, "optimised raw on `{q}`");
     assert_eq!(
-        unoptimized.execute(d).answers,
+        optimized.execute(d, &RunOptions::default()).answers,
+        raw,
+        "optimised raw on `{q}`"
+    );
+    assert_eq!(
+        unoptimized.execute(d, &RunOptions::default()).answers,
         raw,
         "unoptimised raw on `{q}`"
     );
     let naive = naive_eval_query(d, q);
     assert_eq!(
-        optimized.execute_naive(d).answers,
+        optimized.execute(d, &RunOptions::naive()).answers,
         naive,
         "optimised naive on `{q}`"
     );
     assert_eq!(
-        unoptimized.execute_naive(d).answers,
+        unoptimized.execute(d, &RunOptions::naive()).answers,
         naive,
         "unoptimised naive on `{q}`"
     );
