@@ -76,8 +76,7 @@ use std::sync::Arc;
 
 use nev_analyze::{CheckError, QueryAnalysis};
 use nev_exec::{
-    CompileError, CompiledQuery, CompilerConfig, ExecOptions, ExecStats, InternedInstance,
-    OpProfile, RunOptions,
+    CompileError, CompiledQuery, CompilerConfig, ExecStats, InternedInstance, OpProfile, RunOptions,
 };
 use nev_hom::is_core;
 use nev_incomplete::{Constant, Instance, Tuple};
@@ -894,8 +893,9 @@ impl BatchEvaluation {
 pub struct DispatchOptions<'a> {
     /// The recorder the stage spans go to (`None`: no timeline).
     pub trace: Option<&'a TraceRecorder>,
-    /// Profile the naïve pass per operator when the plan runs the query as
-    /// written on the compiled pipeline (the wire `PROFILE` command).
+    /// Profile the certified naïve pass per operator when it runs on a
+    /// compiled plan — the query as written or its normal form (the wire
+    /// `PROFILE` command).
     pub profile: bool,
     /// Stop before the oracle: an open symbolic ladder returns the
     /// [`EvalPlan::BoundedEnumeration`] plan with its naïve answers and no
@@ -934,7 +934,8 @@ impl DispatchOptions<'static> {
 #[derive(Clone, Debug, Default)]
 pub struct CertainEngine {
     bounds: WorldBounds,
-    exec: ExecOptions,
+    /// The pool the bounded oracle chunks its world stream across.
+    pool: Option<Arc<WorkerPool>>,
 }
 
 impl CertainEngine {
@@ -945,31 +946,16 @@ impl CertainEngine {
 
     /// An engine with explicit world-enumeration bounds.
     pub fn with_bounds(bounds: WorldBounds) -> Self {
-        CertainEngine {
-            bounds,
-            exec: ExecOptions::default(),
-        }
+        CertainEngine { bounds, pool: None }
     }
 
-    /// Attaches a shared worker pool: certified naïve passes dispatch scan and
-    /// join morsels on it (see [`nev_exec::ExecOptions`]), and the oracle
-    /// splits the world stream across it ([`oracle::parallel_certain_answers`]).
-    /// Answers are byte-identical with or without a pool — only wall-clock
-    /// changes.
+    /// Attaches a shared worker pool: the oracle splits the world stream
+    /// across it ([`oracle::parallel_certain_answers`]). Naïve passes stay on
+    /// the calling thread. Answers are byte-identical with or without a pool —
+    /// only wall-clock changes.
     pub fn with_pool(mut self, pool: Arc<WorkerPool>) -> Self {
-        self.exec.pool = Some(pool);
+        self.pool = Some(pool);
         self
-    }
-
-    /// Overrides the full execution options (pool and morsel granularity).
-    pub fn with_exec_options(mut self, exec: ExecOptions) -> Self {
-        self.exec = exec;
-        self
-    }
-
-    /// The execution options certified naïve passes run under.
-    pub fn exec_options(&self) -> &ExecOptions {
-        &self.exec
     }
 
     /// The engine's base world-enumeration bounds (query constants are added per
@@ -1063,9 +1049,8 @@ impl CertainEngine {
         let core = OnceCell::new();
         if let Some(cert) = self.certify(d, semantics, prepared, &core) {
             let plan = EvalPlan::Naive(cert);
-            let profile = options.profile && plan.is_compiled();
             let (naive, exec, profile) =
-                self.naive_pass(d, prepared, cert.normalized, profile, recorder);
+                self.naive_pass(d, prepared, cert.normalized, options.profile, recorder);
             let mut eval = Evaluation::settled(semantics, plan, naive.clone(), naive, exec);
             eval.profile = profile;
             return eval;
@@ -1088,7 +1073,7 @@ impl CertainEngine {
         );
         if !options.stop_before_oracle {
             let oracle_span = recorder.span(Stage::OracleWorlds);
-            eval.resolve(match &self.exec.pool {
+            eval.resolve(match &self.pool {
                 Some(pool) => {
                     oracle::parallel_certain_answers(pool, self, d, semantics, query, DEFAULT_CHUNK)
                 }
@@ -1235,9 +1220,8 @@ impl CertainEngine {
     }
 
     /// The naïve answers `Q^C(D)` of one prepared query (Boolean queries use
-    /// the `{()} / ∅` encoding) under **this engine's** execution options —
-    /// compiled and morsel-parallel when the engine carries a shared pool, one
-    /// recorded interpreter fallback when the query has no plan.
+    /// the `{()} / ∅` encoding) — one compiled pass, or one recorded
+    /// interpreter fallback when the query has no plan.
     pub fn naive_answers(
         &self,
         d: &Instance,
@@ -1291,12 +1275,13 @@ impl CertainEngine {
         let Some(compiled) = compiled else {
             return (naive_eval_query(d, formula), ExecStats::fallback(), None);
         };
-        let options = RunOptions {
-            naive: true,
-            profile,
-            exec: self.exec.clone(),
-        };
-        let out = compiled.execute(d, &options);
+        let out = compiled.execute(
+            d,
+            &RunOptions {
+                naive: true,
+                profile,
+            },
+        );
         if recorder.is_enabled() {
             for (stage, us) in [
                 (Stage::Scan, out.timings.scan_us),

@@ -17,27 +17,19 @@
 //! cache (keyed on interned relation *ids*, never cloned names), and an empty
 //! intermediate short-circuits the rest of its group.
 //!
-//! # Morsel-driven parallelism
+//! # One sequential pass
 //!
-//! When [`ExecOptions`] carries a shared [`WorkerPool`], large base-relation
-//! scans split into fixed-size **morsels** dispatched across the pool, and
-//! large hash joins run a **partitioned** build/probe: build rows scatter into
-//! a fixed number of partitions, one hash table is built per partition in
-//! parallel, and probe morsels route by the same deterministic hash. Partial
-//! batches merge back in submission order (the pool's [`WorkerPool::run`]
-//! preserves slot order), so both the answers *and* the telemetry are
-//! byte-identical at every worker count: morsel and partition counts depend
-//! only on the data and [`ExecOptions::morsel_rows`], never on how many
-//! threads happen to serve them. Pools with fewer than two background workers
-//! add no parallel capacity, so they take the sequential kernels unchanged —
-//! the parallel machinery is strictly pay-as-you-go.
+//! Every plan runs on the calling thread. The paper's payoff is that a
+//! guaranteed Figure 1 cell is answered by one ordinary relational evaluation,
+//! and at the sizes this system serves a single pass beats fanning scans and
+//! joins out across threads (BENCH.md records the crossover measurement that
+//! retired the parallel scan and join kernels). Inter-request parallelism and
+//! the chunked world oracle live above this crate.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
-use std::sync::Arc;
 
 use nev_incomplete::{Instance, Tuple};
 use nev_obs::Timer;
-use nev_runtime::WorkerPool;
 
 use crate::algebra::{flatten_join_refs, merge_schemas, PlanNode, ScanTerm};
 use crate::cost;
@@ -46,59 +38,6 @@ use crate::lower::CompiledQuery;
 use crate::optimize::greedy_join_order;
 use crate::profile::{op_label, OpProfile, OpSample};
 use crate::stats::{ExecStats, ExecTimings};
-
-/// Default number of rows per scan/probe morsel. Below this, the coordination
-/// cost of crossing a thread boundary exceeds the work being shipped.
-pub const DEFAULT_MORSEL_ROWS: usize = 1024;
-
-/// Number of build-side partitions of a parallel hash join. A fixed constant —
-/// never derived from the worker count — so the partition layout (and the
-/// telemetry counting it) is a pure function of the data.
-const JOIN_PARTITIONS: usize = 8;
-
-/// How a compiled plan executes: an optional shared worker pool for
-/// morsel-driven parallelism, and the morsel granularity.
-///
-/// The default (`pool: None`) is the plain sequential executor. With a pool,
-/// operators over at least `2 × morsel_rows` rows fan out across it; smaller
-/// inputs stay on the calling thread, and a pool with fewer than two
-/// background workers is treated as sequential (the submitting thread would be
-/// doing all the work anyway, so the fan-out could only add overhead). Answers
-/// are identical either way — the determinism suite pins this at worker counts
-/// 0, 1, 2 and 8.
-#[derive(Clone, Debug)]
-pub struct ExecOptions {
-    /// The shared pool morsels dispatch on; `None` (or a pool with `< 2`
-    /// background workers) keeps execution sequential.
-    pub pool: Option<Arc<WorkerPool>>,
-    /// Rows per morsel (clamped to at least 1).
-    pub morsel_rows: usize,
-}
-
-impl Default for ExecOptions {
-    fn default() -> Self {
-        ExecOptions {
-            pool: None,
-            morsel_rows: DEFAULT_MORSEL_ROWS,
-        }
-    }
-}
-
-impl ExecOptions {
-    /// Options dispatching morsels on `pool` at the default granularity.
-    pub fn with_pool(pool: Arc<WorkerPool>) -> Self {
-        ExecOptions {
-            pool: Some(pool),
-            ..ExecOptions::default()
-        }
-    }
-
-    /// The number of background workers of the attached pool (`0` when there is
-    /// no pool, or a pool in caller-runs-everything mode).
-    pub fn workers(&self) -> usize {
-        self.pool.as_ref().map_or(0, |p| p.workers())
-    }
-}
 
 /// The result of executing a compiled query on one instance.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -114,8 +53,8 @@ pub struct ExecOutput {
     pub profile: Option<OpProfile>,
 }
 
-/// How one [`CompiledQuery::execute`] call runs. The default returns raw
-/// answers, sequentially, unprofiled.
+/// How one [`CompiledQuery::execute`] call runs. The default returns raw,
+/// unprofiled answers.
 #[derive(Clone, Debug, Default)]
 pub struct RunOptions {
     /// Keep only the all-constant answers — **naïve evaluation**.
@@ -123,24 +62,14 @@ pub struct RunOptions {
     /// Record an [`OpProfile`] of every executed operator (the wire `PROFILE`
     /// command). Answers and counters are the same either way.
     pub profile: bool,
-    /// The pool morsels dispatch on, and their granularity.
-    pub exec: ExecOptions,
 }
 
 impl RunOptions {
-    /// Naïve evaluation, sequential, unprofiled.
+    /// Naïve evaluation, unprofiled.
     pub fn naive() -> Self {
         RunOptions {
             naive: true,
             ..RunOptions::default()
-        }
-    }
-
-    /// These options on `exec`'s pool and morsel granularity.
-    pub fn on(self, exec: &ExecOptions) -> Self {
-        RunOptions {
-            exec: exec.clone(),
-            ..self
         }
     }
 }
@@ -183,45 +112,12 @@ impl Batch {
 /// A base-relation hash index: key codes (one per bound column) → row ids.
 type RelationIndex = HashMap<Vec<u32>, Vec<usize>>;
 
-/// A deterministic FNV-1a hash over key codes, used to partition parallel hash
-/// joins. Deliberately *not* `RandomState`: the partition a row lands in must
-/// be the same in every run, on every thread, so telemetry and merge order are
-/// reproducible.
-fn partition_hash(key: &[u32]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &code in key {
-        h ^= u64::from(code);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h
-}
-
-/// Splits `0..total` into `[start, end)` morsel ranges of `morsel` rows each.
-fn morsel_ranges(total: usize, morsel: usize) -> Vec<(usize, usize)> {
-    let morsel = morsel.max(1);
-    (0..total)
-        .step_by(morsel)
-        .map(|start| (start, (start + morsel).min(total)))
-        .collect()
-}
-
-/// The shared handles a parallel execution needs: `Arc`s of the interned
-/// instance and the pool, so morsel closures (which must be `'static`) can
-/// clone their own owners.
-#[derive(Clone, Copy)]
-struct SharedExec<'a> {
-    inst: &'a Arc<InternedInstance>,
-    pool: &'a Arc<WorkerPool>,
-}
-
 /// Per-execution state: the interned instance, the counters, the cache of base
 /// hash indexes keyed on (relation id, bound column positions) — shared by every
 /// scan of the same relation with the same bound shape (e.g. self-joins) — and
 /// the memoised cost-based join orders.
 struct ExecContext<'a> {
     inst: &'a InternedInstance,
-    /// `Some` when this execution may dispatch morsels on a pool.
-    shared: Option<SharedExec<'a>>,
     stats: ExecStats,
     timings: ExecTimings,
     indexes: HashMap<u32, HashMap<Vec<usize>, RelationIndex>>,
@@ -233,7 +129,6 @@ struct ExecContext<'a> {
     join_orders: HashMap<usize, Vec<usize>>,
     /// Stage-2 cost-based reordering enabled (`CompilerConfig::optimize`).
     reorder: bool,
-    morsel_rows: usize,
     /// `Some` when this execution records a per-operator profile (the wire
     /// `PROFILE` command). `None` — the default — keeps every probe point to a
     /// single branch, so unprofiled runs are untouched.
@@ -243,21 +138,14 @@ struct ExecContext<'a> {
 }
 
 impl<'a> ExecContext<'a> {
-    fn new(
-        inst: &'a InternedInstance,
-        shared: Option<SharedExec<'a>>,
-        reorder: bool,
-        morsel_rows: usize,
-    ) -> Self {
+    fn new(inst: &'a InternedInstance, reorder: bool) -> Self {
         ExecContext {
             inst,
-            shared,
             stats: ExecStats::new(),
             timings: ExecTimings::default(),
             indexes: HashMap::new(),
             join_orders: HashMap::new(),
             reorder,
-            morsel_rows: morsel_rows.max(1),
             profile: None,
             profile_depth: 0,
         }
@@ -595,82 +483,28 @@ fn eval_scan(
         .iter()
         .map(|v| first_occurrence[v.as_str()])
         .collect();
+    // Filter by the repeated-variable equality checks and gather the output
+    // columns: over every row of a full scan, over the index's candidates
+    // when constants bind some columns.
+    let mut out = Batch::empty(schema.to_vec());
+    let mut gather = |r: usize| {
+        if eq_checks
+            .iter()
+            .all(|&(a, b)| rel.col(a)[r] == rel.col(b)[r])
+        {
+            for (ci, &p) in out_positions.iter().enumerate() {
+                out.cols[ci].push(rel.col(p)[r]);
+            }
+            out.rows += 1;
+        }
+    };
     if bound_cols.is_empty() {
         ctx.stats.rows_scanned += rel.len() as u64;
-        return scan_full(id, rel, &eq_checks, &out_positions, schema, ctx);
-    }
-    let candidates = ctx.probe_index(id, rel, &bound_cols, &bound_codes);
-    let mut out = Batch::empty(schema.to_vec());
-    for &r in &candidates {
-        if eq_checks
-            .iter()
-            .all(|&(a, b)| rel.col(a)[r] == rel.col(b)[r])
-        {
-            for (ci, &p) in out_positions.iter().enumerate() {
-                out.cols[ci].push(rel.col(p)[r]);
-            }
-            out.rows += 1;
-        }
-    }
-    out
-}
-
-/// A full (unbound) relation scan: filter by the repeated-variable equality
-/// checks, gather the output columns. Large relations split into morsels on
-/// the shared pool; the partial batches concatenate in morsel order, so the
-/// output is identical to the sequential gather.
-fn scan_full(
-    id: u32,
-    rel: &ColumnarRelation,
-    eq_checks: &[(usize, usize)],
-    out_positions: &[usize],
-    schema: &[String],
-    ctx: &mut ExecContext<'_>,
-) -> Batch {
-    let morsel = ctx.morsel_rows;
-    if let Some(shared) = ctx.shared {
-        if rel.len() >= 2 * morsel {
-            let ranges = morsel_ranges(rel.len(), morsel);
-            ctx.stats.morsels_dispatched += ranges.len() as u64;
-            ctx.stats.batches_processed += ranges.len() as u64;
-            let inst = Arc::clone(shared.inst);
-            let eq: Arc<Vec<(usize, usize)>> = Arc::new(eq_checks.to_vec());
-            let outp: Arc<Vec<usize>> = Arc::new(out_positions.to_vec());
-            let parts = shared.pool.run(ranges, move |_, (start, end)| {
-                let rel = inst.relation_by_id(id);
-                let mut cols: Vec<Vec<u32>> = vec![Vec::new(); outp.len()];
-                let mut rows = 0usize;
-                for r in start..end {
-                    if eq.iter().all(|&(a, b)| rel.col(a)[r] == rel.col(b)[r]) {
-                        for (ci, &p) in outp.iter().enumerate() {
-                            cols[ci].push(rel.col(p)[r]);
-                        }
-                        rows += 1;
-                    }
-                }
-                (cols, rows)
-            });
-            let mut out = Batch::empty(schema.to_vec());
-            for (part_cols, part_rows) in parts {
-                for (ci, part) in part_cols.into_iter().enumerate() {
-                    out.cols[ci].extend(part);
-                }
-                out.rows += part_rows;
-            }
-            return out;
-        }
-    }
-    let mut out = Batch::empty(schema.to_vec());
-    for r in 0..rel.len() {
-        if eq_checks
-            .iter()
-            .all(|&(a, b)| rel.col(a)[r] == rel.col(b)[r])
-        {
-            for (ci, &p) in out_positions.iter().enumerate() {
-                out.cols[ci].push(rel.col(p)[r]);
-            }
-            out.rows += 1;
-        }
+        (0..rel.len()).for_each(&mut gather);
+    } else {
+        ctx.probe_index(id, rel, &bound_cols, &bound_codes)
+            .into_iter()
+            .for_each(&mut gather);
     }
     out
 }
@@ -707,173 +541,48 @@ fn eval_join(l: Batch, r: Batch, ctx: &mut ExecContext<'_>) -> Batch {
     } else {
         (rkey, lkey)
     };
-    let probe_rows = if build_left { r.rows } else { l.rows };
-    ctx.stats.hash_probes += probe_rows as u64;
-    let parallel = ctx.shared.filter(|_| probe_rows >= 2 * ctx.morsel_rows);
-    let (cols, rows) = match parallel {
-        Some(shared) => {
-            ctx.stats.parallel_joins += 1;
-            eval_join_partitioned(
-                Arc::new(l),
-                Arc::new(r),
-                build_left,
-                Arc::new(build_key),
-                Arc::new(probe_key),
-                Arc::new(sources),
-                shared,
-                ctx.morsel_rows,
-                &mut ctx.stats,
-                &mut ctx.timings,
-            )
-        }
-        None => {
-            let (build, probe) = if build_left { (&l, &r) } else { (&r, &l) };
-            let build_timer = Timer::start();
-            let mut table: HashMap<Vec<u32>, Vec<usize>> = HashMap::with_capacity(build.rows);
-            let mut key: Vec<u32> = Vec::with_capacity(build_key.len());
-            for i in 0..build.rows {
-                build.key_into(i, &build_key, &mut key);
-                match table.get_mut(key.as_slice()) {
-                    Some(rows) => rows.push(i),
-                    None => {
-                        table.insert(key.clone(), vec![i]);
-                    }
-                }
-            }
-            if build_timer.is_running() {
-                ctx.timings.join_build_us += build_timer.elapsed_us();
-            }
-            let probe_timer = Timer::start();
-            let mut cols: Vec<Vec<u32>> = vec![Vec::new(); sources.len()];
-            let mut rows = 0usize;
-            for prow in 0..probe.rows {
-                probe.key_into(prow, &probe_key, &mut key);
-                let Some(matches) = table.get(key.as_slice()) else {
-                    continue;
-                };
-                for &b in matches {
-                    let (li, ri) = if build_left { (b, prow) } else { (prow, b) };
-                    for (ci, &(from_left, p)) in sources.iter().enumerate() {
-                        cols[ci].push(if from_left {
-                            l.cols[p][li]
-                        } else {
-                            r.cols[p][ri]
-                        });
-                    }
-                    rows += 1;
-                }
-            }
-            if probe_timer.is_running() {
-                ctx.timings.join_probe_us += probe_timer.elapsed_us();
-            }
-            (cols, rows)
-        }
-    };
-    ctx.stats.intermediate_rows += rows as u64;
-    Batch { schema, cols, rows }
-}
-
-/// The parallel hash join: the build side scatters into [`JOIN_PARTITIONS`]
-/// buckets by a deterministic key hash, one hash table is built per partition
-/// across the pool, and probe morsels route by the same hash. Probe morsels
-/// merge in order, and within a key the match list preserves build-row order,
-/// so the output rows equal the sequential join's, row for row.
-#[allow(clippy::too_many_arguments)]
-fn eval_join_partitioned(
-    l: Arc<Batch>,
-    r: Arc<Batch>,
-    build_left: bool,
-    build_key: Arc<Vec<usize>>,
-    probe_key: Arc<Vec<usize>>,
-    sources: Arc<Vec<(bool, usize)>>,
-    shared: SharedExec<'_>,
-    morsel: usize,
-    stats: &mut ExecStats,
-    timings: &mut ExecTimings,
-) -> (Vec<Vec<u32>>, usize) {
     let (build, probe) = if build_left { (&l, &r) } else { (&r, &l) };
+    ctx.stats.hash_probes += probe.rows as u64;
     let build_timer = Timer::start();
-    // 1. Scatter build rows into partitions (sequential: one cheap pass that
-    //    fixes a layout every later task agrees on).
-    let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); JOIN_PARTITIONS];
+    let mut table: HashMap<Vec<u32>, Vec<usize>> = HashMap::with_capacity(build.rows);
     let mut key: Vec<u32> = Vec::with_capacity(build_key.len());
     for i in 0..build.rows {
         build.key_into(i, &build_key, &mut key);
-        buckets[(partition_hash(&key) as usize) % JOIN_PARTITIONS].push(i);
-    }
-    let buckets = Arc::new(buckets);
-    // 2. Build one table per partition, in parallel.
-    stats.morsels_dispatched += JOIN_PARTITIONS as u64;
-    let tables: Vec<HashMap<Vec<u32>, Vec<usize>>> = {
-        let build = Arc::clone(if build_left { &l } else { &r });
-        let build_key = Arc::clone(&build_key);
-        let buckets = Arc::clone(&buckets);
-        shared
-            .pool
-            .run((0..JOIN_PARTITIONS).collect(), move |_, p| {
-                let mut table: HashMap<Vec<u32>, Vec<usize>> =
-                    HashMap::with_capacity(buckets[p].len());
-                for &i in &buckets[p] {
-                    let key: Vec<u32> = build_key.iter().map(|&c| build.cols[c][i]).collect();
-                    table.entry(key).or_default().push(i);
-                }
-                table
-            })
-    };
-    let tables = Arc::new(tables);
-    if build_timer.is_running() {
-        timings.join_build_us += build_timer.elapsed_us();
-    }
-    // 3. Probe in morsels, routing each key to its partition's table.
-    let probe_timer = Timer::start();
-    let ranges = morsel_ranges(probe.rows, morsel);
-    stats.morsels_dispatched += ranges.len() as u64;
-    stats.batches_processed += ranges.len() as u64;
-    let parts = {
-        let la = Arc::clone(&l);
-        let ra = Arc::clone(&r);
-        shared.pool.run(ranges, move |_, (start, end)| {
-            let probe = if build_left { &ra } else { &la };
-            let mut cols: Vec<Vec<u32>> = vec![Vec::new(); sources.len()];
-            let mut rows = 0usize;
-            let mut key: Vec<u32> = Vec::with_capacity(probe_key.len());
-            for prow in start..end {
-                probe.key_into(prow, &probe_key, &mut key);
-                let table = &tables[(partition_hash(&key) as usize) % JOIN_PARTITIONS];
-                let Some(matches) = table.get(key.as_slice()) else {
-                    continue;
-                };
-                for &b in matches {
-                    let (li, ri) = if build_left { (b, prow) } else { (prow, b) };
-                    for (ci, &(from_left, p)) in sources.iter().enumerate() {
-                        cols[ci].push(if from_left {
-                            la.cols[p][li]
-                        } else {
-                            ra.cols[p][ri]
-                        });
-                    }
-                    rows += 1;
-                }
-            }
-            (cols, rows)
-        })
-    };
-    let mut merged: Vec<Vec<u32>> = Vec::new();
-    let mut rows = 0usize;
-    for (part_cols, part_rows) in parts {
-        if merged.is_empty() {
-            merged = part_cols;
-        } else {
-            for (ci, part) in part_cols.into_iter().enumerate() {
-                merged[ci].extend(part);
+        match table.get_mut(key.as_slice()) {
+            Some(rows) => rows.push(i),
+            None => {
+                table.insert(key.clone(), vec![i]);
             }
         }
-        rows += part_rows;
+    }
+    if build_timer.is_running() {
+        ctx.timings.join_build_us += build_timer.elapsed_us();
+    }
+    let probe_timer = Timer::start();
+    let mut cols: Vec<Vec<u32>> = vec![Vec::new(); sources.len()];
+    let mut rows = 0usize;
+    for prow in 0..probe.rows {
+        probe.key_into(prow, &probe_key, &mut key);
+        let Some(matches) = table.get(key.as_slice()) else {
+            continue;
+        };
+        for &b in matches {
+            let (li, ri) = if build_left { (b, prow) } else { (prow, b) };
+            for (ci, &(from_left, p)) in sources.iter().enumerate() {
+                cols[ci].push(if from_left {
+                    l.cols[p][li]
+                } else {
+                    r.cols[p][ri]
+                });
+            }
+            rows += 1;
+        }
     }
     if probe_timer.is_running() {
-        timings.join_probe_us += probe_timer.elapsed_us();
+        ctx.timings.join_probe_us += probe_timer.elapsed_us();
     }
-    (merged, rows)
+    ctx.stats.intermediate_rows += rows as u64;
+    Batch { schema, cols, rows }
 }
 
 fn eval_anti_join(l: Batch, r: Batch, ctx: &mut ExecContext<'_>) -> Batch {
@@ -1019,37 +728,15 @@ impl CompiledQuery {
     /// optionally with a per-operator [`OpProfile`].
     pub fn execute(&self, d: &Instance, options: &RunOptions) -> ExecOutput {
         let wall = options.profile.then(Timer::start_always);
-        let interned = Arc::new(InternedInstance::new(d));
-        // Fanning out only pays when the pool genuinely adds parallel capacity:
-        // with zero or one background workers the submitting thread is doing
-        // (essentially) all the work anyway, and every morsel would still pay
-        // queue, boxing and partition-hash overhead. Below two workers the
-        // sequential kernels run unchanged — the pay-as-you-go guarantee the
-        // `exec_scaling` bench pins against the set-at-a-time baseline.
-        let shared = options
-            .exec
-            .pool
-            .as_ref()
-            .filter(|pool| pool.workers() >= 2)
-            .map(|pool| SharedExec {
-                inst: &interned,
-                pool,
-            });
-        let mut out = self.run(
-            &interned,
-            shared,
-            options.naive,
-            options.exec.morsel_rows,
-            options.profile,
-        );
+        let interned = InternedInstance::new(d);
+        let mut out = self.run(&interned, options.naive, options.profile);
         if let (Some(profile), Some(wall)) = (out.profile.as_mut(), wall) {
             profile.exec_us = wall.elapsed_us();
         }
         out
     }
 
-    /// Executes against an already-interned instance, sequentially, merging
-    /// counters into `stats` — the per-world step of the bounded oracle. With
+    /// Executes against an already-interned instance, merging counters into `stats` — the per-world step of the bounded oracle. With
     /// `complete_only`, rows containing null codes are dropped — the "discard
     /// tuples with nulls" half of naïve evaluation, decided with one integer
     /// comparison per position.
@@ -1059,20 +746,13 @@ impl CompiledQuery {
         complete_only: bool,
         stats: &mut ExecStats,
     ) -> BTreeSet<Tuple> {
-        let out = self.run(inst, None, complete_only, DEFAULT_MORSEL_ROWS, false);
+        let out = self.run(inst, complete_only, false);
         stats.merge(&out.stats);
         out.answers
     }
 
-    fn run(
-        &self,
-        inst: &InternedInstance,
-        shared: Option<SharedExec<'_>>,
-        complete_only: bool,
-        morsel_rows: usize,
-        profile: bool,
-    ) -> ExecOutput {
-        let mut ctx = ExecContext::new(inst, shared, self.reorder, morsel_rows);
+    fn run(&self, inst: &InternedInstance, complete_only: bool, profile: bool) -> ExecOutput {
+        let mut ctx = ExecContext::new(inst, self.reorder);
         ctx.profile = profile.then(OpProfile::default);
         // Replay the compile-time rule count and the root cardinality estimate
         // into this execution's telemetry (`as` saturates, never panics).
@@ -1205,7 +885,7 @@ mod tests {
         assert!(f.answers.is_empty());
     }
 
-    /// A join-chain workload big enough to cross small morsel thresholds.
+    /// A join-chain workload of `rows` rows per relation.
     fn chain_instance(rows: usize) -> Instance {
         let mut d = Instance::new();
         for i in 0..rows {
@@ -1215,106 +895,6 @@ mod tests {
             d.add_tuple("S", vec![b, c((i % 7) as i64)]).unwrap();
         }
         d
-    }
-
-    #[test]
-    fn parallel_execution_equals_sequential_at_every_worker_count() {
-        let d = chain_instance(300);
-        let q = parse_query("Q(u, w) :- exists v . R(u, v) & S(v, w)").expect("valid query");
-        let compiled = CompiledQuery::compile(&q).expect("compiles");
-        let sequential = compiled.execute(&d, &RunOptions::naive());
-        for workers in [0, 1, 2, 8] {
-            let options = ExecOptions {
-                pool: Some(Arc::new(WorkerPool::new(workers))),
-                morsel_rows: 64,
-            };
-            let parallel = compiled.execute(&d, &RunOptions::naive().on(&options));
-            assert_eq!(
-                parallel.answers, sequential.answers,
-                "workers={workers}: answers changed"
-            );
-            if workers >= 2 {
-                assert!(
-                    parallel.stats.morsels_dispatched > 0,
-                    "workers={workers}: the morsel path engaged"
-                );
-                assert!(parallel.stats.parallel_joins > 0, "workers={workers}");
-            } else {
-                // Pools that cannot add parallel capacity run the sequential
-                // kernels unchanged — pay-as-you-go, no fan-out overhead.
-                assert_eq!(parallel.stats, sequential.stats, "workers={workers}");
-            }
-            // Morsel counts are a function of the data, never the worker count.
-            let again = compiled.execute(&d, &RunOptions::naive().on(&options));
-            assert_eq!(parallel.stats, again.stats, "workers={workers}");
-        }
-        // Parallel-capable worker counts report identical telemetry.
-        let stats: Vec<ExecStats> = [2usize, 3, 8]
-            .iter()
-            .map(|&workers| {
-                let options = ExecOptions {
-                    pool: Some(Arc::new(WorkerPool::new(workers))),
-                    morsel_rows: 64,
-                };
-                compiled
-                    .execute(&d, &RunOptions::naive().on(&options))
-                    .stats
-            })
-            .collect();
-        assert_eq!(stats[0], stats[1]);
-        assert_eq!(stats[1], stats[2]);
-    }
-
-    #[test]
-    fn small_inputs_stay_sequential_even_with_a_pool() {
-        let d = intro();
-        let q = parse_query("Q(x, y) :- exists z . R(x, z) & S(z, y)").expect("valid query");
-        let compiled = CompiledQuery::compile(&q).expect("compiles");
-        let options = ExecOptions::with_pool(Arc::new(WorkerPool::new(4)));
-        let out = compiled.execute(&d, &RunOptions::naive().on(&options));
-        assert_eq!(
-            out.stats.morsels_dispatched, 0,
-            "below the morsel threshold"
-        );
-        assert_eq!(out.stats.parallel_joins, 0);
-        assert_eq!(
-            out.answers,
-            compiled.execute(&d, &RunOptions::naive()).answers
-        );
-    }
-
-    #[test]
-    fn empty_instances_dispatch_no_morsels() {
-        let q = parse_query("Q(u, w) :- exists v . R(u, v) & S(v, w)").expect("valid query");
-        let compiled = CompiledQuery::compile(&q).expect("compiles");
-        let options = ExecOptions {
-            pool: Some(Arc::new(WorkerPool::new(2))),
-            morsel_rows: 1,
-        };
-        let out = compiled.execute(&Instance::new(), &RunOptions::naive().on(&options));
-        assert!(out.answers.is_empty());
-        assert_eq!(out.stats.morsels_dispatched, 0);
-        assert_eq!(out.stats.batches_processed, 0);
-    }
-
-    #[test]
-    fn morsel_telemetry_counts_scan_chunks() {
-        // 10 rows, morsel_rows = 2 → exactly 5 scan morsels per unbound scan.
-        let mut d = Instance::new();
-        for i in 0..10 {
-            d.add_tuple("R", vec![c(i as i64)]).unwrap();
-        }
-        let q = parse_query("Q(u) :- R(u)").expect("valid query");
-        let compiled = CompiledQuery::compile(&q).expect("compiles");
-        let options = ExecOptions {
-            pool: Some(Arc::new(WorkerPool::new(2))),
-            morsel_rows: 2,
-        };
-        let out = compiled.execute(&d, &RunOptions::naive().on(&options));
-        assert_eq!(out.answers.len(), 10);
-        assert_eq!(out.stats.morsels_dispatched, 5);
-        assert_eq!(out.stats.batches_processed, 5);
-        assert_eq!(out.stats.rows_scanned, 10);
     }
 
     #[test]
@@ -1366,38 +946,15 @@ mod tests {
         let out = compiled.execute(&d, &RunOptions::naive());
         if nev_obs::enabled() {
             // A scan and a hash join ran: their phases were measured. (µs
-            // clocks can legitimately read 0 on a fast pass, so assert the
-            // recording happened via the parallel path below instead of here.)
+            // clocks can legitimately read 0 on a fast pass, so nothing is
+            // asserted about the values here.)
             let _ = out.timings.total_us();
         } else {
             assert_eq!(out.timings.total_us(), 0, "kill switch zeroes timings");
         }
-        // Timings never affect output equality — the cross-worker-count
-        // equality pins in this module rely on this.
+        // Timings never affect output equality — the run-to-run equality
+        // pins across the workspace rely on this.
         let again = compiled.execute(&d, &RunOptions::naive());
         assert_eq!(out, again);
-    }
-
-    #[test]
-    fn parallel_stats_match_sequential_core_counters() {
-        // The shared counters (scanned/probes/indexes/intermediate) must not
-        // depend on whether the morsel path ran.
-        let d = chain_instance(200);
-        let q = parse_query("Q(u, w) :- exists v . R(u, v) & S(v, w)").expect("valid query");
-        let compiled = CompiledQuery::compile(&q).expect("compiles");
-        let sequential = compiled.execute(&d, &RunOptions::naive()).stats;
-        let options = ExecOptions {
-            pool: Some(Arc::new(WorkerPool::new(3))),
-            morsel_rows: 32,
-        };
-        let parallel = compiled
-            .execute(&d, &RunOptions::naive().on(&options))
-            .stats;
-        assert_eq!(parallel.rows_scanned, sequential.rows_scanned);
-        assert_eq!(parallel.hash_probes, sequential.hash_probes);
-        assert_eq!(parallel.index_builds, sequential.index_builds);
-        assert_eq!(parallel.intermediate_rows, sequential.intermediate_rows);
-        assert!(parallel.morsels_dispatched > 0);
-        assert_eq!(sequential.morsels_dispatched, 0);
     }
 }

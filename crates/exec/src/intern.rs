@@ -150,8 +150,8 @@ impl ColumnarRelation {
 /// An instance interned for compiled execution: the dictionary plus every
 /// relation as a columnar code batch, addressed by a dense `u32` **relation
 /// id** assigned in sorted-name order. The executor resolves each scanned name
-/// to its id once and keys every per-relation cache (hash indexes, morsel
-/// tasks) on the id — no `String` clone or string hash on the hot path.
+/// to its id once and keys every per-relation cache (hash indexes) on the id —
+/// no `String` clone or string hash on the hot path.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct InternedInstance {
     dict: Dictionary,

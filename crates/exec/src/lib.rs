@@ -19,11 +19,10 @@
 //!   deduplication, complement → anti-join, pad absorption, union flattening)
 //!   plus an execution-time greedy join-order search seeded from real
 //!   base-relation cardinalities;
-//! * [`exec`] — the vectorised executor: column-major batches, allocation-free
-//!   hash kernels, and **morsel-driven parallelism** over a shared
-//!   [`nev_runtime::WorkerPool`] (opt in via [`ExecOptions`]), with the
+//! * [`exec`] — the vectorised executor: column-major batches and
+//!   allocation-free hash kernels in one sequential pass, with the
 //!   [`ExecStats`] counter block (rows scanned, hash probes, index builds,
-//!   fallbacks, rules fired, joins reordered, morsels dispatched);
+//!   fallbacks, rules fired, joins reordered);
 //! * [`stats`] — the counters themselves;
 //! * [`profile`] — the opt-in per-operator [`OpProfile`] collector behind the
 //!   wire `PROFILE` command: inclusive wall time, output rows and the cost
@@ -70,7 +69,7 @@ pub mod rules;
 pub mod stats;
 
 pub use algebra::{PlanNode, ScanTerm};
-pub use exec::{ExecOptions, ExecOutput, RunOptions, DEFAULT_MORSEL_ROWS};
+pub use exec::{ExecOutput, RunOptions};
 pub use intern::{ColumnarRelation, Dictionary, InternedInstance};
 pub use lower::{CompileError, CompiledQuery, CompilerConfig};
 pub use optimize::greedy_join_order;

@@ -32,14 +32,6 @@ pub struct ExecStats {
     /// executions merged into this block (compare with `intermediate_rows` to see
     /// how far off the uniformity assumptions were).
     pub estimated_rows: u64,
-    /// Morsels dispatched on the shared worker pool (scan chunks, join build
-    /// partitions, probe chunks). Zero on a purely sequential execution; a pure
-    /// function of the data and the morsel size, never of the worker count.
-    pub morsels_dispatched: u64,
-    /// Column batches produced by morsel tasks (scan and probe chunks).
-    pub batches_processed: u64,
-    /// Hash joins that ran the partitioned parallel build/probe path.
-    pub parallel_joins: u64,
 }
 
 impl ExecStats {
@@ -67,9 +59,6 @@ impl ExecStats {
         self.rules_fired += other.rules_fired;
         self.joins_reordered += other.joins_reordered;
         self.estimated_rows += other.estimated_rows;
-        self.morsels_dispatched += other.morsels_dispatched;
-        self.batches_processed += other.batches_processed;
-        self.parallel_joins += other.parallel_joins;
     }
 
     /// Returns `true` iff every counter is zero (no compiled work, no fallbacks).
@@ -82,18 +71,18 @@ impl ExecStats {
 /// in microseconds, split along the executor's phase boundaries.
 ///
 /// Unlike [`ExecStats`], whose counters are a pure function of the data (and
-/// therefore pinned byte-identical across worker counts by the determinism
-/// suite), timings vary run to run — so `ExecTimings` deliberately compares
+/// therefore pinned byte-identical from run to run by the determinism suite),
+/// timings vary run to run — so `ExecTimings` deliberately compares
 /// **equal to every other `ExecTimings`**. Result types can keep deriving
 /// `PartialEq`/`Eq` and every existing telemetry-parity assertion stays exact.
 /// All fields stay zero under the `NEV_TRACE=0` kill switch.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ExecTimings {
-    /// Time in relation scans (morsel fan-out included).
+    /// Time in relation scans.
     pub scan_us: u64,
-    /// Time building hash-join tables (partition scatter included).
+    /// Time building hash-join tables.
     pub join_build_us: u64,
-    /// Time probing hash-join tables (probe-side merge included).
+    /// Time probing hash-join tables.
     pub join_probe_us: u64,
 }
 
@@ -124,7 +113,7 @@ impl fmt::Display for ExecStats {
         write!(
             f,
             "scanned={} probes={} indexes={} intermediate={} fallbacks={} rules={} \
-             reordered={} estimated={} morsels={} batches={} parallel_joins={}",
+             reordered={} estimated={}",
             self.rows_scanned,
             self.hash_probes,
             self.index_builds,
@@ -132,10 +121,7 @@ impl fmt::Display for ExecStats {
             self.fallbacks,
             self.rules_fired,
             self.joins_reordered,
-            self.estimated_rows,
-            self.morsels_dispatched,
-            self.batches_processed,
-            self.parallel_joins
+            self.estimated_rows
         )
     }
 }
@@ -155,9 +141,6 @@ mod tests {
             rules_fired: 2,
             joins_reordered: 1,
             estimated_rows: 8,
-            morsels_dispatched: 5,
-            batches_processed: 5,
-            parallel_joins: 1,
         };
         a.merge(&ExecStats::fallback());
         a.merge(&ExecStats {
@@ -169,9 +152,6 @@ mod tests {
         assert_eq!(a.rules_fired, 2);
         assert_eq!(a.joins_reordered, 1);
         assert_eq!(a.estimated_rows, 8);
-        assert_eq!(a.morsels_dispatched, 5);
-        assert_eq!(a.batches_processed, 5);
-        assert_eq!(a.parallel_joins, 1);
         assert!(!a.is_empty());
         assert!(ExecStats::new().is_empty());
     }
@@ -201,8 +181,5 @@ mod tests {
         assert!(s.contains("rules=0"));
         assert!(s.contains("reordered=0"));
         assert!(s.contains("estimated=0"));
-        assert!(s.contains("morsels=0"));
-        assert!(s.contains("batches=0"));
-        assert!(s.contains("parallel_joins=0"));
     }
 }

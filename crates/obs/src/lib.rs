@@ -1,7 +1,7 @@
 //! # `nev-obs` — spans, latency histograms, and the metrics registry
 //!
 //! The engine has four dispatch regimes (certified-naive, compiled, symbolic
-//! sandwich, bounded oracle) and a morsel-parallel executor; this crate is the
+//! sandwich, bounded oracle) and a vectorised executor; this crate is the
 //! telemetry layer that makes their costs *visible* without ever changing an
 //! answer. It is zero-dependency (std only) and splits into three pieces:
 //!

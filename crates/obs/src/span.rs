@@ -30,7 +30,7 @@ pub enum Stage {
     Optimize,
     /// The naive/compiled evaluation pass (`nev-exec`).
     Exec,
-    /// Relation scans inside the exec pass, morsel fan-out included.
+    /// Relation scans inside the exec pass.
     Scan,
     /// Hash-join build sides inside the exec pass.
     JoinBuild,

@@ -1,18 +1,16 @@
 //! `nev-runtime` — the shared execution runtime of the `naive-eval` workspace.
 //!
-//! This crate holds the infrastructure that *both* the execution engine
-//! (`nev-exec`, for morsel-driven parallel scans and joins inside a single
-//! certified naïve pass) and the serving layer (`nev-serve`, for parallel
-//! request handling and the chunked possible-world oracle) need: a
-//! work-stealing [`WorkerPool`] with caller-helps semantics and deterministic,
-//! order-preserving parallel maps.
+//! This crate holds the infrastructure the engine (`nev-core`, for the chunked
+//! possible-world oracle) and the serving layer (`nev-serve`, for parallel
+//! request handling) share: a work-stealing [`WorkerPool`] with caller-helps
+//! semantics and deterministic, order-preserving parallel maps. A certified
+//! naïve pass (`nev-exec`) runs sequentially on the calling thread.
 //!
 //! It lives below every other `nev-*` crate (dependencies: `std` and the
-//! telemetry layer `nev-obs` only) so that `nev-exec` can parallelise operator
-//! pipelines without depending on the serving layer — the dependency arrow is
-//! `serve → exec → runtime → obs`, never a cycle. `nev-serve` re-exports
-//! [`WorkerPool`] for backwards compatibility, so existing
-//! `nev_serve::pool::WorkerPool` imports keep working.
+//! telemetry layer `nev-obs` only), so no crate that uses the pool has to
+//! depend on the serving layer. `nev-serve` re-exports [`WorkerPool`] for
+//! backwards compatibility, so existing `nev_serve::pool::WorkerPool` imports
+//! keep working.
 //!
 //! The pool records queue-wait and run-time latency histograms per task
 //! ([`PoolMetrics`]); `NEV_TRACE=0` disables the measurement entirely.

@@ -337,10 +337,7 @@ pub fn run_load(
 
     // Cross-check EXPLAIN on a sample of the workload: the served dispatch
     // decision and `nev-opt` plan rendering must be byte-identical to the bare
-    // in-process engine's (same philosophy as the EVAL check above). The server
-    // additionally appends its runtime configuration (`exec_workers=…
-    // morsel_rows=…`), which a remote client cannot predict — those trailing
-    // tokens are shape-checked, not value-checked.
+    // in-process engine's (same philosophy as the EVAL check above).
     for request in workload.requests.iter().take(EXPLAIN_SAMPLE) {
         let line = format!(
             "EXPLAIN {} {} {}",
@@ -375,7 +372,7 @@ pub fn run_load(
                 }
             },
         };
-        if explain_matches(&response, &expected) {
+        if response == expected {
             report.explained += 1;
         } else {
             report.mismatches.push((line, response, expected));
@@ -406,29 +403,6 @@ pub fn run_load(
 
 /// How many workload requests [`run_load`] re-issues as `EXPLAIN` cross-checks.
 const EXPLAIN_SAMPLE: usize = 4;
-
-/// `EXPLAIN` responses match when the plan part equals the locally computed
-/// expectation and any remainder is exactly the server's runtime suffix
-/// (`exec_workers=<n> morsel_rows=<n>`), whose values depend on server
-/// configuration the client cannot see.
-fn explain_matches(response: &str, expected: &str) -> bool {
-    if response == expected {
-        return true;
-    }
-    let Some(rest) = response.strip_prefix(expected) else {
-        return false;
-    };
-    let mut tokens = rest.split_whitespace();
-    let workers_ok = tokens
-        .next()
-        .and_then(|t| t.strip_prefix("exec_workers="))
-        .is_some_and(|v| v.parse::<usize>().is_ok());
-    let morsel_ok = tokens
-        .next()
-        .and_then(|t| t.strip_prefix("morsel_rows="))
-        .is_some_and(|v| v.parse::<usize>().is_ok());
-    workers_ok && morsel_ok && tokens.next().is_none()
-}
 
 /// Runs the load generator against a freshly spawned in-process server (the
 /// `nevload --self-check` mode): returns the report and tears the server down.

@@ -26,7 +26,7 @@
 //!         │              cancellation; verdicts ≡ sequential)
 //!         ├──► pool     (re-export of nev_runtime::WorkerPool: work-stealing
 //!         │              deques, caller-helps, deterministic maps — shared by
-//!         │              request batches, oracle chunks and exec morsels)
+//!         │              request batches and oracle chunks)
 //!         ├──► stats    (relaxed atomic counters behind STATS)
 //!         └──► wire     (line-protocol grammar, canonical rendering)
 //! client (blocking protocol client, seeded load generator, self-check)
@@ -51,13 +51,13 @@
 //! bytes and all results are identical either way (`PROFILE` times on its own
 //! explicit-request clock, exempt from the kill switch).
 //!
-//! The pool itself lives in the **`nev-runtime`** crate, below `nev-exec` in
-//! the dependency order, so the execution engine can dispatch morsel-driven
-//! parallel scans and joins on the *same* threads that serve requests: one
-//! `ServeState` holds one `Arc<WorkerPool>`, hands it to its engine's
-//! [`nev_exec::ExecOptions`], and sizes it from [`ServeConfig::workers`]
-//! (defaulting to the `NEV_WORKERS` environment variable via
-//! [`env_workers`]).
+//! The pool itself lives in the **`nev-runtime`** crate, below `nev-core` in
+//! the dependency order, so the engine's chunked oracle runs on the *same*
+//! threads that serve requests: one `ServeState` holds one `Arc<WorkerPool>`,
+//! hands it to its engine ([`nev_core::engine::CertainEngine::with_pool`]),
+//! and sizes it from [`ServeConfig::workers`] (defaulting to the
+//! `NEV_WORKERS` environment variable via [`env_workers`]). Certified naïve
+//! passes run sequentially on the thread serving the request.
 //!
 //! Correctness invariants, each backed by a test suite:
 //!

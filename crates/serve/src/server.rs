@@ -12,7 +12,6 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use crate::state::ServeState;
 
@@ -65,8 +64,6 @@ impl Server {
     /// it on [`ServerHandle::shutdown`] (or drop).
     pub fn spawn(self) -> io::Result<ServerHandle> {
         let addr = self.local_addr()?;
-        // Poll with a non-blocking listener so the loop can observe shutdown.
-        self.listener.set_nonblocking(true)?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let state = Arc::clone(&self.state);
         let accept_state = Arc::clone(&self.state);
@@ -75,17 +72,14 @@ impl Server {
         let accept_thread = std::thread::Builder::new()
             .name("nevd-accept".to_string())
             .spawn(move || {
-                while !accept_shutdown.load(Ordering::SeqCst) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            // Hand the connection a blocking stream again.
-                            if stream.set_nonblocking(false).is_ok() {
-                                spawn_connection(stream, Arc::clone(&accept_state));
-                            }
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(2));
-                        }
+                // A blocking accept: shutdown sets the flag, then connects once
+                // to wake this loop, which drops that connection and the listener.
+                for stream in listener.incoming() {
+                    if accept_shutdown.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    match stream {
+                        Ok(stream) => spawn_connection(stream, Arc::clone(&accept_state)),
                         Err(_) => break,
                     }
                 }
@@ -112,10 +106,13 @@ impl ServerHandle {
 
     /// Stops accepting new connections (established connections run to `QUIT`/EOF).
     pub fn shutdown(&mut self) {
+        let Some(handle) = self.accept_thread.take() else {
+            return;
+        };
         self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
+        // Wake the accept loop blocked in `accept`.
+        let _ = TcpStream::connect(self.addr);
+        let _ = handle.join();
     }
 }
 
@@ -188,6 +185,27 @@ mod tests {
         );
         assert_eq!(client.send("QUIT").unwrap(), "OK bye");
         handle.shutdown();
+    }
+
+    #[test]
+    fn shutdown_returns_with_no_client_ever_connected() {
+        let state = Arc::new(ServeState::new(ServeConfig {
+            workers: 0,
+            ..ServeConfig::default()
+        }));
+        let server = Server::bind("127.0.0.1:0", state).expect("bind ephemeral");
+        let mut handle = server.spawn().expect("spawn accept loop");
+        let addr = handle.addr();
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            handle.shutdown();
+            let _ = done.send(());
+        });
+        finished
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("shutdown woke the blocking accept and returned");
+        // The listener went away with the accept loop.
+        assert!(TcpStream::connect(addr).is_err());
     }
 
     #[test]

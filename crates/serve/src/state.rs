@@ -34,7 +34,6 @@ use nev_core::engine::{
     CertainEngine, DispatchOptions, EngineError, Evaluation, PreparedQuery, SymbolicTechnique,
 };
 use nev_core::{Semantics, WorldBounds};
-use nev_exec::{ExecOptions, DEFAULT_MORSEL_ROWS};
 use nev_incomplete::{Instance, Tuple};
 use nev_obs::timeseries::render_window_gauges;
 use nev_obs::{
@@ -57,20 +56,17 @@ pub struct ServeConfig {
     pub cache_capacity: usize,
     /// World-enumeration bounds used by every evaluation.
     pub bounds: WorldBounds,
-    /// Rows per exec-layer morsel on the shared pool (certified naïve passes).
-    pub morsel_rows: usize,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             // Thread counts are configured in exactly one place: NEV_WORKERS
-            // (when set) sizes the shared pool for the request path, the
-            // parallel oracle, and the exec morsel path alike.
+            // (when set) sizes the shared pool for the request path and the
+            // parallel oracle alike.
             workers: env_workers().unwrap_or(4),
             cache_capacity: 256,
             bounds: WorldBounds::default(),
-            morsel_rows: DEFAULT_MORSEL_ROWS,
         }
     }
 }
@@ -198,15 +194,11 @@ pub struct ServeState {
 
 impl ServeState {
     /// Builds a service from its configuration. The worker pool is **shared**:
-    /// the same threads serve batched requests, parallel-oracle world chunks,
-    /// and the exec layer's scan/join morsels (the engine is handed an `Arc` of
-    /// the pool through its [`ExecOptions`]).
+    /// the same threads serve batched requests and parallel-oracle world
+    /// chunks (the engine holds an `Arc` of the pool).
     pub fn new(config: ServeConfig) -> Self {
         let pool = Arc::new(WorkerPool::new(config.workers));
-        let engine = CertainEngine::with_bounds(config.bounds).with_exec_options(ExecOptions {
-            pool: Some(Arc::clone(&pool)),
-            morsel_rows: config.morsel_rows.max(1),
-        });
+        let engine = CertainEngine::with_bounds(config.bounds).with_pool(Arc::clone(&pool));
         ServeState {
             engine,
             catalog: Catalog::new(),
@@ -372,19 +364,10 @@ impl ServeState {
         )?;
         let dispatch = evaluation.plan.kind();
         ServeStats::bump(&self.stats.explains);
-        let exec = self.engine.exec_options();
-        let runtime = format!(
-            "exec_workers={} morsel_rows={}",
-            exec.workers(),
-            exec.morsel_rows
-        );
         Ok(match plan.prepared.compiled() {
-            Some(compiled) => format!(
-                "dispatch={dispatch} {} {runtime}",
-                compiled.explain_compact()
-            ),
+            Some(compiled) => format!("dispatch={dispatch} {}", compiled.explain_compact()),
             None => format!(
-                "dispatch={dispatch} compiled=false{} {runtime}",
+                "dispatch={dispatch} compiled=false{}",
                 render_compile_reason(&plan.prepared)
             ),
         })
@@ -501,12 +484,13 @@ impl ServeState {
 
     /// Answers one `PROFILE` request: a **real** evaluation (it counts in
     /// `evals` and feeds the latency histograms, exactly like `TRACE`) that
-    /// additionally returns the per-operator annotated plan on compiled
-    /// dispatches — inclusive wall time, output rows, and the `nev-opt` cost
-    /// model's estimate for every executed operator, including each pairwise
-    /// join fold in the greedy order. Other dispatches (interpreter fallback,
-    /// normalized, symbolic, oracle) run normally and report `compiled=false`:
-    /// only the written query's compiled pipeline is annotated.
+    /// additionally returns the per-operator annotated plan when a certified
+    /// naïve pass ran on a compiled plan (the query as written, or its normal
+    /// form on a normalized dispatch) — inclusive wall time, output rows, and
+    /// the `nev-opt` cost model's estimate for every executed operator,
+    /// including each pairwise join fold in the greedy order. Other dispatches
+    /// (interpreter fallback, symbolic, oracle) run normally and report
+    /// `compiled=false`.
     pub fn profile(
         &self,
         name: &str,
@@ -570,8 +554,6 @@ impl ServeState {
         if evaluation.truncated {
             ServeStats::bump(&stats.truncated);
         }
-        ServeStats::add(&stats.morsels, evaluation.exec.morsels_dispatched);
-        ServeStats::add(&stats.parallel_joins, evaluation.exec.parallel_joins);
     }
 
     /// Answers a batch of `EVAL` requests, amortising across them:
@@ -757,8 +739,6 @@ impl ServeState {
             ("oracle", snap.oracle),
             ("worlds", snap.worlds),
             ("oracle_cancelled", snap.oracle_cancelled),
-            ("morsels", snap.morsels),
-            ("parallel_joins", snap.parallel_joins),
             ("symbolic", snap.symbolic),
             ("sandwich_exact", snap.sandwich_exact),
             ("truncated", snap.truncated),
@@ -1219,6 +1199,26 @@ mod tests {
         // The answer is byte-identical to EVAL's.
         let eval = state.handle_line("EVAL d0 cwa exists u v . D(u, v) & D(v, u)");
         assert_eq!(eval, "OK plan=compiled certain={()}");
+    }
+
+    #[test]
+    fn profile_annotates_the_normal_form_on_normalized_dispatches() {
+        let state = state(1);
+        state.load("d0", d0());
+        // ¬¬∃ is FO as written but ∃Pos once normalized: the normal form's
+        // compiled plan is the pass that ran, so it is the one annotated.
+        let line = state.handle_line("PROFILE d0 owa !!exists u v . D(u, v)");
+        assert!(
+            line.starts_with("OK profile plan=normalized certain={()} exec_us="),
+            "{line}"
+        );
+        assert!(line.contains(" ops=["), "{line}");
+        assert!(line.contains("Scan D("), "{line}");
+        assert!(!line.contains("compiled=false"), "{line}");
+        assert_eq!(
+            state.handle_line("EVAL d0 owa !!exists u v . D(u, v)"),
+            "OK plan=normalized certain={()}"
+        );
     }
 
     #[test]

@@ -30,11 +30,6 @@ pub struct ServeStats {
     pub worlds: AtomicU64,
     /// Oracle runs cut short by early-exit cancellation.
     pub oracle_cancelled: AtomicU64,
-    /// Exec-layer morsels dispatched on the shared pool by certified naïve
-    /// passes (scan chunks, join build partitions, probe chunks).
-    pub morsels: AtomicU64,
-    /// Hash joins that ran the exec layer's partitioned parallel path.
-    pub parallel_joins: AtomicU64,
     /// Evaluations answered by a PTIME symbolic certificate (conditional
     /// tables or the sandwich) instead of world enumeration.
     pub symbolic: AtomicU64,
@@ -86,8 +81,6 @@ impl ServeStats {
             oracle: self.oracle.load(Ordering::Relaxed),
             worlds: self.worlds.load(Ordering::Relaxed),
             oracle_cancelled: self.oracle_cancelled.load(Ordering::Relaxed),
-            morsels: self.morsels.load(Ordering::Relaxed),
-            parallel_joins: self.parallel_joins.load(Ordering::Relaxed),
             symbolic: self.symbolic.load(Ordering::Relaxed),
             sandwich_exact: self.sandwich_exact.load(Ordering::Relaxed),
             truncated: self.truncated.load(Ordering::Relaxed),
@@ -124,10 +117,6 @@ pub struct StatsSnapshot {
     pub worlds: u64,
     /// See [`ServeStats::oracle_cancelled`].
     pub oracle_cancelled: u64,
-    /// See [`ServeStats::morsels`].
-    pub morsels: u64,
-    /// See [`ServeStats::parallel_joins`].
-    pub parallel_joins: u64,
     /// See [`ServeStats::symbolic`].
     pub symbolic: u64,
     /// See [`ServeStats::sandwich_exact`].
@@ -147,8 +136,7 @@ impl fmt::Display for StatsSnapshot {
         write!(
             f,
             "requests={} loads={} prepares={} evals={} explains={} errors={} certified={} \
-             compiled={} oracle={} worlds={} oracle_cancelled={} morsels={} parallel_joins={} \
-             symbolic={} sandwich_exact={} truncated={} analyzed={} normalized_upgrades={} \
+             compiled={} oracle={} worlds={} oracle_cancelled={} symbolic={} sandwich_exact={} truncated={} analyzed={} normalized_upgrades={} \
              static_prunes={}",
             self.requests,
             self.loads,
@@ -161,8 +149,6 @@ impl fmt::Display for StatsSnapshot {
             self.oracle,
             self.worlds,
             self.oracle_cancelled,
-            self.morsels,
-            self.parallel_joins,
             self.symbolic,
             self.sandwich_exact,
             self.truncated,
@@ -190,7 +176,5 @@ mod tests {
         let rendered = snap.to_string();
         assert!(rendered.contains("requests=2"));
         assert!(rendered.contains("worlds=7"));
-        assert!(rendered.contains("morsels=0"));
-        assert!(rendered.contains("parallel_joins=0"));
     }
 }

@@ -678,6 +678,43 @@ mod tests {
         }
     }
 
+    /// Characters the request and facts grammars give meaning to, so sampled
+    /// lines reach past the verb into the fact, value and quote parsers.
+    const GRAMMAR_BYTES: &[u8] = b"LOADEVR() ;,'?-_19az\t\xc3\xa9";
+
+    /// Both parsers answer `Ok` or a typed `WireError` on `line`: a panic
+    /// fails the calling test.
+    fn parses_without_panicking(line: &str) {
+        let _: Result<Command, WireError> = parse_command(line);
+        let _: Result<Instance, WireError> = parse_instance(line);
+        for verb in ["LOAD d ", "EVAL d owa ", "METRICS "] {
+            let _: Result<Command, WireError> = parse_command(&format!("{verb}{line}"));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 512, .. ProptestConfig::default() })]
+
+        /// Hostile input gets a typed error, never a panic: arbitrary bytes,
+        /// decoded lossily the way a connection's line would be.
+        #[test]
+        fn arbitrary_bytes_never_panic_the_parsers(
+            bytes in proptest::collection::vec(0u8..=255, 0..256)
+        ) {
+            parses_without_panicking(&String::from_utf8_lossy(&bytes));
+        }
+
+        /// The same over lines drawn from the grammar's own characters, which
+        /// arbitrary bytes reach only rarely.
+        #[test]
+        fn grammar_shaped_bytes_never_panic_the_parsers(
+            picks in proptest::collection::vec(0usize..GRAMMAR_BYTES.len(), 0..64)
+        ) {
+            let bytes: Vec<u8> = picks.iter().map(|&i| GRAMMAR_BYTES[i]).collect();
+            parses_without_panicking(&String::from_utf8_lossy(&bytes));
+        }
+    }
+
     #[test]
     fn arity_mismatches_are_wire_errors() {
         let e = parse_instance("R(1,2);R(3)").unwrap_err();

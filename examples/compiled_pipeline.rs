@@ -7,12 +7,10 @@
 //!
 //! Shows the whole `nev-exec` path on the seeded join workload: the physical plan
 //! (EXPLAIN-style), the execution telemetry (`ExecStats`), the answer-identity
-//! check against the tree-walking interpreter, the same plan re-run morsel-driven
-//! on a `nev-runtime` worker pool (with the batch telemetry read back), the
-//! engine's compiled naïve dispatch on a guaranteed Figure 1 cell, and a query
-//! the compiler *rejects* — demonstrating the automatic interpreter fallback.
+//! check against the tree-walking interpreter, the engine's compiled naïve
+//! dispatch on a guaranteed Figure 1 cell, and a query the compiler *rejects* —
+//! demonstrating the automatic interpreter fallback.
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use nev_bench::workloads::{
@@ -20,9 +18,8 @@ use nev_bench::workloads::{
 };
 use nev_core::engine::{CertainEngine, EngineError};
 use nev_core::Semantics;
-use nev_exec::{CompiledQuery, ExecOptions, RunOptions};
+use nev_exec::{CompiledQuery, RunOptions};
 use nev_logic::naive_eval_query;
-use nev_serve::WorkerPool;
 
 fn main() -> Result<(), EngineError> {
     // A seeded join-heavy instance: R, S, T over a shared constant pool + nulls.
@@ -54,32 +51,7 @@ fn main() -> Result<(), EngineError> {
         reference.len()
     );
 
-    // 3. The same plan, morsel-driven: attach a `nev-runtime` pool through
-    //    ExecOptions with a morsel size small enough that the seeded scans and
-    //    probes fan out, and read the batch telemetry back from ExecStats. The
-    //    morsel/batch counts depend only on the data and the morsel size — never
-    //    on the worker count — which is what keeps parallel runs byte-identical.
-    let parallel_options = ExecOptions {
-        pool: Some(Arc::new(WorkerPool::new(4))),
-        morsel_rows: 8,
-    };
-    let t2 = Instant::now();
-    let parallel = compiled.execute(&d, &RunOptions::naive().on(&parallel_options));
-    let parallel_time = t2.elapsed();
-    assert_eq!(parallel.answers, out.answers, "parallel ≡ sequential");
-    println!(
-        "Morsel-driven (4 workers, morsel_rows=8): {} answers in {parallel_time:?}",
-        parallel.answers.len()
-    );
-    println!(
-        "Batch telemetry: morsels dispatched = {}, batches processed = {}, \
-         partitioned joins = {}\n",
-        parallel.stats.morsels_dispatched,
-        parallel.stats.batches_processed,
-        parallel.stats.parallel_joins
-    );
-
-    // 4. The engine dispatch: ∃Pos × OWA is a guaranteed cell and the query
+    // 3. The engine dispatch: ∃Pos × OWA is a guaranteed cell and the query
     //    compiles, so the plan is a compiled naïve pass with a certificate naming both the
     //    theorem and the executor.
     let engine = CertainEngine::new();
@@ -94,7 +66,7 @@ fn main() -> Result<(), EngineError> {
         eval.worlds_enumerated, eval.exec
     );
 
-    // 5. A shape the compiler rejects: a ∀ block needing a 4-column active-domain
+    // 4. A shape the compiler rejects: a ∀ block needing a 4-column active-domain
     //    complement. The engine still answers (Pos × WCWA is guaranteed) — on the
     //    interpreter, recording the fallback.
     let wide = engine.prepare("forall u v w t . R(u, v) & R(w, t)")?;
@@ -106,7 +78,7 @@ fn main() -> Result<(), EngineError> {
         fallback.plan.is_compiled(),
         fallback.exec
     );
-    // 6. The nev-opt optimiser at work: a disjunction carrying a negation lowers
+    // 5. The nev-opt optimiser at work: a disjunction carrying a negation lowers
     //    to active-domain pads around a complement; the rule stage distributes
     //    the join, absorbs the pads and rewrites the bound complement into an
     //    anti-join — explain() shows both plans side by side.

@@ -13,23 +13,16 @@
 //!   the engine's plan is certified (not compiled) on guaranteed
 //!   cells, `ExecStats::fallbacks > 0`, and the answers are identical to the
 //!   oracle's.
-//! * Morsel-driven parallelism: execution under a shared worker pool — at worker
-//!   counts 0, 1, 2 and 8, with a morsel size small enough that real workloads
-//!   fan out — returns exactly the sequential (and hence interpreter) answers,
-//!   and the morsel telemetry is identical at every worker count.
-
-use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use nev_bench::workloads::cell_workload;
 use nev_core::engine::{CertainEngine, EvalPlan, PreparedQuery};
 use nev_core::{Semantics, WorldBounds};
-use nev_exec::{CompileError, CompiledQuery, ExecOptions, RunOptions};
+use nev_exec::{CompileError, CompiledQuery, RunOptions};
 use nev_incomplete::Instance;
 use nev_logic::eval::{evaluate_query, naive_eval_query};
 use nev_logic::{parse_query, Fragment, Query};
-use nev_serve::WorkerPool;
 
 /// Asserts compiled ≡ interpreter on one (instance, query) pair; returns whether
 /// the query compiled.
@@ -48,64 +41,6 @@ fn assert_equivalent(d: &Instance, q: &Query) -> bool {
         "naive answers differ for `{q}` on\n{d}"
     );
     true
-}
-
-/// Asserts that execution under every one of `options` matches the plain
-/// sequential executor (raw and naïve answers) on one (instance, query) pair,
-/// and that the morsel telemetry does not depend on the worker count.
-fn assert_parallel_equivalent(d: &Instance, q: &Query, options: &[ExecOptions]) {
-    let Ok(compiled) = CompiledQuery::compile(q) else {
-        return;
-    };
-    let raw = compiled.execute(d, &RunOptions::default());
-    let naive = compiled.execute(d, &RunOptions::naive());
-    let mut telemetry: Option<(u64, u64, u64)> = None;
-    for opt in options {
-        let praw = compiled.execute(d, &RunOptions::default().on(opt));
-        assert_eq!(
-            praw.answers,
-            raw.answers,
-            "raw answers differ at workers={} for `{q}` on\n{d}",
-            opt.workers()
-        );
-        let pnaive = compiled.execute(d, &RunOptions::naive().on(opt));
-        assert_eq!(
-            pnaive.answers,
-            naive.answers,
-            "naive answers differ at workers={} for `{q}` on\n{d}",
-            opt.workers()
-        );
-        // Core counters are unchanged by the morsel path; morsel counters are a
-        // function of the data, identical at every parallel-capable worker
-        // count, and zero when the pool cannot add capacity (< 2 workers —
-        // those runs take the sequential kernels unchanged).
-        assert_eq!(pnaive.stats.rows_scanned, naive.stats.rows_scanned);
-        assert_eq!(pnaive.stats.hash_probes, naive.stats.hash_probes);
-        assert_eq!(
-            pnaive.stats.intermediate_rows,
-            naive.stats.intermediate_rows
-        );
-        let morsel_counts = (
-            pnaive.stats.morsels_dispatched,
-            pnaive.stats.batches_processed,
-            pnaive.stats.parallel_joins,
-        );
-        if opt.workers() < 2 {
-            assert_eq!(
-                morsel_counts,
-                (0, 0, 0),
-                "a capacity-less pool must not fan out for `{q}`"
-            );
-            continue;
-        }
-        match telemetry {
-            None => telemetry = Some(morsel_counts),
-            Some(first) => assert_eq!(
-                morsel_counts, first,
-                "morsel telemetry depends on the worker count for `{q}`"
-            ),
-        }
-    }
 }
 
 proptest! {
@@ -132,54 +67,6 @@ proptest! {
         // should compile overwhelmingly; an empty sample would make this suite
         // vacuous.
         prop_assert!(compiled_count * 2 >= total, "{compiled_count}/{total} compiled");
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 8, .. ProptestConfig::default() })]
-
-    /// Morsel-parallel execution is answer- and telemetry-identical to the
-    /// sequential executor at worker counts 0, 1, 2 and 8, across all five
-    /// fragments — with a morsel size of one so even the small generated
-    /// instances exercise the parallel scan and partitioned-join paths, and on
-    /// the empty instance (which must dispatch no morsels at all).
-    #[test]
-    fn parallel_execution_matches_sequential_on_every_fragment(seed in 0u64..10_000) {
-        let options: Vec<ExecOptions> = [0usize, 1, 2, 8]
-            .iter()
-            .map(|&workers| ExecOptions {
-                pool: Some(Arc::new(WorkerPool::new(workers))),
-                morsel_rows: 1,
-            })
-            .collect();
-        for fragment in Fragment::ALL {
-            for (instance, query) in cell_workload(fragment, seed, 2) {
-                assert_parallel_equivalent(&instance, &query, &options);
-                assert_parallel_equivalent(&Instance::new(), &query, &options);
-            }
-        }
-    }
-}
-
-#[test]
-fn empty_and_tiny_instances_dispatch_no_morsels_at_default_granularity() {
-    // At the default morsel size, instances below 2 × morsel_rows rows must
-    // never cross a thread boundary — the parallel path is an opt-in for bulk.
-    let options = ExecOptions::with_pool(Arc::new(WorkerPool::new(4)));
-    use nev_incomplete::builder::{c, x};
-    use nev_incomplete::inst;
-    let tiny = inst! { "R" => [[c(1), x(1)], [x(2), x(3)]], "S" => [[x(1), c(4)]] };
-    for d in [&Instance::new(), &tiny] {
-        let q = parse_query("Q(u, w) :- exists v . R(u, v) & S(v, w)").expect("valid query");
-        let compiled = CompiledQuery::compile(&q).expect("compiles");
-        let out = compiled.execute(d, &RunOptions::naive().on(&options));
-        assert_eq!(out.stats.morsels_dispatched, 0);
-        assert_eq!(out.stats.batches_processed, 0);
-        assert_eq!(out.stats.parallel_joins, 0);
-        assert_eq!(
-            out.answers,
-            compiled.execute(d, &RunOptions::naive()).answers
-        );
     }
 }
 

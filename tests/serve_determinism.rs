@@ -7,8 +7,7 @@
 //!    0, 1, 2 and 8 workers for the same seed;
 //! 2. **service determinism** — the seeded load-generator workload produces
 //!    byte-identical response lines (certain-answer sets included) at 0, 1, 2
-//!    and 8 workers, including with morsels small enough that the certified
-//!    exec path fans scans and joins out across the shared pool;
+//!    and 8 workers, on the oracle and the certified compiled paths alike;
 //! 3. **parallel ≡ sequential** — a proptest over seeded workloads of all five
 //!    fragments: the chunked parallel oracle's verdict equals the engine's
 //!    sequential oracle on every trial, for every chunk size tried.
@@ -104,20 +103,17 @@ fn served_responses_are_byte_identical_across_worker_counts() {
     );
 }
 
-/// The certified exec path through the shared pool: with single-row morsels the
-/// compiled executor fans scans and joins out across workers, and the rendered
-/// certain-answer sets must still be byte-identical at every worker count.
+/// The certified exec path on a pooled service: the compiled executor runs on
+/// the thread serving the request, and the rendered certain-answer sets must be
+/// byte-identical at every worker count.
 #[test]
-fn morsel_driven_exec_responses_are_byte_identical_across_worker_counts() {
+fn compiled_exec_responses_are_byte_identical_across_worker_counts() {
     let generated = workload(20130701, 2, 18);
     let mut transcripts: Vec<Vec<String>> = Vec::new();
     for workers in WORKER_COUNTS {
         let state = ServeState::new(ServeConfig {
             workers,
             bounds: bounds(),
-            // Absurdly fine granularity so even the small seeded instances
-            // cross the 2×morsel fan-out threshold inside nev-exec.
-            morsel_rows: 1,
             ..ServeConfig::default()
         });
         for (name, instance) in &generated.instances {
@@ -133,13 +129,6 @@ fn morsel_driven_exec_responses_are_byte_identical_across_worker_counts() {
                     .unwrap_or_else(|e| format!("ERR {e}"))
             })
             .collect();
-        let snapshot = state.stats().snapshot();
-        if workers >= 2 {
-            assert!(
-                snapshot.morsels > 0,
-                "workers={workers}: single-row morsels engaged the exec fan-out"
-            );
-        }
         transcripts.push(responses);
     }
     assert_all_identical(&transcripts);

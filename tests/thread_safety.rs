@@ -12,7 +12,7 @@
 
 use naive_eval::core::engine::{CertainEngine, Certificate, EvalPlan, Evaluation, PreparedQuery};
 use naive_eval::core::{Semantics, WorldBounds, Worlds};
-use naive_eval::exec::{CompiledQuery, ExecOptions, ExecStats, InternedInstance};
+use naive_eval::exec::{CompiledQuery, ExecStats, InternedInstance};
 use naive_eval::incomplete::{Instance, Relation, Schema, Tuple, Value};
 use naive_eval::serve::state::{EvalRequest, EvalResponse, ServeConfig, ServeState};
 use naive_eval::serve::{
@@ -37,13 +37,12 @@ fn query_and_executor_layer_is_send_and_sync() {
     require_send_sync::<CompiledQuery>();
     require_send_sync::<InternedInstance>();
     require_send_sync::<ExecStats>();
-    // ExecOptions carries an Arc<WorkerPool>, so engines configured with a pool
-    // remain shareable across the service's connection threads.
-    require_send_sync::<ExecOptions>();
 }
 
 #[test]
 fn engine_layer_is_send_and_sync() {
+    // The engine carries an optional Arc<WorkerPool> for the chunked oracle,
+    // so pooled engines stay shareable across connection threads.
     require_send_sync::<CertainEngine>();
     require_send_sync::<Semantics>();
     require_send_sync::<WorldBounds>();
