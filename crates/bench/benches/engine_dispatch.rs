@@ -15,7 +15,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use nev_bench::workloads::{cell_workload, DEFAULT_SEED};
 use nev_core::engine::{CertainEngine, PreparedQuery};
-use nev_core::{Semantics, WorldBounds};
+use nev_core::{Semantics, Snapshot, WorldBounds};
 use nev_logic::Fragment;
 
 fn dispatch_bounds() -> WorldBounds {
@@ -77,7 +77,7 @@ fn bench_batched_vs_sequential(c: &mut Criterion) {
     group.bench_function("single_pass_evaluate_all", |b| {
         b.iter(|| {
             engine
-                .evaluate_all(&instance, Semantics::Owa, &queries)
+                .evaluate_all(&Snapshot::new(&instance), Semantics::Owa, &queries)
                 .worlds_enumerated
         })
     });

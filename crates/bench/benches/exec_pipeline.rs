@@ -20,7 +20,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use nev_bench::workloads::{join_chain_query, join_workload, DEFAULT_SEED};
 use nev_core::engine::{CertainEngine, PreparedQuery};
 use nev_core::Semantics;
-use nev_exec::{CompiledQuery, ExecStats, InternedInstance, RunOptions};
+use nev_exec::{CompiledQuery, InternedInstance, RunOptions};
 use nev_logic::naive_eval_query;
 
 const TUPLES_PER_RELATION: usize = 24;
@@ -34,7 +34,7 @@ fn bench_interpreter_vs_compiled(c: &mut Criterion) {
     // Answer-identity sanity check before timing anything.
     let reference = naive_eval_query(&d, &q);
     assert_eq!(
-        compiled.execute(&d, &RunOptions::naive()).answers,
+        compiled.execute(&interned, &RunOptions::naive()).answers,
         reference
     );
     assert!(!reference.is_empty(), "the seeded workload has answers");
@@ -42,12 +42,19 @@ fn bench_interpreter_vs_compiled(c: &mut Criterion) {
     let mut group = c.benchmark_group("exec_pipeline");
     group.bench_function("interpreter", |b| b.iter(|| naive_eval_query(&d, &q).len()));
     group.bench_function("compiled_cold", |b| {
-        b.iter(|| compiled.execute(&d, &RunOptions::naive()).answers.len())
+        b.iter(|| {
+            compiled
+                .execute(&InternedInstance::new(&d), &RunOptions::naive())
+                .answers
+                .len()
+        })
     });
     group.bench_function("compiled_warm", |b| {
         b.iter(|| {
-            let mut stats = ExecStats::new();
-            compiled.execute_interned(&interned, true, &mut stats).len()
+            compiled
+                .execute(&interned, &RunOptions::naive())
+                .answers
+                .len()
         })
     });
     group.finish();

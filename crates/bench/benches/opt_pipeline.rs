@@ -17,7 +17,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use nev_bench::workloads::{
     join_chain_query, negation_query, negation_workload, skewed_join_workload, DEFAULT_SEED,
 };
-use nev_exec::{CompiledQuery, CompilerConfig, ExecStats, InternedInstance, RunOptions};
+use nev_exec::{CompiledQuery, CompilerConfig, InternedInstance, RunOptions};
 use nev_incomplete::Instance;
 use nev_logic::Query;
 
@@ -38,9 +38,9 @@ fn bench_pair(c: &mut Criterion, group_name: &str, d: &Instance, q: &Query) {
     let interned = InternedInstance::new(d);
 
     // Answer-identity sanity check before timing anything.
-    let reference = baseline.execute(d, &RunOptions::naive()).answers;
+    let reference = baseline.execute(&interned, &RunOptions::naive()).answers;
     assert_eq!(
-        optimized.execute(d, &RunOptions::naive()).answers,
+        optimized.execute(&interned, &RunOptions::naive()).answers,
         reference
     );
     assert!(!reference.is_empty(), "the seeded workload has answers");
@@ -48,24 +48,36 @@ fn bench_pair(c: &mut Criterion, group_name: &str, d: &Instance, q: &Query) {
     let mut group = c.benchmark_group(group_name);
     // Cold: intern + execute per call (the engine's per-world usage pattern).
     group.bench_function("baseline_cold", |b| {
-        b.iter(|| baseline.execute(d, &RunOptions::naive()).answers.len())
+        b.iter(|| {
+            baseline
+                .execute(&InternedInstance::new(d), &RunOptions::naive())
+                .answers
+                .len()
+        })
     });
     group.bench_function("optimized_cold", |b| {
-        b.iter(|| optimized.execute(d, &RunOptions::naive()).answers.len())
+        b.iter(|| {
+            optimized
+                .execute(&InternedInstance::new(d), &RunOptions::naive())
+                .answers
+                .len()
+        })
     });
     // Warm: interning amortised, plan execution only (the repeated
     // same-instance pattern — interning is identical on both sides).
     group.bench_function("baseline_warm", |b| {
         b.iter(|| {
-            let mut stats = ExecStats::new();
-            baseline.execute_interned(&interned, true, &mut stats).len()
+            baseline
+                .execute(&interned, &RunOptions::naive())
+                .answers
+                .len()
         })
     });
     group.bench_function("optimized_warm", |b| {
         b.iter(|| {
-            let mut stats = ExecStats::new();
             optimized
-                .execute_interned(&interned, true, &mut stats)
+                .execute(&interned, &RunOptions::naive())
+                .answers
                 .len()
         })
     });

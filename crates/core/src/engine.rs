@@ -69,7 +69,6 @@
 //! ```
 
 use std::borrow::Borrow;
-use std::cell::OnceCell;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
@@ -78,7 +77,6 @@ use nev_analyze::{CheckError, QueryAnalysis};
 use nev_exec::{
     CompileError, CompiledQuery, CompilerConfig, ExecStats, InternedInstance, OpProfile, RunOptions,
 };
-use nev_hom::is_core;
 use nev_incomplete::{Constant, Instance, Tuple};
 use nev_logic::eval::{evaluate_boolean, evaluate_query, naive_eval_query};
 use nev_logic::fragment::classify;
@@ -91,6 +89,7 @@ use nev_symbolic::{complete_candidates, cwa_certain_answers, under_approximation
 
 use crate::oracle::{self, OracleOutcome, DEFAULT_CHUNK};
 use crate::semantics::{Semantics, WorldBounds};
+use crate::snapshot::Snapshot;
 use crate::summary::{expectation, Expectation};
 
 /// Errors surfaced by the engine API (replacing the `assert!`-based panics of the
@@ -386,7 +385,11 @@ impl PreparedQuery {
         exec: &mut ExecStats,
     ) -> BTreeSet<Tuple> {
         let raw = match &self.compiled {
-            Some(compiled) => compiled.execute_interned(&InternedInstance::new(world), false, exec),
+            Some(compiled) => {
+                let out = compiled.execute(&InternedInstance::new(world), &RunOptions::default());
+                exec.merge(&out.stats);
+                out.answers
+            }
             None => {
                 exec.fallbacks += 1;
                 if self.is_boolean() {
@@ -976,19 +979,18 @@ impl CertainEngine {
     /// core for `WorksOverCores` cells — for the query as written or, failing
     /// that, for its normal form; [`EvalPlan::BoundedEnumeration`] otherwise.
     pub fn plan(&self, d: &Instance, semantics: Semantics, query: &PreparedQuery) -> EvalPlan {
-        self.certify(d, semantics, query, &OnceCell::new())
+        self.certify(&Snapshot::new(d), semantics, query)
             .map_or(EvalPlan::BoundedEnumeration, EvalPlan::Naive)
     }
 
     /// The Figure 1 certificate for the query as written, else for its normal
-    /// form when that widens the fragment. `core` memoises the instance's core
-    /// check, so one request pays for it at most once.
-    fn certify(
+    /// form when that widens the fragment. The core check is the snapshot's,
+    /// so it runs at most once per snapshot.
+    fn certify<D: Borrow<Instance>>(
         &self,
-        d: &Instance,
+        snapshot: &Snapshot<D>,
         semantics: Semantics,
         query: &PreparedQuery,
-        core: &OnceCell<bool>,
     ) -> Option<Certificate> {
         let written = Some((query.fragment(), false, query.compiles()));
         let widened = query.analysis().widened().then(|| {
@@ -1005,7 +1007,7 @@ impl CertainEngine {
                 let cell = expectation(semantics, fragment);
                 let core_checked = match cell {
                     Expectation::Works => false,
-                    Expectation::WorksOverCores if *core.get_or_init(|| is_core(d)) => true,
+                    Expectation::WorksOverCores if snapshot.is_core() => true,
                     _ => return None,
                 };
                 Some(Certificate {
@@ -1029,28 +1031,39 @@ impl CertainEngine {
     /// PTIME symbolic ladder runs on the naïve answers, and only when it stays
     /// open the bounded oracle — chunked across the engine's pool when it
     /// carries one ([`oracle::parallel_certain_answers`]), the sequential
-    /// world pass otherwise. The instance's core check runs at most once.
+    /// world pass otherwise.
+    ///
+    /// The instance comes as a [`Snapshot`], whose interned form and core bit
+    /// are computed at most once and shared with every other evaluation of the
+    /// same snapshot: a catalog entry pays for each once, however many
+    /// requests it answers.
     ///
     /// The query is taken by [`Borrow`], so a cached `Arc<PreparedQuery>` is
     /// shared with the pool's oracle tasks without a deep clone.
-    pub fn dispatch<Q>(
+    pub fn dispatch<Q, D>(
         &self,
-        d: &Instance,
+        snapshot: &Snapshot<D>,
         semantics: Semantics,
         query: &Q,
         options: &DispatchOptions<'_>,
     ) -> Evaluation
     where
         Q: Borrow<PreparedQuery> + Clone + Send + Sync + 'static,
+        D: Borrow<Instance>,
     {
         let prepared = query.borrow();
+        let d = snapshot.instance();
         let disabled = TraceRecorder::disabled();
         let recorder = options.trace.unwrap_or(&disabled);
-        let core = OnceCell::new();
-        if let Some(cert) = self.certify(d, semantics, prepared, &core) {
+        if let Some(cert) = self.certify(snapshot, semantics, prepared) {
             let plan = EvalPlan::Naive(cert);
-            let (naive, exec, profile) =
-                self.naive_pass(d, prepared, cert.normalized, options.profile, recorder);
+            let (naive, exec, profile) = self.naive_pass(
+                snapshot,
+                prepared,
+                cert.normalized,
+                options.profile,
+                recorder,
+            );
             let mut eval = Evaluation::settled(semantics, plan, naive.clone(), naive, exec);
             eval.profile = profile;
             return eval;
@@ -1058,8 +1071,8 @@ impl CertainEngine {
         // The ladder starts from the naïve answers, so its span covers the
         // naïve pass too (recorded as a child exec span).
         let symbolic_span = recorder.span(Stage::Symbolic);
-        let (naive, exec, _) = self.naive_pass(d, prepared, false, false, recorder);
-        let symbolic = self.symbolic_ladder(d, semantics, prepared, &naive, &core);
+        let (naive, exec, _) = self.naive_pass(snapshot, prepared, false, false, recorder);
+        let symbolic = self.symbolic_ladder(snapshot, semantics, prepared, &naive);
         drop(symbolic_span);
         if let Some((cert, certain)) = symbolic {
             return Evaluation::settled(semantics, EvalPlan::Symbolic(cert), naive, certain, exec);
@@ -1097,7 +1110,7 @@ impl CertainEngine {
             trace: Some(&recorder),
             ..DispatchOptions::default()
         };
-        let mut eval = self.dispatch(d, semantics, query, &options);
+        let mut eval = self.dispatch(&Snapshot::new(d), semantics, query, &options);
         eval.trace = recorder.finish();
         eval
     }
@@ -1113,8 +1126,14 @@ impl CertainEngine {
         semantics: Semantics,
         query: &PreparedQuery,
     ) -> Option<Evaluation> {
-        Some(self.dispatch(d, semantics, query, &DispatchOptions::STOP_BEFORE_ORACLE))
-            .filter(|eval| eval.plan.is_symbolic())
+        let snapshot = Snapshot::new(d);
+        Some(self.dispatch(
+            &snapshot,
+            semantics,
+            query,
+            &DispatchOptions::STOP_BEFORE_ORACLE,
+        ))
+        .filter(|eval| eval.plan.is_symbolic())
     }
 
     /// The unconditional Kleene under-approximation: every returned tuple is a
@@ -1149,8 +1168,14 @@ impl CertainEngine {
         semantics: Semantics,
         query: &PreparedQuery,
     ) -> EvalPlan {
-        self.dispatch(d, semantics, query, &DispatchOptions::STOP_BEFORE_ORACLE)
-            .plan
+        let snapshot = Snapshot::new(d);
+        self.dispatch(
+            &snapshot,
+            semantics,
+            query,
+            &DispatchOptions::STOP_BEFORE_ORACLE,
+        )
+        .plan
     }
 
     /// The symbolic ladder over an already-computed naïve pass: (1) under
@@ -1160,14 +1185,14 @@ impl CertainEngine {
     /// fresh-injective image of `d` is a possible world (always, except under
     /// the minimal semantics off cores), so `U == naive` pins the certain
     /// answers exactly. Returns `None` when neither technique certifies.
-    fn symbolic_ladder(
+    fn symbolic_ladder<D: Borrow<Instance>>(
         &self,
-        d: &Instance,
+        snapshot: &Snapshot<D>,
         semantics: Semantics,
         query: &PreparedQuery,
         naive: &BTreeSet<Tuple>,
-        core: &OnceCell<bool>,
     ) -> Option<(SymbolicCertificate, BTreeSet<Tuple>)> {
+        let d = snapshot.instance();
         let certificate = |technique, core_checked| SymbolicCertificate {
             semantics,
             fragment: query.fragment(),
@@ -1182,7 +1207,7 @@ impl CertainEngine {
                 return Some((cert, report.answers));
             }
         }
-        let core_checked = semantics.is_minimal() && *core.get_or_init(|| is_core(d));
+        let core_checked = semantics.is_minimal() && snapshot.is_core();
         if semantics.is_minimal() && !core_checked {
             return None;
         }
@@ -1240,7 +1265,7 @@ impl CertainEngine {
         query: &PreparedQuery,
         recorder: &TraceRecorder,
     ) -> (BTreeSet<Tuple>, ExecStats) {
-        let (naive, exec, _) = self.naive_pass(d, query, false, false, recorder);
+        let (naive, exec, _) = self.naive_pass(&Snapshot::new(d), query, false, false, recorder);
         (naive, exec)
     }
 
@@ -1255,16 +1280,18 @@ impl CertainEngine {
         query: &PreparedQuery,
         recorder: &TraceRecorder,
     ) -> (BTreeSet<Tuple>, ExecStats) {
-        let (naive, exec, _) = self.naive_pass(d, query, true, false, recorder);
+        let (naive, exec, _) = self.naive_pass(&Snapshot::new(d), query, true, false, recorder);
         (naive, exec)
     }
 
     /// The one naïve pass: over the normal form when `normalized`, on its
-    /// compiled plan when it has one (optionally profiled), else one
-    /// interpreter fallback.
-    fn naive_pass(
+    /// compiled plan when it has one (optionally profiled) and the snapshot's
+    /// interned form, else one interpreter fallback. Each executor phase that
+    /// ran (scan, join build, join probe) is recorded as one leaf span,
+    /// however short.
+    fn naive_pass<D: Borrow<Instance>>(
         &self,
-        d: &Instance,
+        snapshot: &Snapshot<D>,
         query: &PreparedQuery,
         normalized: bool,
         profile: bool,
@@ -1273,22 +1300,24 @@ impl CertainEngine {
         let span = recorder.span(Stage::Exec);
         let (compiled, formula) = query.pass(normalized);
         let Some(compiled) = compiled else {
-            return (naive_eval_query(d, formula), ExecStats::fallback(), None);
+            let naive = naive_eval_query(snapshot.instance(), formula);
+            return (naive, ExecStats::fallback(), None);
         };
         let out = compiled.execute(
-            d,
+            snapshot.interned(),
             &RunOptions {
                 naive: true,
                 profile,
             },
         );
         if recorder.is_enabled() {
-            for (stage, us) in [
-                (Stage::Scan, out.timings.scan_us),
-                (Stage::JoinBuild, out.timings.join_build_us),
-                (Stage::JoinProbe, out.timings.join_probe_us),
+            let t = out.timings;
+            for (stage, runs, us) in [
+                (Stage::Scan, t.scans, t.scan_us),
+                (Stage::JoinBuild, t.join_builds, t.join_build_us),
+                (Stage::JoinProbe, t.join_probes, t.join_probe_us),
             ] {
-                if us > 0 {
+                if runs > 0 {
                     recorder.leaf(stage, us);
                 }
             }
@@ -1348,6 +1377,9 @@ impl CertainEngine {
     /// instance's possible worlds **at most once**: each query is dispatched up
     /// to the oracle, and the certain-answer intersections of those the
     /// ladder left open are folded in a single shared sequential world pass.
+    /// Every query of the batch shares the snapshot's derived state, so the
+    /// instance is interned and core-checked at most once per batch (and not
+    /// at all when the snapshot already holds them).
     ///
     /// The shared pass runs over bounds extended with the **union** of the pending
     /// queries' constants, so each such query may be intersected over a different
@@ -1364,19 +1396,20 @@ impl CertainEngine {
     /// Queries are taken by [`Borrow`], so `&[PreparedQuery]` and
     /// `&[Arc<PreparedQuery>]` both work — cached plans need not be cloned to be
     /// batched.
-    pub fn evaluate_all<Q: Borrow<PreparedQuery>>(
+    pub fn evaluate_all<Q: Borrow<PreparedQuery>, D: Borrow<Instance>>(
         &self,
-        d: &Instance,
+        snapshot: &Snapshot<D>,
         semantics: Semantics,
         queries: &[Q],
     ) -> BatchEvaluation {
+        let d = snapshot.instance();
         let recorder = TraceRecorder::new();
         let planning_span = recorder.span(Stage::Exec);
         let mut results: Vec<Evaluation> = queries
             .iter()
             .map(|query| {
                 self.dispatch(
-                    d,
+                    snapshot,
                     semantics,
                     query.borrow(),
                     &DispatchOptions::STOP_BEFORE_ORACLE,
@@ -1661,7 +1694,7 @@ mod tests {
                 .expect("valid query"),
             engine.prepare("exists u . !D(u, u)").expect("valid query"),
         ];
-        let batch = engine.evaluate_all(&d0(), Semantics::Owa, &queries);
+        let batch = engine.evaluate_all(&Snapshot::new(&d0()), Semantics::Owa, &queries);
         assert_eq!(batch.results.len(), 3);
         assert_eq!(batch.enumeration_passes, 1);
         assert!(batch.worlds_enumerated > 0);
@@ -1690,7 +1723,7 @@ mod tests {
                 .prepare("exists u . D(u, u) | exists v w . D(v, w) & D(w, v)")
                 .expect("valid query"),
         ];
-        let batch = engine.evaluate_all(&d0(), Semantics::Cwa, &queries);
+        let batch = engine.evaluate_all(&Snapshot::new(&d0()), Semantics::Cwa, &queries);
         assert_eq!(batch.enumeration_passes, 0);
         assert_eq!(batch.worlds_enumerated, 0);
         assert!(batch.all_agree());
@@ -1726,15 +1759,49 @@ mod tests {
         assert_eq!(raw.rules_fired(), 0);
         let d = inst! { "R" => [[c(1), c(2)]], "S" => [[c(1)]], "T" => [[c(2)]] };
         assert_eq!(
-            plan.execute(&d, &RunOptions::naive()).answers,
-            raw.execute(&d, &RunOptions::naive()).answers
+            plan.execute(&InternedInstance::new(&d), &RunOptions::naive())
+                .answers,
+            raw.execute(&InternedInstance::new(&d), &RunOptions::naive())
+                .answers
         );
+    }
+
+    #[test]
+    fn a_batch_derives_the_instance_state_once_for_all_its_queries() {
+        // Four compiled Pos / Pos+∀G queries on a core under minimal CWA: each
+        // certificate needs the core bit and each naïve pass the interned
+        // form. Both come from the one snapshot the batch was given.
+        let engine = CertainEngine::new();
+        let queries: Vec<PreparedQuery> = [
+            "forall u . exists v . D(u, v)",
+            "forall u . exists v . D(u, v) & D(v, u)",
+            "forall u v . D(u, v) -> exists w . D(v, w)",
+            "forall u v . D(u, v) -> D(v, u)",
+        ]
+        .iter()
+        .map(|text| engine.prepare(text).expect("valid query"))
+        .collect();
+        let snapshot = Snapshot::new(d0());
+        assert!(!snapshot.is_core_known() && !snapshot.is_interned());
+        let batch = engine.evaluate_all(&snapshot, Semantics::MinimalCwa, &queries);
+        for (query, result) in queries.iter().zip(&batch.results) {
+            let cert = result.plan.certificate().expect("certified on the core");
+            assert_eq!(cert.expectation, Expectation::WorksOverCores, "{query}");
+            assert!(cert.core_checked && result.plan.is_compiled(), "{query}");
+        }
+        assert!(snapshot.is_core_known() && snapshot.is_interned());
+        // A later batch on the same snapshot rebuilds neither.
+        let interned: *const InternedInstance = snapshot.interned();
+        let again = engine.evaluate_all(&snapshot, Semantics::MinimalCwa, &queries);
+        assert_eq!(again, batch);
+        assert!(std::ptr::eq(interned, snapshot.interned()));
     }
 
     #[test]
     fn empty_batch_is_a_no_op() {
         let engine = CertainEngine::new();
-        let batch = engine.evaluate_all::<PreparedQuery>(&d0(), Semantics::Owa, &[]);
+        let batch =
+            engine.evaluate_all::<PreparedQuery, _>(&Snapshot::new(&d0()), Semantics::Owa, &[]);
         assert!(batch.results.is_empty());
         assert_eq!(batch.enumeration_passes, 0);
         assert_eq!(batch.worlds_enumerated, 0);
@@ -1924,7 +1991,7 @@ mod tests {
                 .prepare("exists u . R(u) & !S(u)")
                 .expect("valid query"),
         ];
-        let batch = engine.evaluate_all(&d, Semantics::Wcwa, &queries);
+        let batch = engine.evaluate_all(&Snapshot::new(&d), Semantics::Wcwa, &queries);
         assert!(batch.results[0].plan.is_symbolic());
         assert!(!batch.results[0].truncated);
         assert_eq!(batch.results[0].worlds_enumerated, 0);
@@ -1948,7 +2015,8 @@ mod tests {
         for semantics in [Semantics::Owa, Semantics::Wcwa, Semantics::Cwa] {
             let solo = engine.evaluate(&d, semantics, &q);
             assert_eq!(solo.plan, EvalPlan::BoundedEnumeration, "{semantics}");
-            let batch = engine.evaluate_all(&d, semantics, std::slice::from_ref(&q));
+            let batch =
+                engine.evaluate_all(&Snapshot::new(&d), semantics, std::slice::from_ref(&q));
             let batched = &batch.results[0];
             assert_eq!(batched.certain, solo.certain, "{semantics}");
             assert_eq!(batched.truncated, solo.truncated, "{semantics}");
@@ -1997,7 +2065,7 @@ mod tests {
                 .expect("valid query"),
             engine.prepare("exists u . !D(u, u)").expect("valid query"),
         ];
-        let batch = engine.evaluate_all(&d0(), Semantics::Owa, &queries);
+        let batch = engine.evaluate_all(&Snapshot::new(&d0()), Semantics::Owa, &queries);
         assert_eq!(batch.enumeration_passes, 1);
         if nev_obs::enabled() {
             let stages: Vec<Stage> = batch.trace.spans().iter().map(|s| s.stage).collect();

@@ -13,6 +13,9 @@
 //!   answered by certified naïve evaluation when the paper guarantees it, by the
 //!   PTIME symbolic ladder when it settles the answer, and by the bounded
 //!   possible-world oracle otherwise, with batched single-pass evaluation;
+//! * [`snapshot`] — an immutable instance with its lazily derived state (the
+//!   interned form and the core bit), computed at most once and shared by every
+//!   evaluation of that instance;
 //! * [`oracle`] — the two bounded world oracles: a sequential pass shared by a
 //!   slice of queries, and the chunked oracle across a worker pool;
 //! * [`semantics`] — the six concrete semantics of incompleteness (OWA, CWA, WCWA,
@@ -55,6 +58,7 @@ pub mod ordering;
 pub mod preservation;
 pub mod relations;
 pub mod semantics;
+pub mod snapshot;
 pub mod summary;
 pub mod updates;
 
@@ -64,3 +68,4 @@ pub use engine::{
     SymbolicTechnique,
 };
 pub use semantics::{ParseSemanticsError, Semantics, WorldBounds, Worlds};
+pub use snapshot::Snapshot;

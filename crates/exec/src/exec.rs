@@ -28,7 +28,7 @@
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 
-use nev_incomplete::{Instance, Tuple};
+use nev_incomplete::Tuple;
 use nev_obs::Timer;
 
 use crate::algebra::{flatten_join_refs, merge_schemas, PlanNode, ScanTerm};
@@ -277,6 +277,7 @@ fn eval_node(node: &PlanNode, ctx: &mut ExecContext<'_>) -> Batch {
         } => {
             let timer = Timer::start();
             let batch = eval_scan(relation, pattern, schema, ctx);
+            ctx.timings.scans += 1;
             if timer.is_running() {
                 ctx.timings.scan_us += timer.elapsed_us();
             }
@@ -555,6 +556,7 @@ fn eval_join(l: Batch, r: Batch, ctx: &mut ExecContext<'_>) -> Batch {
             }
         }
     }
+    ctx.timings.join_builds += 1;
     if build_timer.is_running() {
         ctx.timings.join_build_us += build_timer.elapsed_us();
     }
@@ -578,6 +580,7 @@ fn eval_join(l: Batch, r: Batch, ctx: &mut ExecContext<'_>) -> Batch {
             rows += 1;
         }
     }
+    ctx.timings.join_probes += 1;
     if probe_timer.is_running() {
         ctx.timings.join_probe_us += probe_timer.elapsed_us();
     }
@@ -722,38 +725,19 @@ fn eval_complement(b: Batch, ctx: &mut ExecContext<'_>) -> Batch {
 }
 
 impl CompiledQuery {
-    /// Executes the plan on an instance under `options`: raw answers (nulls
-    /// included, like [`nev_logic::eval::evaluate_query`]) or naïve ones
-    /// (all-constant rows only, like [`nev_logic::eval::naive_eval_query`]),
-    /// optionally with a per-operator [`OpProfile`].
-    pub fn execute(&self, d: &Instance, options: &RunOptions) -> ExecOutput {
+    /// Executes the plan on an interned instance under `options`: raw answers
+    /// (nulls included, like [`nev_logic::eval::evaluate_query`]) or naïve ones
+    /// (all-constant rows only, like [`nev_logic::eval::naive_eval_query`] — the
+    /// "discard tuples with nulls" half of naïve evaluation, one integer
+    /// comparison per position), optionally with a per-operator [`OpProfile`].
+    ///
+    /// The instance is taken interned so that a caller evaluating the same
+    /// data repeatedly interns it once; a caller holding a plain
+    /// [`nev_incomplete::Instance`] interns it with [`InternedInstance::new`].
+    pub fn execute(&self, inst: &InternedInstance, options: &RunOptions) -> ExecOutput {
         let wall = options.profile.then(Timer::start_always);
-        let interned = InternedInstance::new(d);
-        let mut out = self.run(&interned, options.naive, options.profile);
-        if let (Some(profile), Some(wall)) = (out.profile.as_mut(), wall) {
-            profile.exec_us = wall.elapsed_us();
-        }
-        out
-    }
-
-    /// Executes against an already-interned instance, merging counters into `stats` — the per-world step of the bounded oracle. With
-    /// `complete_only`, rows containing null codes are dropped — the "discard
-    /// tuples with nulls" half of naïve evaluation, decided with one integer
-    /// comparison per position.
-    pub fn execute_interned(
-        &self,
-        inst: &InternedInstance,
-        complete_only: bool,
-        stats: &mut ExecStats,
-    ) -> BTreeSet<Tuple> {
-        let out = self.run(inst, complete_only, false);
-        stats.merge(&out.stats);
-        out.answers
-    }
-
-    fn run(&self, inst: &InternedInstance, complete_only: bool, profile: bool) -> ExecOutput {
         let mut ctx = ExecContext::new(inst, self.reorder);
-        ctx.profile = profile.then(OpProfile::default);
+        ctx.profile = options.profile.then(OpProfile::default);
         // Replay the compile-time rule count and the root cardinality estimate
         // into this execution's telemetry (`as` saturates, never panics).
         ctx.stats.rules_fired = self.rules.total();
@@ -763,7 +747,7 @@ impl CompiledQuery {
         let dict = inst.dictionary();
         let mut answers = BTreeSet::new();
         for r in 0..batch.rows {
-            if complete_only && !batch.cols.iter().all(|col| dict.is_const(col[r])) {
+            if options.naive && !batch.cols.iter().all(|col| dict.is_const(col[r])) {
                 continue;
             }
             let tuple: Tuple = self
@@ -772,6 +756,9 @@ impl CompiledQuery {
                 .map(|&p| dict.value(batch.cols[p][r]).clone())
                 .collect();
             answers.insert(tuple);
+        }
+        if let (Some(profile), Some(wall)) = (ctx.profile.as_mut(), wall) {
+            profile.exec_us = wall.elapsed_us();
         }
         ExecOutput {
             answers,
@@ -786,16 +773,16 @@ impl CompiledQuery {
 mod tests {
     use super::*;
     use nev_incomplete::builder::{c, x};
-    use nev_incomplete::inst;
+    use nev_incomplete::{inst, Instance};
     use nev_logic::eval::{evaluate_query, naive_eval_query};
     use nev_logic::parse_query;
 
     fn check(text: &str, d: &Instance) -> ExecOutput {
         let q = parse_query(text).expect("valid query");
         let compiled = CompiledQuery::compile(&q).expect("compiles");
-        let out = compiled.execute(d, &RunOptions::default());
+        let out = compiled.execute(&InternedInstance::new(d), &RunOptions::default());
         assert_eq!(out.answers, evaluate_query(d, &q), "raw answers on {text}");
-        let naive = compiled.execute(d, &RunOptions::naive());
+        let naive = compiled.execute(&InternedInstance::new(d), &RunOptions::naive());
         assert_eq!(
             naive.answers,
             naive_eval_query(d, &q),
@@ -902,9 +889,10 @@ mod tests {
         let d = chain_instance(300);
         let q = parse_query("Q(u, w) :- exists v . R(u, v) & S(v, w)").expect("valid query");
         let compiled = CompiledQuery::compile(&q).expect("compiles");
-        let plain = compiled.execute(&d, &RunOptions::naive());
+        let interned = InternedInstance::new(&d);
+        let plain = compiled.execute(&interned, &RunOptions::naive());
         let out = compiled.execute(
-            &d,
+            &interned,
             &RunOptions {
                 profile: true,
                 ..RunOptions::naive()
@@ -943,7 +931,10 @@ mod tests {
         let d = chain_instance(300);
         let q = parse_query("Q(u, w) :- exists v . R(u, v) & S(v, w)").expect("valid query");
         let compiled = CompiledQuery::compile(&q).expect("compiles");
-        let out = compiled.execute(&d, &RunOptions::naive());
+        let out = compiled.execute(&InternedInstance::new(&d), &RunOptions::naive());
+        // The phase counts do not depend on the clock: two scans, one join.
+        let t = out.timings;
+        assert_eq!((t.scans, t.join_builds, t.join_probes), (2, 1, 1));
         if nev_obs::enabled() {
             // A scan and a hash join ran: their phases were measured. (µs
             // clocks can legitimately read 0 on a fast pass, so nothing is
@@ -954,7 +945,7 @@ mod tests {
         }
         // Timings never affect output equality — the run-to-run equality
         // pins across the workspace rely on this.
-        let again = compiled.execute(&d, &RunOptions::naive());
+        let again = compiled.execute(&InternedInstance::new(&d), &RunOptions::naive());
         assert_eq!(out, again);
     }
 }

@@ -38,7 +38,7 @@
 //! seeded workloads across all five fragments.
 //!
 //! ```
-//! use nev_exec::{CompiledQuery, RunOptions};
+//! use nev_exec::{CompiledQuery, InternedInstance, RunOptions};
 //! use nev_incomplete::builder::{c, x};
 //! use nev_incomplete::inst;
 //! use nev_logic::parse_query;
@@ -49,7 +49,7 @@
 //! };
 //! let q = parse_query("Q(x, y) :- exists z . R(x, z) & S(z, y)")?;
 //! let compiled = CompiledQuery::compile(&q).expect("a join pipeline compiles");
-//! let out = compiled.execute(&d, &RunOptions::naive());
+//! let out = compiled.execute(&InternedInstance::new(&d), &RunOptions::naive());
 //! assert_eq!(out.answers.len(), 1); // {(1, 4)} — the paper's §1 answer
 //! assert!(out.stats.hash_probes > 0);
 //! # Ok::<(), nev_logic::ParseError>(())

@@ -75,7 +75,9 @@ impl ExecStats {
 /// timings vary run to run — so `ExecTimings` deliberately compares
 /// **equal to every other `ExecTimings`**. Result types can keep deriving
 /// `PartialEq`/`Eq` and every existing telemetry-parity assertion stays exact.
-/// All fields stay zero under the `NEV_TRACE=0` kill switch.
+/// The `_us` fields stay zero under the `NEV_TRACE=0` kill switch; the phase
+/// counts are always kept, so a phase that ran is known to have run even when
+/// its timer read zero.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ExecTimings {
     /// Time in relation scans.
@@ -84,6 +86,12 @@ pub struct ExecTimings {
     pub join_build_us: u64,
     /// Time probing hash-join tables.
     pub join_probe_us: u64,
+    /// Relation scans executed.
+    pub scans: u64,
+    /// Hash-join tables built.
+    pub join_builds: u64,
+    /// Hash-join probe passes executed.
+    pub join_probes: u64,
 }
 
 impl PartialEq for ExecTimings {
@@ -100,6 +108,9 @@ impl ExecTimings {
         self.scan_us += other.scan_us;
         self.join_build_us += other.join_build_us;
         self.join_probe_us += other.join_probe_us;
+        self.scans += other.scans;
+        self.join_builds += other.join_builds;
+        self.join_probes += other.join_probes;
     }
 
     /// Total measured execution time across the phases, microseconds.
@@ -162,13 +173,19 @@ mod tests {
             scan_us: 5,
             join_build_us: 7,
             join_probe_us: 11,
+            scans: 2,
+            ..ExecTimings::default()
         };
         a.merge(&ExecTimings {
             scan_us: 1,
             join_build_us: 2,
             join_probe_us: 3,
+            scans: 1,
+            join_builds: 1,
+            join_probes: 1,
         });
         assert_eq!(a.total_us(), 29);
+        assert_eq!((a.scans, a.join_builds, a.join_probes), (3, 1, 1));
         // Telemetry equality is always true: timings never split results.
         assert_eq!(a, ExecTimings::default());
     }

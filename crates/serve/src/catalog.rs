@@ -1,5 +1,7 @@
 //! The shared instance catalog: named incomplete databases as immutable
-//! [`Arc<Instance>`] snapshots.
+//! [`Snapshot`]s — each instance behind an `Arc`, together with the state
+//! derived from it (its interned form and its core bit), which is built lazily
+//! by the first evaluation that needs it and then shared by every later one.
 //!
 //! The catalog is the service's only mutable shared state besides the plan cache,
 //! and it is mutated **copy-on-write**: the whole name → instance map lives behind
@@ -8,14 +10,19 @@
 //! in. An `EVAL` that raced a concurrent `LOAD` simply keeps evaluating against the
 //! snapshot it took — exactly the isolation a certain-answer computation needs,
 //! since an instance must not change mid-enumeration.
+//!
+//! Every `LOAD` registers a **fresh** [`Snapshot`] with empty derived state,
+//! even when it re-loads equal data: derived state belongs to one version and
+//! is dropped with it, once the last reader holding that version lets go.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, RwLock};
 
+use nev_core::Snapshot;
 use nev_incomplete::Instance;
 
 /// A snapshot of the whole catalog: an immutable name → instance map.
-pub type CatalogSnapshot = Arc<BTreeMap<String, Arc<Instance>>>;
+pub type CatalogSnapshot = Arc<BTreeMap<String, Arc<Snapshot>>>;
 
 /// A concurrent registry of named incomplete instances.
 ///
@@ -29,8 +36,8 @@ pub type CatalogSnapshot = Arc<BTreeMap<String, Arc<Instance>>>;
 /// let snap = catalog.snapshot();
 /// // A later replacement does not disturb the snapshot already taken.
 /// catalog.register("intro", inst! { "R" => [[c(2), x(1)]] });
-/// assert_eq!(snap["intro"].fact_count(), 1);
-/// assert_ne!(catalog.get("intro").unwrap(), snap["intro"]);
+/// assert_eq!(snap["intro"].instance().fact_count(), 1);
+/// assert_ne!(catalog.get("intro").unwrap(), *snap["intro"].shared_instance());
 /// ```
 #[derive(Debug, Default)]
 pub struct Catalog {
@@ -54,19 +61,26 @@ impl Catalog {
 
     /// Looks up one named instance in the current snapshot.
     pub fn get(&self, name: &str) -> Option<Arc<Instance>> {
+        self.entry(name)
+            .map(|entry| Arc::clone(entry.shared_instance()))
+    }
+
+    /// Looks up one named instance together with its derived state.
+    pub fn entry(&self, name: &str) -> Option<Arc<Snapshot>> {
         self.snapshot().get(name).cloned()
     }
 
-    /// Registers (or replaces) a named instance, returning the previous snapshot
-    /// entry if the name was already bound. The replacement is copy-on-write: the
-    /// new map is built outside the write lock, so readers are blocked only for
-    /// the pointer swap.
-    pub fn register(&self, name: impl Into<String>, instance: Instance) -> Option<Arc<Instance>> {
-        self.update(|map| map.insert(name.into(), Arc::new(instance)))
+    /// Registers (or replaces) a named instance, returning the previous entry
+    /// if the name was already bound. The new entry derives nothing yet. The
+    /// replacement is copy-on-write: the new map is built outside the write
+    /// lock, so readers are blocked only for the pointer swap.
+    pub fn register(&self, name: impl Into<String>, instance: Instance) -> Option<Arc<Snapshot>> {
+        let entry = Arc::new(Snapshot::new(Arc::new(instance)));
+        self.update(|map| map.insert(name.into(), entry))
     }
 
-    /// Removes a named instance, returning it if it was present.
-    pub fn remove(&self, name: &str) -> Option<Arc<Instance>> {
+    /// Removes a named instance, returning its entry if it was present.
+    pub fn remove(&self, name: &str) -> Option<Arc<Snapshot>> {
         self.update(|map| map.remove(name))
     }
 
@@ -90,7 +104,7 @@ impl Catalog {
     /// snapshot cannot change, so the O(n) clone and `f` run with **no** map lock
     /// held, and the map's write lock is taken only for the pointer swap. Readers
     /// are therefore never blocked behind a clone, no matter how large the catalog.
-    fn update<T>(&self, f: impl FnOnce(&mut BTreeMap<String, Arc<Instance>>) -> T) -> T {
+    fn update<T>(&self, f: impl FnOnce(&mut BTreeMap<String, Arc<Snapshot>>) -> T) -> T {
         let _writing = self.writer.lock().expect("catalog writer lock poisoned");
         let mut next = (*self.snapshot()).clone();
         let out = f(&mut next);
@@ -117,13 +131,38 @@ mod tests {
 
         let replacement = inst! { "R" => [[c(2), c(3)]] };
         let old = catalog.register("d", replacement.clone()).unwrap();
-        assert_eq!(*old, d);
+        assert_eq!(*old.instance(), d);
         assert_eq!(*catalog.get("d").unwrap(), replacement);
 
         assert_eq!(catalog.names(), vec!["d".to_string()]);
         assert!(catalog.remove("d").is_some());
         assert!(catalog.remove("d").is_none());
         assert!(catalog.is_empty());
+    }
+
+    #[test]
+    fn a_replacing_register_leaves_the_held_entry_and_its_derived_state_alone() {
+        let catalog = Catalog::new();
+        let d = inst! { "R" => [[c(1), x(1)], [c(1), x(2)]] };
+        catalog.register("d", d.clone());
+        let held = catalog.entry("d").unwrap();
+        let interned: *const _ = held.interned();
+        assert!(!held.is_core());
+
+        // Re-registering equal data still makes a fresh entry with nothing
+        // derived: derived state belongs to one version.
+        let old = catalog.register("d", d.clone()).unwrap();
+        assert!(Arc::ptr_eq(&old, &held));
+        let fresh = catalog.entry("d").unwrap();
+        assert!(!Arc::ptr_eq(&fresh, &held));
+        assert!(!fresh.is_interned() && !fresh.is_core_known());
+
+        // The reader still holding the old version keeps its state as built.
+        assert!(held.is_interned() && held.is_core_known());
+        assert!(std::ptr::eq(interned, held.interned()));
+        assert_eq!(*held.instance(), d);
+        assert!(!fresh.is_core());
+        assert!(!fresh.is_interned(), "the core check does not intern");
     }
 
     #[test]
@@ -146,7 +185,7 @@ mod tests {
         }
         // The old snapshot still sees exactly the pre-write world.
         assert_eq!(before.len(), 1);
-        assert_eq!(before["a"].fact_count(), 1);
+        assert_eq!(before["a"].instance().fact_count(), 1);
         // The new snapshot sees every writer's last value.
         assert_eq!(catalog.len(), 5);
     }

@@ -33,7 +33,7 @@ pub use nev_core::engine::PlanKind;
 use nev_core::engine::{
     CertainEngine, DispatchOptions, EngineError, Evaluation, PreparedQuery, SymbolicTechnique,
 };
-use nev_core::{Semantics, WorldBounds};
+use nev_core::{Semantics, Snapshot, WorldBounds};
 use nev_incomplete::{Instance, Tuple};
 use nev_obs::timeseries::render_window_gauges;
 use nev_obs::{
@@ -284,17 +284,20 @@ impl ServeState {
 
     /// Resolves the named snapshot and the cached plan — recording the cache
     /// probe, with the preparation phases of a miss as children, when
-    /// `options` traces — and runs the engine's Figure 1 dispatch.
-    fn dispatch(
+    /// `options` traces — and runs the engine's Figure 1 dispatch on the
+    /// catalog entry, whose interned form and core bit every request on the
+    /// same version shares. Every request handler evaluates through this; it
+    /// counts nothing in `STATS` itself.
+    pub fn dispatch(
         &self,
         name: &str,
         semantics: Semantics,
         query_text: &str,
         options: &DispatchOptions<'_>,
     ) -> Result<(CachedPlan, Evaluation), ServeError> {
-        let instance = self
+        let snapshot = self
             .catalog
-            .get(name)
+            .entry(name)
             .ok_or_else(|| ServeError::UnknownInstance(name.to_string()))?;
         let probe = options
             .trace
@@ -320,7 +323,7 @@ impl ServeState {
         drop(probe);
         let evaluation = self
             .engine
-            .dispatch(&instance, semantics, &plan.prepared, options);
+            .dispatch(&snapshot, semantics, &plan.prepared, options);
         Ok((plan, evaluation))
     }
 
@@ -572,22 +575,22 @@ impl ServeState {
         // Resolve instances + plans up front: each request becomes a (group,
         // query-in-group) slot, each group one (instance, semantics) pair with
         // its distinct queries.
-        let mut groups: Vec<(Arc<Instance>, Semantics, Vec<Arc<PreparedQuery>>)> = Vec::new();
+        let mut groups: Vec<(Arc<Snapshot>, Semantics, Vec<Arc<PreparedQuery>>)> = Vec::new();
         let mut group_index: HashMap<(String, Semantics), usize> = HashMap::new();
         let mut query_index: HashMap<(usize, String), usize> = HashMap::new();
         let slots: Vec<Result<(usize, usize), ServeError>> = requests
             .iter()
             .map(|request| {
-                let instance = self
+                let snapshot = self
                     .catalog
-                    .get(&request.instance)
+                    .entry(&request.instance)
                     .ok_or_else(|| ServeError::UnknownInstance(request.instance.clone()))?;
                 let plan = self
                     .cache
                     .get_or_prepare(&request.query, request.semantics)?;
                 let key = (request.instance.clone(), request.semantics);
                 let gi = *group_index.entry(key).or_insert_with(|| {
-                    groups.push((instance, request.semantics, Vec::new()));
+                    groups.push((snapshot, request.semantics, Vec::new()));
                     groups.len() - 1
                 });
                 // Dedup on the same canonical rendering the cache keys on, so
@@ -608,9 +611,9 @@ impl ServeState {
         let engine = self.engine.clone();
         let batch_results = self
             .pool
-            .run(groups, move |_, (instance, semantics, queries)| {
+            .run(groups, move |_, (snapshot, semantics, queries)| {
                 let group_timer = Timer::start_always();
-                let batch = engine.evaluate_all(&instance, semantics, &queries);
+                let batch = engine.evaluate_all(&snapshot, semantics, &queries);
                 (queries, batch, group_timer.elapsed_us())
             });
 
@@ -1027,6 +1030,97 @@ mod tests {
         }
         // The distinct texts were prepared once each (per semantics row they hit).
         assert!(state.cache().misses() <= (texts.len() * 2) as u64);
+    }
+
+    #[test]
+    fn evals_and_batches_share_the_catalog_entrys_derived_state() {
+        let state = state(2);
+        state.load("d0", d0());
+        let entry = state.catalog().entry("d0").expect("loaded");
+        assert!(
+            !entry.is_interned() && !entry.is_core_known(),
+            "LOAD derives nothing"
+        );
+        // A 4-query minimal-CWA batch on a core: every query is a certified
+        // WorksOverCores cell, answered from the entry's one core bit and one
+        // interned form.
+        let requests: Vec<EvalRequest> = [
+            "forall u . exists v . D(u, v)",
+            "forall u . exists v . D(u, v) & D(v, u)",
+            "forall u v . D(u, v) -> exists w . D(v, w)",
+            "forall u v . D(u, v) -> D(v, u)",
+        ]
+        .iter()
+        .map(|text| EvalRequest {
+            instance: "d0".into(),
+            semantics: Semantics::MinimalCwa,
+            query: (*text).into(),
+        })
+        .collect();
+        for response in state.eval_batch(&requests) {
+            assert_eq!(response.expect("served").plan, PlanKind::Compiled);
+        }
+        assert!(entry.is_interned() && entry.is_core_known());
+        let interned: *const _ = entry.interned();
+        // Solo requests on the same version reuse both.
+        let solo = &requests[2];
+        let response = state
+            .eval("d0", solo.semantics, &solo.query)
+            .expect("served");
+        assert_eq!(response.plan, PlanKind::Compiled);
+        assert!(std::ptr::eq(interned, entry.interned()));
+        // A re-LOAD starts the new version from nothing.
+        state.load("d0", d0());
+        let fresh = state.catalog().entry("d0").expect("reloaded");
+        assert!(!fresh.is_interned() && !fresh.is_core_known());
+    }
+
+    #[test]
+    fn stage_counts_follow_the_phases_run_not_the_clock() {
+        let state = state(0);
+        let facts = "R(1,2);R(2,3);R(3,?1);S(2)";
+        state.handle_line(&format!("LOAD d {facts}"));
+        let entry = state.catalog().entry("d").expect("loaded");
+        let script = [
+            ("owa", "Q(x, y) :- exists z . R(x, z) & R(z, y)"),
+            ("owa", "Q(x) :- S(x)"),
+            ("cwa", "Q(x, y) :- exists z . R(x, z) & R(z, y)"),
+            // Scans of a relation the instance lacks: they finish well inside
+            // a microsecond, and still ran.
+            ("owa", "Q(x) :- T(x)"),
+            ("cwa", "Q(x) :- T(x)"),
+            // Compiler-rejected: the interpreter runs, no executor phase does.
+            ("wcwa", "forall u v w t . R(u, v) & R(w, t)"),
+        ];
+        // Per compiled pass, each of scan / join build / join probe that the
+        // plan ran counts once, however fast it was.
+        let mut expected = [0u64; 3];
+        for (semantics, text) in script {
+            let response = state.handle_line(&format!("EVAL d {semantics} {text}"));
+            let prepared = PreparedQuery::parse(text).expect("valid query");
+            let Some(compiled) = prepared.compiled() else {
+                assert!(response.starts_with("OK plan=certified"), "{response}");
+                continue;
+            };
+            assert!(response.starts_with("OK plan=compiled"), "{response}");
+            let t = compiled
+                .execute(entry.interned(), &nev_exec::RunOptions::naive())
+                .timings;
+            for (count, runs) in expected
+                .iter_mut()
+                .zip([t.scans, t.join_builds, t.join_probes])
+            {
+                *count += u64::from(runs > 0);
+            }
+        }
+        assert_eq!(expected, [5, 2, 2], "five compiled passes, two with a join");
+        let recorded = [Stage::Scan, Stage::JoinBuild, Stage::JoinProbe]
+            .map(|stage| state.metrics().stage_snapshot(stage).count);
+        if nev_obs::enabled() {
+            assert_eq!(recorded, expected);
+        } else {
+            assert_eq!(recorded, [0; 3], "NEV_TRACE=0 records no spans");
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@ use nev_bench::workloads::{
 };
 use nev_core::engine::{CertainEngine, EngineError};
 use nev_core::Semantics;
-use nev_exec::{CompiledQuery, RunOptions};
+use nev_exec::{CompiledQuery, InternedInstance, RunOptions};
 use nev_logic::naive_eval_query;
 
 fn main() -> Result<(), EngineError> {
@@ -35,7 +35,7 @@ fn main() -> Result<(), EngineError> {
     // 2. Execute set-at-a-time over interned codes, and time the interpreter on
     //    the same input as the differential baseline.
     let t0 = Instant::now();
-    let out = compiled.execute(&d, &RunOptions::naive());
+    let out = compiled.execute(&InternedInstance::new(&d), &RunOptions::naive());
     let compiled_time = t0.elapsed();
     let t1 = Instant::now();
     let reference = naive_eval_query(&d, &q);
@@ -87,7 +87,7 @@ fn main() -> Result<(), EngineError> {
     let optimised = CompiledQuery::compile(&neg_q).expect("the negation query compiles");
     println!("\n{}", optimised.explain());
     println!("Rule report: {:?}", optimised.rules());
-    let out = optimised.execute(&neg_d, &RunOptions::naive());
+    let out = optimised.execute(&InternedInstance::new(&neg_d), &RunOptions::naive());
     assert_eq!(
         out.answers,
         naive_eval_query(&neg_d, &neg_q),

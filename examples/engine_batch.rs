@@ -11,7 +11,7 @@
 //! that single pass.
 
 use nev_core::engine::{CertainEngine, EngineError, PreparedQuery};
-use nev_core::Semantics;
+use nev_core::{Semantics, Snapshot};
 use nev_incomplete::builder::x;
 use nev_incomplete::inst;
 
@@ -37,7 +37,7 @@ fn main() -> Result<(), EngineError> {
 
     for semantics in [Semantics::Owa, Semantics::Cwa] {
         println!("== {} ==", semantics.short_name());
-        let batch = engine.evaluate_all(&d0, semantics, &queries);
+        let batch = engine.evaluate_all(&Snapshot::new(&d0), semantics, &queries);
         println!(
             "batch: {} queries, {} enumeration pass(es), {} worlds visited",
             queries.len(),

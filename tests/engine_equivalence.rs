@@ -15,7 +15,7 @@ use proptest::prelude::*;
 use nev_bench::workloads::cell_workload;
 use nev_core::engine::{CertainEngine, PreparedQuery};
 use nev_core::summary::{expectation, Expectation, FRAGMENTS};
-use nev_core::{Semantics, WorldBounds};
+use nev_core::{Semantics, Snapshot, WorldBounds};
 use nev_hom::{core_of, is_core};
 
 fn bounds() -> WorldBounds {
@@ -153,7 +153,7 @@ proptest! {
                 .collect();
 
             let engine = CertainEngine::with_bounds(bounds());
-            let batch = engine.evaluate_all(&instance, semantics, &queries);
+            let batch = engine.evaluate_all(&Snapshot::new(&instance), semantics, &queries);
             prop_assert!(batch.enumeration_passes <= 1, "{semantics}");
             prop_assert_eq!(batch.results.len(), queries.len());
 

@@ -19,7 +19,7 @@ use proptest::prelude::*;
 use nev_bench::workloads::cell_workload;
 use nev_core::engine::{CertainEngine, EvalPlan, PreparedQuery};
 use nev_core::{Semantics, WorldBounds};
-use nev_exec::{CompileError, CompiledQuery, RunOptions};
+use nev_exec::{CompileError, CompiledQuery, InternedInstance, RunOptions};
 use nev_incomplete::Instance;
 use nev_logic::eval::{evaluate_query, naive_eval_query};
 use nev_logic::{parse_query, Fragment, Query};
@@ -31,12 +31,16 @@ fn assert_equivalent(d: &Instance, q: &Query) -> bool {
         return false;
     };
     assert_eq!(
-        compiled.execute(d, &RunOptions::default()).answers,
+        compiled
+            .execute(&InternedInstance::new(d), &RunOptions::default())
+            .answers,
         evaluate_query(d, q),
         "raw answers differ for `{q}` on\n{d}"
     );
     assert_eq!(
-        compiled.execute(d, &RunOptions::naive()).answers,
+        compiled
+            .execute(&InternedInstance::new(d), &RunOptions::naive())
+            .answers,
         naive_eval_query(d, q),
         "naive answers differ for `{q}` on\n{d}"
     );

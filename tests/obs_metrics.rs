@@ -30,7 +30,7 @@ use std::sync::Arc;
 use std::thread;
 
 use naive_eval::core::engine::{CertainEngine, DispatchOptions};
-use naive_eval::core::Semantics;
+use naive_eval::core::{Semantics, Snapshot};
 use naive_eval::obs::{validate_exposition, Timer, TraceRecorder};
 use naive_eval::serve::state::{ServeConfig, ServeState};
 use naive_eval::serve::{Client, Server, ServerHandle};
@@ -223,7 +223,7 @@ fn profile_reconciles_with_the_exec_accounting() {
         profile: true,
         ..DispatchOptions::default()
     };
-    let evaluation = engine.dispatch(&d, Semantics::Owa, &prepared, &options);
+    let evaluation = engine.dispatch(&Snapshot::new(&d), Semantics::Owa, &prepared, &options);
     let (answers, stats, profile) = (evaluation.certain, evaluation.exec, evaluation.profile);
     let span_us = span.elapsed_us();
     let profile = profile.expect("compiled dispatch yields a profile");

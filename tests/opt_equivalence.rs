@@ -22,8 +22,8 @@ use nev_bench::workloads::{
     DEFAULT_SEED,
 };
 use nev_core::engine::{boolean_answers, CertainEngine, PreparedQuery};
-use nev_core::{Semantics, WorldBounds};
-use nev_exec::{CompiledQuery, CompilerConfig, ExecStats, RunOptions};
+use nev_core::{Semantics, Snapshot, WorldBounds};
+use nev_exec::{CompiledQuery, CompilerConfig, InternedInstance, RunOptions};
 use nev_incomplete::{Instance, Tuple};
 use nev_logic::eval::{evaluate_boolean, evaluate_query, naive_eval_query};
 use nev_logic::{Fragment, Query};
@@ -94,23 +94,31 @@ fn assert_exec_equivalent(d: &Instance, q: &Query) -> Option<CompiledQuery> {
         CompiledQuery::compile_with(q, &unoptimized_config()).expect("same shape gate");
     let raw = evaluate_query(d, q);
     assert_eq!(
-        optimized.execute(d, &RunOptions::default()).answers,
+        optimized
+            .execute(&InternedInstance::new(d), &RunOptions::default())
+            .answers,
         raw,
         "optimised raw on `{q}`"
     );
     assert_eq!(
-        unoptimized.execute(d, &RunOptions::default()).answers,
+        unoptimized
+            .execute(&InternedInstance::new(d), &RunOptions::default())
+            .answers,
         raw,
         "unoptimised raw on `{q}`"
     );
     let naive = naive_eval_query(d, q);
     assert_eq!(
-        optimized.execute(d, &RunOptions::naive()).answers,
+        optimized
+            .execute(&InternedInstance::new(d), &RunOptions::naive())
+            .answers,
         naive,
         "optimised naive on `{q}`"
     );
     assert_eq!(
-        unoptimized.execute(d, &RunOptions::naive()).answers,
+        unoptimized
+            .execute(&InternedInstance::new(d), &RunOptions::naive())
+            .answers,
         naive,
         "unoptimised naive on `{q}`"
     );
@@ -207,9 +215,9 @@ fn join_reordering_changes_the_shape_and_answers_agree() {
     let d = skewed_join_workload(DEFAULT_SEED, 90, 2);
     let q = join_chain_query();
     let plan = assert_exec_equivalent(&d, &q).expect("compiles");
-    let mut stats = ExecStats::new();
-    let interned = nev_exec::InternedInstance::new(&d);
-    let answers = plan.execute_interned(&interned, true, &mut stats);
+    let interned = InternedInstance::new(&d);
+    let out = plan.execute(&interned, &RunOptions::naive());
+    let (answers, stats) = (out.answers, out.stats);
     assert_eq!(answers, naive_eval_query(&d, &q));
     assert!(
         stats.joins_reordered > 0,
@@ -218,8 +226,8 @@ fn join_reordering_changes_the_shape_and_answers_agree() {
     assert!(stats.estimated_rows > 0);
     // The unoptimised baseline executes in written order.
     let baseline = CompiledQuery::compile_with(&q, &unoptimized_config()).expect("compiles");
-    let mut base_stats = ExecStats::new();
-    let base_answers = baseline.execute_interned(&interned, true, &mut base_stats);
+    let base = baseline.execute(&interned, &RunOptions::naive());
+    let (base_answers, base_stats) = (base.answers, base.stats);
     assert_eq!(base_answers, answers);
     assert_eq!(base_stats.joins_reordered, 0);
     assert!(
@@ -244,7 +252,7 @@ fn batch_and_oracle_paths_agree_under_optimisation() {
             .expect("valid"),
     ];
     for semantics in SEMANTICS {
-        let batch = engine.evaluate_all(&d, semantics, &queries);
+        let batch = engine.evaluate_all(&Snapshot::new(&d), semantics, &queries);
         for (i, q) in queries.iter().enumerate() {
             let solo = engine.evaluate(&d, semantics, q);
             assert_eq!(batch.results[i].certain, solo.certain, "query {i}");

@@ -18,8 +18,11 @@ use proptest::prelude::*;
 
 use naive_eval::bench::figure1::{cell_pairs, render_markdown, run_cell, Figure1Config};
 use naive_eval::bench::workloads::cell_workload;
-use naive_eval::core::engine::CertainEngine;
+use naive_eval::core::engine::{CertainEngine, DispatchOptions, Evaluation, PreparedQuery};
+use naive_eval::core::summary::Expectation;
 use naive_eval::core::{Semantics, WorldBounds};
+use naive_eval::incomplete::builder::x;
+use naive_eval::incomplete::inst;
 use naive_eval::logic::Fragment;
 use naive_eval::serve::oracle::parallel_certain_answers;
 use naive_eval::serve::state::{ServeConfig, ServeState};
@@ -174,6 +177,101 @@ fn batched_responses_are_byte_identical_across_worker_counts() {
         );
     }
     assert_all_identical(&transcripts);
+}
+
+/// Field-by-field agreement of two evaluations: plan (with its certificate,
+/// `core_checked` included), naïve and certain answers, worlds visited and
+/// truncation.
+fn assert_same_evaluation(served: &Evaluation, fresh: &Evaluation, context: &str) {
+    assert_eq!(served.plan, fresh.plan, "{context}");
+    assert_eq!(served.naive, fresh.naive, "{context}");
+    assert_eq!(served.certain, fresh.certain, "{context}");
+    assert_eq!(
+        served.worlds_enumerated, fresh.worlds_enumerated,
+        "{context}"
+    );
+    assert_eq!(served.truncated, fresh.truncated, "{context}");
+}
+
+/// Derived state cached on a catalog entry changes no answer: repeated
+/// requests on one snapshot — the first builds its interned form and core
+/// bit, the rest reuse them — equal a fresh `CertainEngine::evaluate` on the
+/// bare instance, for every Figure 1 workload query under every semantics.
+/// (At 0 workers the served oracle visits worlds in the sequential order, so
+/// world counts are comparable.)
+#[test]
+fn cached_snapshot_state_matches_fresh_evaluations_on_every_figure1_query() {
+    let engine = CertainEngine::with_bounds(bounds());
+    let state = ServeState::new(ServeConfig {
+        workers: 0,
+        bounds: bounds(),
+        ..ServeConfig::default()
+    });
+    let mut compared = 0;
+    for fragment in FRAGMENTS {
+        for (trial, (instance, query)) in
+            cell_workload(fragment, 20130622, 2).into_iter().enumerate()
+        {
+            let name = format!("f{}t{trial}", fragment as u8);
+            state.load(name.clone(), instance.clone());
+            let text = query.to_string();
+            let prepared = PreparedQuery::parse(&text).expect("the rendering parses");
+            for semantics in Semantics::ALL {
+                let fresh = engine.evaluate(&instance, semantics, &prepared);
+                for request in 0..2 {
+                    let (_, served) = state
+                        .dispatch(&name, semantics, &text, &DispatchOptions::default())
+                        .expect("served");
+                    let context = format!("{semantics} × {text} request {request} on\n{instance}");
+                    assert_same_evaluation(&served, &fresh, &context);
+                    compared += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(compared, 5 * 2 * 6 * 2);
+
+    // A minimal-semantics request whose symbolic ladder decides the core bit
+    // first, then a certified WorksOverCores request that reuses it.
+    let core = inst! { "D" => [[x(1), x(2)], [x(2), x(1)]] };
+    state.load("core", core.clone());
+    let entry = state.catalog().entry("core").expect("loaded");
+    assert!(!entry.is_core_known());
+    let ladder = "exists u . !D(u, u)";
+    let (_, served) = state
+        .dispatch(
+            "core",
+            Semantics::MinimalCwa,
+            ladder,
+            &DispatchOptions::default(),
+        )
+        .expect("served");
+    assert!(!served.plan.is_certified(), "FO has no Figure 1 guarantee");
+    assert!(entry.is_core_known(), "the ladder decided the core bit");
+    let fresh = engine.evaluate(
+        &core,
+        Semantics::MinimalCwa,
+        &PreparedQuery::parse(ladder).unwrap(),
+    );
+    assert_same_evaluation(&served, &fresh, ladder);
+    let certified = "forall u v . D(u, v) -> exists w . D(v, w)";
+    let (_, served) = state
+        .dispatch(
+            "core",
+            Semantics::MinimalCwa,
+            certified,
+            &DispatchOptions::default(),
+        )
+        .expect("served");
+    let cert = served.plan.certificate().expect("certified over the core");
+    assert_eq!(cert.expectation, Expectation::WorksOverCores);
+    assert!(cert.core_checked);
+    let fresh = engine.evaluate(
+        &core,
+        Semantics::MinimalCwa,
+        &PreparedQuery::parse(certified).unwrap(),
+    );
+    assert_same_evaluation(&served, &fresh, certified);
 }
 
 const FRAGMENTS: [Fragment; 5] = [
