@@ -10,11 +10,9 @@
 //! * **single_thread_baseline** — what serving looked like before `nev-serve`:
 //!   every request parses + classifies + compiles its query afresh and runs its
 //!   own sequential world pass (`CertainEngine::evaluate`);
-//! * **serve_batch_0_workers** — `ServeState::eval_batch` with an empty pool:
-//!   isolates the *amortisation* wins (plan cache, one shared world pass per
-//!   (instance, semantics) group) from parallelism;
-//! * **serve_batch_4_workers** — the same batch on a 4-worker pool (groups in
-//!   parallel; on a multi-core host the parallel oracle adds to this);
+//! * **serve_batch** — `ServeState::eval_batch` with an empty pool: the
+//!   *amortisation* wins (plan cache, one shared world pass per (instance,
+//!   semantics) group, the groups run one after another);
 //! * **parallel_oracle_4_workers / sequential_oracle** — one expensive FO query,
 //!   world stream chunked across the pool vs the engine's sequential oracle.
 
@@ -139,12 +137,8 @@ fn bench_batch_throughput(c: &mut Criterion) {
         b.iter(|| baseline_answers(&requests, &instances))
     });
     let amortised = serve_state(0);
-    group.bench_function("serve_batch_0_workers", |b| {
+    group.bench_function("serve_batch", |b| {
         b.iter(|| amortised.eval_batch(&requests).len())
-    });
-    let pooled = serve_state(4);
-    group.bench_function("serve_batch_4_workers", |b| {
-        b.iter(|| pooled.eval_batch(&requests).len())
     });
     group.finish();
 }

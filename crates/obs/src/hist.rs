@@ -33,7 +33,6 @@ fn bucket_index(us: u64) -> usize {
 #[derive(Debug)]
 pub struct Histogram {
     buckets: [AtomicU64; BUCKETS],
-    count: AtomicU64,
     sum: AtomicU64,
     max: AtomicU64,
 }
@@ -49,7 +48,6 @@ impl Histogram {
     pub fn new() -> Self {
         Histogram {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             max: AtomicU64::new(0),
         }
@@ -59,7 +57,6 @@ impl Histogram {
     pub fn record(&self, us: u64) {
         // relaxed: independent telemetry tallies; readers tolerate skew between them.
         self.buckets[bucket_index(us)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(us, Ordering::Relaxed);
         self.max.fetch_max(us, Ordering::Relaxed);
     }
@@ -67,7 +64,8 @@ impl Histogram {
     /// A point-in-time copy of the counters. Concurrent recorders may land
     /// between the individual loads, so a snapshot is *consistent enough* for
     /// telemetry (counts monotone, never torn within a bucket) rather than a
-    /// linearisable cut — the same contract as the serving-layer counters.
+    /// linearisable cut. The sample count is the bucket total, so the
+    /// buckets always add up to it; `sum` and `max` may lag or lead it.
     pub fn snapshot(&self) -> HistogramSnapshot {
         let mut buckets = [0u64; BUCKETS];
         // relaxed: monotone counter reads; the snapshot is a fuzzy cut by contract.
@@ -77,9 +75,9 @@ impl Histogram {
         // relaxed: same fuzzy-cut contract as the bucket loads above.
         HistogramSnapshot {
             buckets,
-            count: self.count.load(Ordering::Relaxed),
             sum: self.sum.load(Ordering::Relaxed),
             max: self.max.load(Ordering::Relaxed),
+            count: buckets.iter().sum(),
         }
     }
 }

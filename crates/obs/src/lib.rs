@@ -3,7 +3,7 @@
 //! The engine has four dispatch regimes (certified-naive, compiled, symbolic
 //! sandwich, bounded oracle) and a vectorised executor; this crate is the
 //! telemetry layer that makes their costs *visible* without ever changing an
-//! answer. It is zero-dependency (std only) and splits into three pieces:
+//! answer. It is zero-dependency (std only) and splits into four pieces:
 //!
 //! * [`hist`] — HDR-style latency [`Histogram`]s with power-of-two buckets.
 //!   Recording is one relaxed atomic increment per sample, so histograms can
@@ -18,13 +18,18 @@
 //!   compares equal to every other `Trace` by design: timing is telemetry,
 //!   never part of a result's value, so derived `Eq` on result types and
 //!   byte-identity determinism pins stay exact.
-//! * [`registry`] — the serving-layer [`MetricsRegistry`]: per-stage and
-//!   per-dispatch-kind histograms, a bounded top-K slow-query log, and the
-//!   text exposition behind the wire `METRICS` command (shape-checkable with
-//!   [`validate_exposition`]).
+//! * [`registry`] — the serving layer's one telemetry store, the
+//!   [`MetricsRegistry`]: the independent [`Counter`] tallies, per-stage and
+//!   per-dispatch-kind histograms, a bounded top-K slow-query log, the
+//!   time-series ring, and the text exposition behind the wire `METRICS`
+//!   command (shape-checkable with [`validate_exposition`]). A
+//!   [`MetricsSnapshot`] copies the counters and per-plan histograms at one
+//!   instant; `STATS`, `TOP` and `METRICS` each render one, and the
+//!   per-dispatch-kind evaluation counts are read off its histograms rather
+//!   than tallied twice.
 //! * [`timeseries`] — a fixed-size ring of lazy, rate-limited
-//!   [`WindowSample`]s over the monotone counters, giving QPS, error rate
-//!   and interpolated p50/p95/p99 over trailing 1 s / 10 s / 60 s windows
+//!   [`MetricsSnapshot`]s, giving QPS, error rate and interpolated
+//!   p50/p95/p99 over trailing 1 s / 10 s / 60 s windows
 //!   ([`TimeSeries::window`]) — the data behind the wire `TOP` summary and
 //!   the `nevtop` dashboard.
 //!
@@ -65,9 +70,9 @@ pub mod span;
 pub mod timeseries;
 
 pub use hist::{bucket_bound, Histogram, HistogramSnapshot, BUCKETS};
-pub use registry::{validate_exposition, MetricsRegistry, SlowQuery};
+pub use registry::{validate_exposition, Counter, MetricsRegistry, MetricsSnapshot, SlowQuery};
 pub use span::{Span, SpanRecord, Stage, Trace, TraceRecorder, MAX_SPANS};
-pub use timeseries::{TimeSeries, WindowDelta, WindowSample, WINDOWS};
+pub use timeseries::{TimeSeries, WindowDelta, WINDOWS};
 
 use std::sync::OnceLock;
 use std::time::Instant;

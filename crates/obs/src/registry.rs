@@ -1,20 +1,146 @@
 //! The serving-layer metrics registry and its text exposition.
 //!
-//! A [`MetricsRegistry`] aggregates what individual requests measured:
-//! request latency bucketed **per dispatch kind** (the plan label), stage
-//! latency bucketed **per span stage**, and a bounded top-K slow-query log.
-//! [`MetricsRegistry::expose`] renders everything — plus caller-supplied
+//! A [`MetricsRegistry`] is the one store of a serving process's telemetry:
+//! the independent [`Counter`] tallies, request latency bucketed **per
+//! dispatch kind** (the plan label), stage latency bucketed **per span
+//! stage**, a bounded top-K slow-query log, and the [`TimeSeries`] ring of
+//! past snapshots. [`MetricsRegistry::snapshot`] copies the counters and the
+//! per-plan histograms into one [`MetricsSnapshot`]; every count the wire
+//! reports is read off such a snapshot, and a count of evaluations by
+//! dispatch kind is the matching histogram's sample count rather than a
+//! second tally, so the two can never disagree.
+//! [`MetricsRegistry::expose`] renders a snapshot — plus caller-supplied
 //! counters and gauges — as Prometheus-style text, the payload behind the
 //! wire `METRICS` command. The grammar is fixed and machine-checkable with
 //! [`validate_exposition`]; the exposition always ends with a `# EOF` line so
 //! clients of the line-oriented protocol know where the (sole) multi-line
 //! response stops.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
 use crate::hist::{Histogram, HistogramSnapshot};
 use crate::span::{Stage, Trace};
+use crate::timeseries::{render_window_gauges, TimeSeries};
+
+/// The independent tallies of a serving process: everything it counts that
+/// is not already the sample count of a per-plan latency histogram.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum Counter {
+    /// Protocol requests handled (any command, including failed ones).
+    Requests,
+    /// `LOAD` commands that registered or replaced a catalog instance.
+    Loads,
+    /// `PREPARE` commands served.
+    Prepares,
+    /// `EXPLAIN` requests answered successfully.
+    Explains,
+    /// Requests rejected with an `ERR` response.
+    Errors,
+    /// Worlds enumerated by the oracle runs the evaluations drew on.
+    Worlds,
+    /// Oracle runs cut short by early-exit cancellation.
+    OracleCancelled,
+    /// Symbolic answers certified by the Kleene/naïve sandwich.
+    SandwichExact,
+    /// Oracle answers whose world stream was cut off by the world cap with the
+    /// verdict still drawing on it (over-approximations, flagged on the wire).
+    Truncated,
+    /// `ANALYZE` requests answered successfully.
+    Analyzed,
+    /// Requests whose query static analysis proved constantly true or false,
+    /// so the exec layer could short-circuit to `∅`/`adomᵏ`.
+    StaticPrunes,
+}
+
+impl Counter {
+    /// Number of counters.
+    pub const COUNT: usize = 11;
+
+    /// Every counter, in declaration order (indexable by [`Counter::index`]).
+    pub const ALL: [Counter; Counter::COUNT] = [
+        Counter::Requests,
+        Counter::Loads,
+        Counter::Prepares,
+        Counter::Explains,
+        Counter::Errors,
+        Counter::Worlds,
+        Counter::OracleCancelled,
+        Counter::SandwichExact,
+        Counter::Truncated,
+        Counter::Analyzed,
+        Counter::StaticPrunes,
+    ];
+
+    /// Position in [`Counter::ALL`].
+    pub fn index(self) -> usize {
+        Counter::ALL
+            .iter()
+            .position(|&c| c == self)
+            .expect("every counter is in ALL")
+    }
+
+    /// The wire/exposition name (snake_case, stable).
+    pub fn name(self) -> &'static str {
+        match self {
+            Counter::Requests => "requests",
+            Counter::Loads => "loads",
+            Counter::Prepares => "prepares",
+            Counter::Explains => "explains",
+            Counter::Errors => "errors",
+            Counter::Worlds => "worlds",
+            Counter::OracleCancelled => "oracle_cancelled",
+            Counter::SandwichExact => "sandwich_exact",
+            Counter::Truncated => "truncated",
+            Counter::Analyzed => "analyzed",
+            Counter::StaticPrunes => "static_prunes",
+        }
+    }
+}
+
+/// One point-in-time copy of a registry's monotone telemetry: the counters
+/// and the per-plan request-latency histograms, stamped with the uptime it
+/// was taken at. It is also what the [`TimeSeries`] ring keeps, so window
+/// arithmetic is a subtraction of two snapshots.
+#[derive(Clone, Debug, Default)]
+pub struct MetricsSnapshot {
+    /// Snapshot time, microseconds of registry uptime.
+    pub at_us: u64,
+    /// Counter values, indexed by [`Counter::index`].
+    pub counters: [u64; Counter::COUNT],
+    /// Per-dispatch-kind request-latency snapshots.
+    pub plans: Vec<(&'static str, HistogramSnapshot)>,
+}
+
+impl MetricsSnapshot {
+    /// The value of one counter.
+    pub fn counter(&self, counter: Counter) -> u64 {
+        self.counters[counter.index()]
+    }
+
+    /// Requests answered under plan `label` (0 for a label not in the set).
+    pub fn plan_count(&self, label: &str) -> u64 {
+        self.plans
+            .iter()
+            .find(|(l, _)| *l == label)
+            .map_or(0, |(_, snap)| snap.count)
+    }
+
+    /// Evaluating requests answered: the per-plan sample counts summed.
+    pub fn evals(&self) -> u64 {
+        self.plans.iter().map(|(_, snap)| snap.count).sum()
+    }
+
+    /// The request-latency snapshot merged across dispatch kinds.
+    pub fn latency(&self) -> HistogramSnapshot {
+        let mut merged = HistogramSnapshot::default();
+        for (_, snap) in &self.plans {
+            merged.merge(snap);
+        }
+        merged
+    }
+}
 
 /// One entry of the slow-query log: everything needed to reproduce and
 /// attribute the request without holding the instance.
@@ -38,18 +164,22 @@ pub struct SlowQuery {
 #[derive(Debug)]
 pub struct MetricsRegistry {
     start: Instant,
+    counters: [AtomicU64; Counter::COUNT],
     stage: Vec<Histogram>,
     plans: Vec<(&'static str, Histogram)>,
     slow: Mutex<Vec<SlowQuery>>,
     slow_capacity: usize,
+    series: TimeSeries,
 }
 
 impl MetricsRegistry {
-    /// A registry with one request-latency histogram per plan label and a
-    /// slow-query log keeping the `slow_capacity` highest-latency requests.
+    /// A registry with zeroed counters, one request-latency histogram per
+    /// plan label, a slow-query log keeping the `slow_capacity`
+    /// highest-latency requests, and a default [`TimeSeries`] ring.
     pub fn new(plan_labels: &[&'static str], slow_capacity: usize) -> Self {
         MetricsRegistry {
             start: Instant::now(),
+            counters: std::array::from_fn(|_| AtomicU64::new(0)),
             stage: (0..Stage::COUNT).map(|_| Histogram::new()).collect(),
             plans: plan_labels
                 .iter()
@@ -57,12 +187,24 @@ impl MetricsRegistry {
                 .collect(),
             slow: Mutex::new(Vec::new()),
             slow_capacity,
+            series: TimeSeries::new(),
         }
     }
 
     /// Microseconds since the registry (i.e. the server) started.
     pub fn uptime_us(&self) -> u64 {
         self.start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64
+    }
+
+    /// Adds one to a counter.
+    pub fn bump(&self, counter: Counter) {
+        self.add(counter, 1);
+    }
+
+    /// Adds `n` to a counter.
+    pub fn add(&self, counter: Counter, n: u64) {
+        // relaxed: counters are telemetry, not synchronisation.
+        self.counters[counter.index()].fetch_add(n, Ordering::Relaxed);
     }
 
     /// Records one sample into a stage histogram.
@@ -90,22 +232,32 @@ impl MetricsRegistry {
         self.stage[stage.index()].snapshot()
     }
 
-    /// Snapshots of every per-plan request-latency histogram.
-    pub fn plan_snapshots(&self) -> Vec<(&'static str, HistogramSnapshot)> {
-        self.plans
-            .iter()
-            .map(|(label, hist)| (*label, hist.snapshot()))
-            .collect()
+    /// The counters and per-plan histograms as they stand now.
+    pub fn snapshot(&self) -> MetricsSnapshot {
+        MetricsSnapshot {
+            at_us: self.uptime_us(),
+            // relaxed: a fuzzy point-in-time copy of independent monotone tallies.
+            counters: std::array::from_fn(|i| self.counters[i].load(Ordering::Relaxed)),
+            plans: self
+                .plans
+                .iter()
+                .map(|(label, hist)| (*label, hist.snapshot()))
+                .collect(),
+        }
     }
 
-    /// All request latencies merged across plan labels — the histogram the
-    /// `STATS` p50/p99 tokens read from.
-    pub fn request_totals(&self) -> HistogramSnapshot {
-        let mut merged = HistogramSnapshot::default();
-        for (_, hist) in &self.plans {
-            merged.merge(&hist.snapshot());
+    /// The ring of past snapshots behind the trailing windows.
+    pub fn series(&self) -> &TimeSeries {
+        &self.series
+    }
+
+    /// Lazy sampling for callers on a request path: offers a snapshot to the
+    /// ring when the previous one is old enough. Cheap when not due (one
+    /// lock, one clock read).
+    pub fn sample_if_due(&self) {
+        if self.series.due(self.uptime_us()) {
+            self.series.record(self.snapshot());
         }
-        merged
     }
 
     /// Offers a request to the slow-query log; it is kept only while it ranks
@@ -132,44 +284,33 @@ impl MetricsRegistry {
         self.slow.lock().expect("slow-query log poisoned").clone()
     }
 
-    /// Empties the slow-query log (the wire `METRICS RESET` path). Lifetime
-    /// histograms and counters are deliberately untouched: reconciliation
-    /// invariants (per-plan counts summing to `evals`) must survive a reset.
-    pub fn reset_slow(&self) {
+    /// The wire `METRICS RESET` action: empties the slow-query log and
+    /// re-baselines the ring at the current snapshot, so trailing windows
+    /// restart from zero. Counters and histograms are deliberately untouched:
+    /// reconciliation invariants must survive a reset.
+    pub fn reset(&self) {
         self.slow.lock().expect("slow-query log poisoned").clear();
+        self.series.reset(self.snapshot());
     }
 
-    /// Renders the full exposition: uptime and caller gauges, caller
-    /// counters (suffixed `_total`), the per-plan request-latency and
+    /// Renders the full exposition of `snap`: uptime and caller gauges,
+    /// caller counters (suffixed `_total`), the per-plan request-latency and
     /// per-stage latency histograms, any extra named histograms (e.g. the
-    /// worker pool's queue-wait/run split), the slow-query log as comment
+    /// worker pool's queue-wait/run split), the trailing-window
+    /// `nev_window_*` gauges ending at `snap`, the slow-query log as comment
     /// lines, and the `# EOF` terminator. Empty histograms are elided.
     pub fn expose(
         &self,
+        snap: &MetricsSnapshot,
         counters: &[(&str, u64)],
         gauges: &[(&str, u64)],
         extra_hists: &[(&str, HistogramSnapshot)],
-    ) -> String {
-        self.expose_with(counters, gauges, extra_hists, "")
-    }
-
-    /// [`MetricsRegistry::expose`] with a caller-rendered `appendix` spliced
-    /// in after the histograms and before the slow-query log — the hook the
-    /// serving layer uses for its windowed time-series gauges
-    /// ([`crate::timeseries::render_window_gauges`]). The appendix must
-    /// itself be grammar-valid exposition text (newline-terminated lines).
-    pub fn expose_with(
-        &self,
-        counters: &[(&str, u64)],
-        gauges: &[(&str, u64)],
-        extra_hists: &[(&str, HistogramSnapshot)],
-        appendix: &str,
     ) -> String {
         use std::fmt::Write;
         let mut out = String::with_capacity(4096);
         out.push_str("# nev-obs exposition v1\n");
         let _ = writeln!(out, "# TYPE nev_uptime_us gauge");
-        let _ = writeln!(out, "nev_uptime_us {}", self.uptime_us());
+        let _ = writeln!(out, "nev_uptime_us {}", snap.at_us);
         for &(name, value) in gauges {
             let _ = writeln!(out, "# TYPE nev_{name} gauge");
             let _ = writeln!(out, "nev_{name} {value}");
@@ -178,12 +319,11 @@ impl MetricsRegistry {
             let _ = writeln!(out, "# TYPE nev_{name}_total counter");
             let _ = writeln!(out, "nev_{name}_total {value}");
         }
-        let plans = self.plan_snapshots();
-        if plans.iter().any(|(_, snap)| snap.count > 0) {
+        if snap.plans.iter().any(|(_, plan)| plan.count > 0) {
             let _ = writeln!(out, "# TYPE nev_request_latency_us histogram");
-            for (label, snap) in &plans {
-                if snap.count > 0 {
-                    snap.render_prometheus(
+            for (label, plan) in &snap.plans {
+                if plan.count > 0 {
+                    plan.render_prometheus(
                         "nev_request_latency_us",
                         &format!("plan=\"{label}\""),
                         &mut out,
@@ -194,25 +334,25 @@ impl MetricsRegistry {
         let stages: Vec<(Stage, HistogramSnapshot)> = Stage::ALL
             .iter()
             .map(|&stage| (stage, self.stage_snapshot(stage)))
-            .filter(|(_, snap)| snap.count > 0)
+            .filter(|(_, hist)| hist.count > 0)
             .collect();
         if !stages.is_empty() {
             let _ = writeln!(out, "# TYPE nev_stage_latency_us histogram");
-            for (stage, snap) in &stages {
-                snap.render_prometheus(
+            for (stage, hist) in &stages {
+                hist.render_prometheus(
                     "nev_stage_latency_us",
                     &format!("stage=\"{}\"", stage.name()),
                     &mut out,
                 );
             }
         }
-        for (name, snap) in extra_hists {
-            if snap.count > 0 {
+        for (name, hist) in extra_hists {
+            if hist.count > 0 {
                 let _ = writeln!(out, "# TYPE nev_{name} histogram");
-                snap.render_prometheus(&format!("nev_{name}"), "", &mut out);
+                hist.render_prometheus(&format!("nev_{name}"), "", &mut out);
             }
         }
-        out.push_str(appendix);
+        render_window_gauges(&self.series.windows(snap), &mut out);
         for entry in self.slow_queries() {
             let stages: Vec<String> = entry
                 .stages
@@ -374,8 +514,10 @@ mod tests {
         let rec = TraceRecorder::with_enabled(true);
         drop(rec.span(Stage::Exec));
         registry.observe_trace(&rec.finish());
+        let snap = registry.snapshot();
         let text = registry.expose(
-            &[("evals", 3), ("requests", 5)],
+            &snap,
+            &[("evals", snap.evals()), ("requests", 5)],
             &[("pool_workers", 2)],
             &[],
         );
@@ -383,7 +525,7 @@ mod tests {
         validate_exposition(&lines).expect("well-formed exposition");
         assert!(lines.iter().any(|l| l == "nev_evals_total 3"));
         assert!(lines.iter().any(|l| l == "nev_pool_workers 2"));
-        // Histogram counts reconcile with the counter they mirror.
+        // Histogram counts reconcile with the counter read off them.
         let plan_count: u64 = lines
             .iter()
             .filter_map(|l| l.strip_prefix("nev_request_latency_us_count{"))
@@ -391,6 +533,35 @@ mod tests {
             .map(|(_, v)| v.parse::<u64>().expect("count value"))
             .sum();
         assert_eq!(plan_count, 3);
+    }
+
+    #[test]
+    fn snapshot_reflects_bumps() {
+        let registry = MetricsRegistry::new(&["compiled", "oracle"], 0);
+        registry.bump(Counter::Requests);
+        registry.bump(Counter::Requests);
+        registry.add(Counter::Worlds, 7);
+        registry.observe_plan("oracle", 40);
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter(Counter::Requests), 2);
+        assert_eq!(snap.counter(Counter::Worlds), 7);
+        assert_eq!(snap.counter(Counter::Errors), 0);
+        assert_eq!(snap.plan_count("oracle"), 1);
+        assert_eq!(snap.plan_count("compiled"), 0);
+        assert_eq!(snap.plan_count("unknown"), 0);
+        assert_eq!(snap.evals(), snap.latency().count);
+    }
+
+    #[test]
+    fn counter_all_is_consistent_with_index_and_names() {
+        assert_eq!(Counter::ALL.len(), Counter::COUNT);
+        for (i, counter) in Counter::ALL.iter().enumerate() {
+            assert_eq!(counter.index(), i);
+        }
+        let mut names: Vec<&str> = Counter::ALL.iter().map(|c| c.name()).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), Counter::COUNT, "counter names are unique");
     }
 
     #[test]
@@ -410,18 +581,18 @@ mod tests {
         let latencies: Vec<u64> = slow.iter().map(|s| s.latency_us).collect();
         assert_eq!(latencies, vec![900, 500]);
         // The log renders as comment lines the validator accepts.
-        let text = registry.expose(&[], &[], &[]);
+        let text = registry.expose(&registry.snapshot(), &[], &[], &[]);
         validate_exposition(&lines(&text)).expect("slow log keeps grammar valid");
         assert!(text.contains("# slow_query latency_us=900"));
         // Reset empties the log without touching the latency histograms.
         registry.observe_plan("oracle", 77);
-        registry.reset_slow();
+        registry.reset();
         assert!(registry.slow_queries().is_empty());
-        assert_eq!(registry.request_totals().count, 1, "histograms survive");
+        assert_eq!(registry.snapshot().evals(), 1, "histograms survive");
     }
 
     #[test]
-    fn expose_with_splices_the_appendix_before_the_slow_log() {
+    fn window_gauges_precede_the_slow_log() {
         let registry = MetricsRegistry::new(&["oracle"], 2);
         registry.record_slow(SlowQuery {
             latency_us: 9,
@@ -431,17 +602,23 @@ mod tests {
             plan: "oracle".to_string(),
             stages: Vec::new(),
         });
-        let appendix = "# TYPE nev_window_evals gauge\nnev_window_evals{window=\"1s\"} 3\n";
-        let text = registry.expose_with(&[], &[], &[], appendix);
-        validate_exposition(&lines(&text)).expect("appendix keeps grammar valid");
-        let window_at = text.find("nev_window_evals{").expect("appendix rendered");
+        registry.observe_plan("oracle", 9);
+        let text = registry.expose(&registry.snapshot(), &[], &[], &[]);
+        validate_exposition(&lines(&text)).expect("window gauges keep grammar valid");
+        let window_at = text
+            .find("nev_window_evals{window=\"60s\"} 1")
+            .expect("window gauges rendered");
         let slow_at = text.find("# slow_query").expect("slow log rendered");
-        assert!(window_at < slow_at, "appendix precedes the slow-query log");
+        assert!(
+            window_at < slow_at,
+            "window gauges precede the slow-query log"
+        );
     }
 
     #[test]
     fn validator_rejects_malformed_expositions() {
-        let ok = MetricsRegistry::new(&[], 0).expose(&[], &[], &[]);
+        let empty = MetricsRegistry::new(&[], 0);
+        let ok = empty.expose(&empty.snapshot(), &[], &[], &[]);
         validate_exposition(&lines(&ok)).expect("empty registry exposes fine");
         assert!(
             validate_exposition(&lines("nev_x 1\n# EOF")).is_err(),

@@ -40,15 +40,11 @@ pub enum Stage {
     OracleWorlds,
     /// The symbolic sandwich approximation pass (`nev-symbolic`).
     Symbolic,
-    /// Worker-pool task wait: batch submission to task start.
-    QueueWait,
-    /// Worker-pool task run time.
-    TaskRun,
 }
 
 impl Stage {
     /// Number of stages in the taxonomy.
-    pub const COUNT: usize = 12;
+    pub const COUNT: usize = 10;
 
     /// Every stage, in declaration order (indexable by [`Stage::index`]).
     pub const ALL: [Stage; Stage::COUNT] = [
@@ -62,8 +58,6 @@ impl Stage {
         Stage::JoinProbe,
         Stage::OracleWorlds,
         Stage::Symbolic,
-        Stage::QueueWait,
-        Stage::TaskRun,
     ];
 
     /// Position in [`Stage::ALL`].
@@ -87,8 +81,6 @@ impl Stage {
             Stage::JoinProbe => "join_probe",
             Stage::OracleWorlds => "oracle_worlds",
             Stage::Symbolic => "symbolic",
-            Stage::QueueWait => "queue_wait",
-            Stage::TaskRun => "task_run",
         }
     }
 }

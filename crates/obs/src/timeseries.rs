@@ -1,10 +1,10 @@
 //! Windowed time-series telemetry: rates over trailing windows, not just
 //! counters-since-boot.
 //!
-//! A [`TimeSeries`] is a fixed-size ring of periodic [`WindowSample`]s — each
-//! a timestamped copy of the serving layer's monotone counters plus its
+//! A [`TimeSeries`] is a fixed-size ring of periodic [`MetricsSnapshot`]s —
+//! each a timestamped copy of the registry's monotone counters plus its
 //! per-dispatch-kind latency [`HistogramSnapshot`]s. Subtracting a ring
-//! sample from the current counters ([`TimeSeries::window`]) yields a
+//! snapshot from the current one ([`TimeSeries::window`]) yields a
 //! [`WindowDelta`]: exactly the traffic of the trailing window, from which
 //! QPS, error rate and interpolated p50/p95/p99 follow.
 //!
@@ -17,10 +17,9 @@
 //!   offers the ring simply holds its last samples; window arithmetic always
 //!   reports the *actual* elapsed span ([`WindowDelta::span_us`]), so rates
 //!   stay honest even under bursty sampling.
-//! * **no internal clock** — timestamps are supplied by the caller
-//!   (microseconds on any monotone clock, e.g.
-//!   [`crate::MetricsRegistry::uptime_us`]), which keeps the structure fully
-//!   deterministic under test.
+//! * **no internal clock** — timestamps are the snapshots' own
+//!   ([`MetricsSnapshot::at_us`], microseconds on any monotone clock), which
+//!   keeps the structure fully deterministic under test.
 //!
 //! Because every tracked quantity is a monotone counter, a window delta over
 //! the whole ring reconciles *exactly* with the lifetime counters — the
@@ -32,6 +31,7 @@ use std::collections::VecDeque;
 use std::sync::Mutex;
 
 use crate::hist::HistogramSnapshot;
+use crate::registry::{Counter, MetricsSnapshot};
 
 /// The trailing windows the serving layer reports, as `(label, span_us)`.
 pub const WINDOWS: [(&str, u64); 3] = [("1s", 1_000_000), ("10s", 10_000_000), ("60s", 60_000_000)];
@@ -43,34 +43,8 @@ pub const DEFAULT_SAMPLE_INTERVAL_US: u64 = 250_000;
 /// cover the longest [`WINDOWS`] entry with slack.
 pub const DEFAULT_SAMPLE_CAPACITY: usize = 256;
 
-/// One timestamped copy of the serving layer's monotone telemetry.
-#[derive(Clone, Debug, Default)]
-pub struct WindowSample {
-    /// Sample time, microseconds on the caller's monotone clock.
-    pub at_us: u64,
-    /// Lifetime wire requests at sample time (all commands).
-    pub requests: u64,
-    /// Lifetime evaluations at sample time.
-    pub evals: u64,
-    /// Lifetime request errors at sample time.
-    pub errors: u64,
-    /// Per-dispatch-kind request-latency snapshots at sample time.
-    pub plans: Vec<(&'static str, HistogramSnapshot)>,
-}
-
-impl WindowSample {
-    /// The request-latency snapshot merged across dispatch kinds.
-    pub fn latency(&self) -> HistogramSnapshot {
-        let mut merged = HistogramSnapshot::default();
-        for (_, snap) in &self.plans {
-            merged.merge(snap);
-        }
-        merged
-    }
-}
-
-/// The traffic of one trailing window: current counters minus a baseline
-/// sample.
+/// The traffic of one trailing window: the current snapshot minus a
+/// baseline snapshot.
 #[derive(Clone, Debug)]
 pub struct WindowDelta {
     /// Actual elapsed span between baseline and current sample, microseconds
@@ -79,7 +53,7 @@ pub struct WindowDelta {
     pub span_us: u64,
     /// Wire requests in the window.
     pub requests: u64,
-    /// Evaluations in the window.
+    /// Evaluations in the window: the per-plan window counts summed.
     pub evals: u64,
     /// Request errors in the window.
     pub errors: u64,
@@ -107,12 +81,13 @@ impl WindowDelta {
     }
 }
 
-/// A fixed-size ring of [`WindowSample`]s with lazy, rate-limited admission.
+/// A fixed-size ring of [`MetricsSnapshot`]s with lazy, rate-limited
+/// admission.
 #[derive(Debug)]
 pub struct TimeSeries {
     min_interval_us: u64,
     capacity: usize,
-    ring: Mutex<VecDeque<WindowSample>>,
+    ring: Mutex<VecDeque<MetricsSnapshot>>,
 }
 
 impl Default for TimeSeries {
@@ -142,8 +117,8 @@ impl TimeSeries {
         self.min_interval_us
     }
 
-    /// Whether a sample taken at `at_us` would be retained — the cheap guard
-    /// callers check before assembling a full [`WindowSample`].
+    /// Whether a snapshot taken at `at_us` would be retained — the cheap
+    /// guard callers check before taking a full [`MetricsSnapshot`].
     pub fn due(&self, at_us: u64) -> bool {
         let ring = self.ring.lock().expect("time-series ring poisoned");
         ring.back().map_or(true, |newest| {
@@ -154,7 +129,7 @@ impl TimeSeries {
     /// Offers a sample to the ring; it is kept iff it is [`TimeSeries::due`]
     /// (the oldest sample is evicted at capacity). Returns whether it was
     /// retained.
-    pub fn record(&self, sample: WindowSample) -> bool {
+    pub fn record(&self, sample: MetricsSnapshot) -> bool {
         let mut ring = self.ring.lock().expect("time-series ring poisoned");
         let due = ring.back().map_or(true, |newest| {
             sample.at_us.saturating_sub(newest.at_us) >= self.min_interval_us
@@ -180,9 +155,9 @@ impl TimeSeries {
     }
 
     /// Clears history and re-baselines at `baseline` (normally the current
-    /// counters): subsequent windows report traffic since the reset, while
+    /// snapshot): subsequent windows report traffic since the reset, while
     /// the lifetime counters themselves are untouched.
-    pub fn reset(&self, baseline: WindowSample) {
+    pub fn reset(&self, baseline: MetricsSnapshot) {
         let mut ring = self.ring.lock().expect("time-series ring poisoned");
         ring.clear();
         ring.push_back(baseline);
@@ -192,7 +167,7 @@ impl TimeSeries {
     /// the baseline is the youngest ring sample at least `window_us` old
     /// (falling back to the oldest sample on a young ring, and to zeroed
     /// counters at time 0 on an empty ring, i.e. "since boot").
-    pub fn window(&self, current: &WindowSample, window_us: u64) -> WindowDelta {
+    pub fn window(&self, current: &MetricsSnapshot, window_us: u64) -> WindowDelta {
         let ring = self.ring.lock().expect("time-series ring poisoned");
         let baseline = ring
             .iter()
@@ -215,18 +190,23 @@ impl TimeSeries {
                 (*label, snap.delta(&earlier))
             })
             .collect();
+        let counter_delta = |counter| {
+            current
+                .counter(counter)
+                .saturating_sub(baseline.counter(counter))
+        };
         WindowDelta {
             span_us: current.at_us.saturating_sub(baseline.at_us),
-            requests: current.requests.saturating_sub(baseline.requests),
-            evals: current.evals.saturating_sub(baseline.evals),
-            errors: current.errors.saturating_sub(baseline.errors),
+            requests: counter_delta(Counter::Requests),
+            evals: plans.iter().map(|(_, snap)| snap.count).sum(),
+            errors: counter_delta(Counter::Errors),
             latency: current.latency().delta(&baseline.latency()),
             plans,
         }
     }
 
     /// Every standard trailing window ([`WINDOWS`]) ending at `current`.
-    pub fn windows(&self, current: &WindowSample) -> Vec<(&'static str, WindowDelta)> {
+    pub fn windows(&self, current: &MetricsSnapshot) -> Vec<(&'static str, WindowDelta)> {
         WINDOWS
             .iter()
             .map(|&(label, span)| (label, self.window(current, span)))
@@ -236,8 +216,8 @@ impl TimeSeries {
 
 /// Renders the standard windows as exposition gauge lines (one `# TYPE` per
 /// metric name, all values `u64` — QPS is left to readers as
-/// `evals / span_us`, keeping the grammar integral). The output slots into
-/// [`crate::MetricsRegistry::expose_with`] and stays
+/// `evals / span_us`, keeping the grammar integral). The output is part of
+/// [`crate::MetricsRegistry::expose`] and stays
 /// [`crate::validate_exposition`]-clean.
 pub fn render_window_gauges(windows: &[(&str, WindowDelta)], out: &mut String) {
     use std::fmt::Write;
@@ -283,16 +263,17 @@ mod tests {
     use super::*;
     use crate::hist::Histogram;
 
-    fn sample(at_us: u64, evals: u64) -> WindowSample {
+    fn sample(at_us: u64, evals: u64) -> MetricsSnapshot {
         let hist = Histogram::new();
         for i in 0..evals {
             hist.record(10 + i);
         }
-        WindowSample {
+        let mut counters = [0; Counter::COUNT];
+        counters[Counter::Requests.index()] = evals * 2;
+        counters[Counter::Errors.index()] = evals / 4;
+        MetricsSnapshot {
             at_us,
-            requests: evals * 2,
-            evals,
-            errors: evals / 4,
+            counters,
             plans: vec![("compiled", hist.snapshot())],
         }
     }

@@ -15,8 +15,8 @@
 //! server (nevd accept loop, one thread per connection)
 //!   └──► state    (ServeState: LOAD/PREPARE/EVAL/EXPLAIN/TRACE/PROFILE/
 //!         │        STATS/TOP/METRICS handlers rendering the engine's one
-//!         │        Figure 1 dispatch, grouped batch evaluation over
-//!         │        evaluate_all)
+//!         │        Figure 1 dispatch and one nev-obs MetricsRegistry
+//!         │        snapshot, grouped batch evaluation over evaluate_all)
 //!         ├──► catalog  (named Arc<Instance> snapshots, copy-on-write swaps)
 //!         ├──► cache    (LRU of Arc<PreparedQuery> holding the nev-opt
 //!         │              optimised plan, keyed on the canonical rendering,
@@ -25,39 +25,44 @@
 //!         │              stream chunked across the pool, early-exit
 //!         │              cancellation; verdicts ≡ sequential)
 //!         ├──► pool     (re-export of nev_runtime::WorkerPool: work-stealing
-//!         │              deques, caller-helps, deterministic maps — shared by
-//!         │              request batches and oracle chunks)
-//!         ├──► stats    (relaxed atomic counters behind STATS)
+//!         │              deques, caller-helps, deterministic maps — serving
+//!         │              oracle chunks)
 //!         └──► wire     (line-protocol grammar, canonical rendering)
 //! client (blocking protocol client, seeded load generator, self-check)
 //! ```
 //!
 //! Observability rides on the **`nev-obs`** crate at the bottom of the
-//! workspace DAG: every `EVAL` runs under a [`nev_obs::TraceRecorder`] whose
-//! per-stage spans feed a [`nev_obs::MetricsRegistry`] on the state — per-plan
-//! request-latency histograms (reconciling exactly with the `evals` counter),
-//! per-stage latency histograms, the pool's queue-wait/run split, and a
-//! bounded top-K slow-query log. `TRACE` answers one request's stage timeline
-//! as a one-liner; `PROFILE` runs one real evaluation and annotates every
-//! executed operator of a compiled plan with wall time, output rows and the
-//! `nev-opt` cost model's estimate; `METRICS` emits the whole registry — plus
-//! trailing-window `nev_window_*` gauges off a lazily-sampled
-//! [`nev_obs::TimeSeries`] — as a Prometheus-style exposition (the protocol's
-//! sole multi-line response, terminated by `# EOF`); `TOP` condenses the
-//! windowed rates into one line for `nevtop`; `METRICS RESET` re-baselines
-//! the windows and empties the slow log without touching lifetime counters;
-//! and `STATS` carries an `uptime_us=`/`p50_us=`/`p95_us=`/`p99_us=` digest.
+//! workspace DAG. The state's one telemetry store is a
+//! [`nev_obs::MetricsRegistry`]: the independent [`nev_obs::Counter`]
+//! tallies, per-plan request-latency histograms, per-stage latency
+//! histograms fed by the [`nev_obs::TraceRecorder`] every `EVAL` runs under,
+//! a bounded top-K slow-query log, and a lazily-sampled
+//! [`nev_obs::TimeSeries`] ring. `STATS`, `TOP` and `METRICS` each render
+//! one [`nev_obs::MetricsSnapshot`] of it, and `evals` and the dispatch
+//! counters (`certified`, `compiled`, `normalized_upgrades`, `symbolic`,
+//! `oracle`) are the per-plan histogram counts of that snapshot, so the three
+//! commands agree by construction. `TRACE` answers one request's stage
+//! timeline as a one-liner; `PROFILE` runs one real evaluation and annotates
+//! every executed operator of a compiled plan with wall time, output rows and
+//! the `nev-opt` cost model's estimate; `METRICS` emits the whole registry,
+//! the pool's queue-wait/run split and the trailing-window `nev_window_*`
+//! gauges as a Prometheus-style exposition (the protocol's sole multi-line
+//! response, terminated by `# EOF`); `TOP` condenses the windowed rates into
+//! one line for `nevtop`; `METRICS RESET` re-baselines the windows and
+//! empties the slow log without touching lifetime counters; and `STATS`
+//! carries an `uptime_us=`/`p50_us=`/`p95_us=`/`p99_us=` digest.
 //! Setting `NEV_TRACE=0` disables span collection; request latencies, served
 //! bytes and all results are identical either way (`PROFILE` times on its own
 //! explicit-request clock, exempt from the kill switch).
 //!
 //! The pool itself lives in the **`nev-runtime`** crate, below `nev-core` in
-//! the dependency order, so the engine's chunked oracle runs on the *same*
-//! threads that serve requests: one `ServeState` holds one `Arc<WorkerPool>`,
-//! hands it to its engine ([`nev_core::engine::CertainEngine::with_pool`]),
-//! and sizes it from [`ServeConfig::workers`] (defaulting to the
-//! `NEV_WORKERS` environment variable via [`env_workers`]). Certified naïve
-//! passes run sequentially on the thread serving the request.
+//! the dependency order, so the engine's chunked oracle can run on it: one
+//! `ServeState` holds one `Arc<WorkerPool>`, hands it to its engine
+//! ([`nev_core::engine::CertainEngine::with_pool`]), and sizes it from
+//! [`ServeConfig::workers`] (defaulting to the `NEV_WORKERS` environment
+//! variable via [`env_workers`]). Everything else — certified naïve passes,
+//! the symbolic ladder, batch groups — runs sequentially on the thread
+//! serving the request.
 //!
 //! Correctness invariants, each backed by a test suite:
 //!
@@ -84,7 +89,6 @@ pub mod oracle;
 pub mod pool;
 pub mod server;
 pub mod state;
-pub mod stats;
 pub mod wire;
 
 pub use cache::PlanCache;
@@ -98,7 +102,6 @@ pub use state::{
     EvalRequest, EvalResponse, PlanKind, ServeConfig, ServeError, ServeState, PLAN_LABELS,
     SLOW_LOG_CAPACITY,
 };
-pub use stats::{ServeStats, StatsSnapshot};
 
 #[cfg(test)]
 mod thread_safety {
@@ -115,7 +118,6 @@ mod thread_safety {
         require_send_sync::<PlanCache>();
         require_send_sync::<WorkerPool>();
         require_send_sync::<ServeState>();
-        require_send_sync::<ServeStats>();
         require_send_sync::<OracleOutcome>();
         require_send_sync::<EvalResponse>();
     }

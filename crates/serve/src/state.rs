@@ -17,12 +17,13 @@
 //!   world stream chunked across the pool with early-exit cancellation);
 //! * [`ServeState::eval_batch`] — many requests: requests are grouped by (instance,
 //!   semantics), each group's distinct queries are folded into **one shared world
-//!   pass** (`CertainEngine::evaluate_all`), and the groups run in parallel across
-//!   the pool. Repeated queries hit the plan cache and duplicate (query, instance,
+//!   pass** (`CertainEngine::evaluate_all`), and the groups run one after another.
+//!   Repeated queries hit the plan cache and duplicate (query, instance,
 //!   semantics) triples are answered by a single evaluation.
 //!
-//! Both paths bump the `STATS` dispatch counters from the returned evaluations
-//! through one function.
+//! Both paths record each answered request through one function into the
+//! state's one telemetry store, the [`MetricsRegistry`]; `STATS`, `TOP` and
+//! `METRICS` each render one [`MetricsSnapshot`] of it.
 
 use std::collections::BTreeSet;
 use std::collections::HashMap;
@@ -35,16 +36,14 @@ use nev_core::engine::{
 };
 use nev_core::{Semantics, Snapshot, WorldBounds};
 use nev_incomplete::{Instance, Tuple};
-use nev_obs::timeseries::render_window_gauges;
 use nev_obs::{
-    MetricsRegistry, SlowQuery, Stage, TimeSeries, Timer, Trace, TraceRecorder, WindowSample,
+    Counter, MetricsRegistry, MetricsSnapshot, SlowQuery, Stage, Timer, Trace, TraceRecorder,
 };
 use nev_runtime::env_workers;
 
 use crate::cache::{CachedPlan, PlanCache};
 use crate::catalog::Catalog;
 use crate::pool::WorkerPool;
-use crate::stats::{ServeStats, StatsSnapshot};
 use crate::wire::{self, Command};
 
 /// Configuration of a service instance.
@@ -62,8 +61,7 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             // Thread counts are configured in exactly one place: NEV_WORKERS
-            // (when set) sizes the shared pool for the request path and the
-            // parallel oracle alike.
+            // (when set) sizes the pool the parallel oracle runs on.
             workers: env_workers().unwrap_or(4),
             cache_capacity: 256,
             bounds: WorldBounds::default(),
@@ -187,15 +185,12 @@ pub struct ServeState {
     catalog: Catalog,
     cache: PlanCache,
     pool: Arc<WorkerPool>,
-    stats: ServeStats,
     metrics: MetricsRegistry,
-    series: TimeSeries,
 }
 
 impl ServeState {
-    /// Builds a service from its configuration. The worker pool is **shared**:
-    /// the same threads serve batched requests and parallel-oracle world
-    /// chunks (the engine holds an `Arc` of the pool).
+    /// Builds a service from its configuration. The worker pool runs the
+    /// parallel oracle's world chunks (the engine holds an `Arc` of it).
     pub fn new(config: ServeConfig) -> Self {
         let pool = Arc::new(WorkerPool::new(config.workers));
         let engine = CertainEngine::with_bounds(config.bounds).with_pool(Arc::clone(&pool));
@@ -204,9 +199,7 @@ impl ServeState {
             catalog: Catalog::new(),
             cache: PlanCache::new(config.cache_capacity),
             pool,
-            stats: ServeStats::new(),
             metrics: MetricsRegistry::new(PLAN_LABELS, SLOW_LOG_CAPACITY),
-            series: TimeSeries::new(),
         }
     }
 
@@ -230,55 +223,22 @@ impl ServeState {
         &self.engine
     }
 
-    /// The service counters.
-    pub fn stats(&self) -> &ServeStats {
-        &self.stats
-    }
-
-    /// The latency/trace metrics registry behind `METRICS` and the `STATS`
-    /// percentile tokens.
+    /// The service's one telemetry store: counters, latency histograms,
+    /// slow-query log and time-series ring behind `STATS`, `TOP` and
+    /// `METRICS`.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
     }
 
-    /// The windowed time-series ring behind `TOP` and the `nev_window_*`
-    /// gauges of `METRICS`.
-    pub fn series(&self) -> &TimeSeries {
-        &self.series
-    }
-
-    /// The current monotone telemetry as a [`WindowSample`] — the "now" end
-    /// of every trailing-window subtraction, timestamped on the metrics
-    /// registry's uptime clock.
-    pub fn window_sample(&self) -> WindowSample {
-        let snap = self.stats.snapshot();
-        WindowSample {
-            at_us: self.metrics.uptime_us(),
-            requests: snap.requests,
-            evals: snap.evals,
-            errors: snap.errors,
-            plans: self.metrics.plan_snapshots(),
-        }
-    }
-
-    /// Lazy sampling on the request path: offers the current counters to the
-    /// time-series ring when the previous sample is old enough. Cheap when
-    /// not due (one lock, one clock read).
-    fn maybe_sample(&self) {
-        if self.series.due(self.metrics.uptime_us()) {
-            self.series.record(self.window_sample());
-        }
-    }
-
     /// Registers (or replaces) a named instance; returns `true` on replacement.
     pub fn load(&self, name: impl Into<String>, instance: Instance) -> bool {
-        ServeStats::bump(&self.stats.loads);
+        self.metrics.bump(Counter::Loads);
         self.catalog.register(name, instance).is_some()
     }
 
     /// Parses, classifies and compiles a query into the plan cache.
     pub fn prepare(&self, text: &str) -> Result<Arc<PreparedQuery>, ServeError> {
-        ServeStats::bump(&self.stats.prepares);
+        self.metrics.bump(Counter::Prepares);
         Ok(self.cache.prepare_all(text)?)
     }
 
@@ -287,7 +247,7 @@ impl ServeState {
     /// `options` traces — and runs the engine's Figure 1 dispatch on the
     /// catalog entry, whose interned form and core bit every request on the
     /// same version shares. Every request handler evaluates through this; it
-    /// counts nothing in `STATS` itself.
+    /// counts nothing itself.
     pub fn dispatch(
         &self,
         name: &str,
@@ -327,9 +287,8 @@ impl ServeState {
         Ok((plan, evaluation))
     }
 
-    /// One evaluating request (`EVAL`, `TRACE`, `PROFILE`): the dispatch, its
-    /// `STATS` counters, and one sample in the per-plan latency histogram, so
-    /// histogram counts reconcile with `evals`. Returns the latency too.
+    /// One evaluating request (`EVAL`, `TRACE`, `PROFILE`): the dispatch and
+    /// its [`ServeState::record`]. Returns the latency too.
     fn evaluate(
         &self,
         name: &str,
@@ -339,11 +298,8 @@ impl ServeState {
     ) -> Result<(CachedPlan, Evaluation, u64), ServeError> {
         let total = Timer::start_always();
         let (plan, evaluation) = self.dispatch(name, semantics, query_text, options)?;
-        self.record(&plan.prepared, &evaluation);
-        ServeStats::add(&self.stats.worlds, evaluation.worlds_enumerated as u64);
-        ServeStats::bump(&self.stats.evals);
         let latency = total.elapsed_us();
-        self.metrics.observe_plan(evaluation.plan.label(), latency);
+        self.record(&plan.prepared, &evaluation, latency);
         Ok((plan, evaluation, latency))
     }
 
@@ -366,7 +322,7 @@ impl ServeState {
             &DispatchOptions::STOP_BEFORE_ORACLE,
         )?;
         let dispatch = evaluation.plan.kind();
-        ServeStats::bump(&self.stats.explains);
+        self.metrics.bump(Counter::Explains);
         Ok(match plan.prepared.compiled() {
             Some(compiled) => format!("dispatch={dispatch} {}", compiled.explain_compact()),
             None => format!(
@@ -418,9 +374,9 @@ impl ServeState {
             .map(ToString::to_string)
             .collect::<Vec<_>>()
             .join(",");
-        ServeStats::bump(&self.stats.analyzed);
+        self.metrics.bump(Counter::Analyzed);
         if analysis.static_truth().is_some() {
-            ServeStats::bump(&self.stats.static_prunes);
+            self.metrics.bump(Counter::StaticPrunes);
         }
         Ok(format!(
             "analysis fragment={} normalized_fragment={} steps={} widened={} dispatch={dispatch} \
@@ -452,8 +408,8 @@ impl ServeState {
     /// plan-cache probe (with parse/classify/compile replayed as children on a
     /// miss), the engine's exec pass, the symbolic probe, and the parallel
     /// oracle — and is also what feeds the metrics registry: the per-plan
-    /// latency histogram records exactly once per successful request, so
-    /// histogram counts reconcile with the `evals` counter; the per-stage
+    /// latency histogram records exactly once per successful request (its
+    /// counts are the `evals` and dispatch counters); the per-stage
     /// histograms and the slow-query log absorb the finished trace.
     pub fn eval_with_trace(
         &self,
@@ -523,40 +479,34 @@ impl ServeState {
         })
     }
 
-    /// Bumps the `STATS` dispatch counters for one evaluation — shared by the
-    /// solo and batch paths. World counts are the caller's: a batch's shared
-    /// pass is counted once, not once per query drawing on it.
-    fn record(&self, prepared: &PreparedQuery, evaluation: &Evaluation) {
-        let stats = &self.stats;
+    /// Records one answered evaluating request — shared by the solo and
+    /// batch paths: the tallies that are not plan kinds, the worlds its
+    /// evaluation drew on, and last its latency under its plan label. The
+    /// per-plan histogram counts *are* the `evals` and dispatch counters, so
+    /// a request shows in them only once everything else about it has been
+    /// counted.
+    fn record(&self, prepared: &PreparedQuery, evaluation: &Evaluation, latency_us: u64) {
+        let metrics = &self.metrics;
         if prepared.analysis().static_truth().is_some() {
             // The normal form is ⊤/⊥: whatever the dispatch, the exec layer's
             // empty-annihilation rules answer without scanning data.
-            ServeStats::bump(&stats.static_prunes);
+            metrics.bump(Counter::StaticPrunes);
         }
-        let counter = match evaluation.plan.kind() {
-            PlanKind::Compiled => {
-                ServeStats::bump(&stats.compiled);
-                &stats.certified
-            }
-            PlanKind::Certified => &stats.certified,
-            PlanKind::Normalized => &stats.normalized_upgrades,
-            PlanKind::Symbolic => &stats.symbolic,
-            PlanKind::Oracle => &stats.oracle,
-        };
-        ServeStats::bump(counter);
         if evaluation
             .plan
             .symbolic_certificate()
             .is_some_and(|c| c.technique == SymbolicTechnique::Sandwich)
         {
-            ServeStats::bump(&stats.sandwich_exact);
+            metrics.bump(Counter::SandwichExact);
         }
         if evaluation.exited_early() {
-            ServeStats::bump(&stats.oracle_cancelled);
+            metrics.bump(Counter::OracleCancelled);
         }
         if evaluation.truncated {
-            ServeStats::bump(&stats.truncated);
+            metrics.bump(Counter::Truncated);
         }
+        metrics.add(Counter::Worlds, evaluation.worlds_enumerated as u64);
+        metrics.observe_plan(evaluation.plan.label(), latency_us);
     }
 
     /// Answers a batch of `EVAL` requests, amortising across them:
@@ -564,13 +514,15 @@ impl ServeState {
     /// * the plan cache prepares each distinct query text once;
     /// * requests are grouped by (instance, semantics) and each group's distinct
     ///   queries share **one** bounded world pass (`CertainEngine::evaluate_all`);
-    /// * groups execute in parallel on the worker pool.
+    /// * groups run one after another on the calling thread.
     ///
-    /// Responses come back in request order. Note the engine's documented batching
-    /// caveat: the shared pass runs under the union of the group's query constants,
-    /// so a request's answer coincides with its solo [`ServeState::eval`] answer
-    /// whenever the grouped queries mention the same constants (in particular, no
-    /// constants at all) or the world cap does not truncate.
+    /// Responses come back in request order, and each answered request is
+    /// recorded like a solo one, with its group's pass time as its latency.
+    /// Note the engine's documented batching caveat: the shared pass runs under
+    /// the union of the group's query constants, so a request's answer coincides
+    /// with its solo [`ServeState::eval`] answer whenever the grouped queries
+    /// mention the same constants (in particular, no constants at all) or the
+    /// world cap does not truncate.
     pub fn eval_batch(&self, requests: &[EvalRequest]) -> Vec<Result<EvalResponse, ServeError>> {
         // Resolve instances + plans up front: each request becomes a (group,
         // query-in-group) slot, each group one (instance, semantics) pair with
@@ -607,31 +559,13 @@ impl ServeState {
             })
             .collect();
 
-        // One pool task per group: a single shared world pass for its queries.
-        let engine = self.engine.clone();
-        let batch_results = self
-            .pool
-            .run(groups, move |_, (snapshot, semantics, queries)| {
-                let group_timer = Timer::start_always();
-                let batch = engine.evaluate_all(&snapshot, semantics, &queries);
-                (queries, batch, group_timer.elapsed_us())
-            });
-
-        // Telemetry parity with the solo path: per evaluation actually performed
-        // (one per unique query of each group), plus the shared-pass world counts.
-        let responses: Vec<(Vec<EvalResponse>, u64)> = batch_results
-            .into_iter()
-            .map(|(queries, batch, group_us)| {
-                ServeStats::add(&self.stats.worlds, batch.worlds_enumerated as u64);
-                let group = queries
-                    .iter()
-                    .zip(batch.results)
-                    .map(|(query, evaluation)| {
-                        self.record(query, &evaluation);
-                        EvalResponse::of(evaluation)
-                    })
-                    .collect();
-                (group, group_us)
+        // One shared world pass per group.
+        let passes: Vec<(Vec<Evaluation>, u64)> = groups
+            .iter()
+            .map(|(snapshot, semantics, queries)| {
+                let timer = Timer::start_always();
+                let batch = self.engine.evaluate_all(snapshot, *semantics, queries);
+                (batch.results, timer.elapsed_us())
             })
             .collect();
 
@@ -639,67 +573,101 @@ impl ServeState {
             .into_iter()
             .map(|slot| match slot {
                 Ok((gi, qi)) => {
-                    ServeStats::bump(&self.stats.evals);
-                    let response = responses[gi].0[qi].clone();
-                    // One histogram sample per answered request, so histogram
-                    // counts stay reconcilable with `evals`. Batched requests
-                    // are attributed their group's shared-pass wall time (the
-                    // latency the slowest request of the group experienced).
-                    self.metrics
-                        .observe_plan(response.plan.label(), responses[gi].1);
-                    Ok(response)
+                    let evaluation = &passes[gi].0[qi];
+                    self.record(&groups[gi].2[qi], evaluation, passes[gi].1);
+                    Ok(EvalResponse::of(evaluation.clone()))
                 }
                 Err(e) => {
-                    ServeStats::bump(&self.stats.errors);
+                    self.metrics.bump(Counter::Errors);
                     Err(e)
                 }
             })
             .collect()
     }
 
-    /// The `STATS` counters (the cache/catalog gauges are appended by
-    /// [`ServeState::render_stats`]).
-    pub fn snapshot(&self) -> StatsSnapshot {
-        self.stats.snapshot()
+    /// The counters `STATS` and `METRICS` report, in wire order, read off
+    /// one snapshot: the registry's tallies, the dispatch counters derived
+    /// from its per-plan histogram counts (so `evals` is always the sum of
+    /// `certified`, `normalized_upgrades`, `symbolic` and `oracle`), and the
+    /// plan cache's own hit/miss/eviction counts.
+    fn counters(&self, snap: &MetricsSnapshot) -> [(&'static str, u64); 20] {
+        let counter = |c: Counter| (c.name(), snap.counter(c));
+        let plan = |kind: PlanKind| snap.plan_count(kind.label());
+        [
+            counter(Counter::Requests),
+            counter(Counter::Loads),
+            counter(Counter::Prepares),
+            ("evals", snap.evals()),
+            counter(Counter::Explains),
+            counter(Counter::Errors),
+            (
+                "certified",
+                plan(PlanKind::Compiled) + plan(PlanKind::Certified),
+            ),
+            ("compiled", plan(PlanKind::Compiled)),
+            ("oracle", plan(PlanKind::Oracle)),
+            counter(Counter::Worlds),
+            counter(Counter::OracleCancelled),
+            ("symbolic", plan(PlanKind::Symbolic)),
+            counter(Counter::SandwichExact),
+            counter(Counter::Truncated),
+            counter(Counter::Analyzed),
+            ("normalized_upgrades", plan(PlanKind::Normalized)),
+            counter(Counter::StaticPrunes),
+            ("cache_hits", self.cache.hits()),
+            ("cache_misses", self.cache.misses()),
+            ("cache_evictions", self.cache.evictions()),
+        ]
     }
 
-    /// The canonical `STATS` payload: the counter block, the cache/catalog/pool
+    /// The cache, catalog and pool gauges `STATS` and `METRICS` report.
+    fn gauges(&self) -> [(&'static str, u64); 3] {
+        [
+            ("cache_entries", self.cache.len() as u64),
+            ("instances", self.catalog.len() as u64),
+            ("pool_workers", self.pool.workers() as u64),
+        ]
+    }
+
+    /// The canonical `STATS` payload, from one snapshot: the counters, the
     /// gauges, and the request-latency digest (`uptime_us=` / `p50_us=` /
     /// `p95_us=` / `p99_us=` over all dispatch kinds; zeros before the first
     /// `EVAL`).
     pub fn render_stats(&self) -> String {
-        let latency = self.metrics.request_totals();
-        format!(
-            "{} cache_hits={} cache_misses={} cache_evictions={} cache_entries={} \
-             instances={} pool_workers={} uptime_us={} p50_us={} p95_us={} p99_us={}",
-            self.stats.snapshot(),
-            self.cache.hits(),
-            self.cache.misses(),
-            self.cache.evictions(),
-            self.cache.len(),
-            self.catalog.len(),
-            self.pool.workers(),
-            self.metrics.uptime_us(),
-            latency.p50(),
-            latency.p95(),
-            latency.p99()
-        )
+        let snap = self.metrics.snapshot();
+        let latency = snap.latency();
+        let digest = [
+            ("uptime_us", snap.at_us),
+            ("p50_us", latency.p50()),
+            ("p95_us", latency.p95()),
+            ("p99_us", latency.p99()),
+        ];
+        self.counters(&snap)
+            .iter()
+            .chain(&self.gauges())
+            .chain(&digest)
+            .map(|(name, value)| format!("{name}={value}"))
+            .collect::<Vec<_>>()
+            .join(" ")
     }
 
-    /// The `TOP` one-liner: lifetime totals plus, per trailing window
-    /// ([`nev_obs::WINDOWS`]), eval throughput, error rate and interpolated
-    /// latency percentiles — everything `nevtop` needs for its header in one
-    /// cheap request. Rates are computed against the window's **actual**
-    /// elapsed span, so a young server reports honest since-boot rates.
+    /// The `TOP` one-liner, from one snapshot: lifetime totals plus, per
+    /// trailing window ([`nev_obs::WINDOWS`]), eval throughput, error rate and
+    /// interpolated latency percentiles — everything `nevtop` needs for its
+    /// header in one cheap request. Rates are computed against the window's
+    /// **actual** elapsed span, so a young server reports honest since-boot
+    /// rates.
     pub fn render_top(&self) -> String {
         use std::fmt::Write;
-        let current = self.window_sample();
-        let windows = self.series.windows(&current);
+        let snap = self.metrics.snapshot();
         let mut out = format!(
             "top uptime_us={} requests={} evals={} errors={}",
-            current.at_us, current.requests, current.evals, current.errors
+            snap.at_us,
+            snap.counter(Counter::Requests),
+            snap.evals(),
+            snap.counter(Counter::Errors)
         );
-        for (label, delta) in &windows {
+        for (label, delta) in &self.metrics.series().windows(&snap) {
             let _ = write!(
                 out,
                 " qps_{label}={:.2} err_{label}={:.4} p50_us_{label}={} p95_us_{label}={} p99_us_{label}={}",
@@ -713,76 +681,37 @@ impl ServeState {
         out
     }
 
-    /// The `METRICS RESET` action: empties the slow-query log and re-baselines
-    /// the time-series ring at the current counters, so trailing windows
-    /// restart from zero. Lifetime counters and histograms are deliberately
-    /// untouched — every reconciliation invariant (per-plan histogram counts
-    /// summing to `evals`) survives a reset.
-    pub fn metrics_reset(&self) {
-        self.metrics.reset_slow();
-        self.series.reset(self.window_sample());
-    }
-
-    /// The full `METRICS` exposition: every `STATS` counter and gauge, the
-    /// per-plan request-latency and per-stage histograms, the worker pool's
-    /// queue-wait/run split, the trailing-window `nev_window_*` gauges, and
-    /// the slow-query log — Prometheus-style text ending with a `# EOF` line
-    /// (see [`nev_obs::validate_exposition`]).
+    /// The full `METRICS` exposition of one snapshot: every `STATS` counter
+    /// and gauge, the per-plan request-latency and per-stage histograms, the
+    /// worker pool's queue-wait/run split, the trailing-window `nev_window_*`
+    /// gauges, and the slow-query log — Prometheus-style text ending with a
+    /// `# EOF` line (see [`nev_obs::validate_exposition`]).
     pub fn render_metrics(&self) -> String {
-        let snap = self.snapshot();
-        let counters = [
-            ("requests", snap.requests),
-            ("loads", snap.loads),
-            ("prepares", snap.prepares),
-            ("evals", snap.evals),
-            ("explains", snap.explains),
-            ("errors", snap.errors),
-            ("certified", snap.certified),
-            ("compiled", snap.compiled),
-            ("oracle", snap.oracle),
-            ("worlds", snap.worlds),
-            ("oracle_cancelled", snap.oracle_cancelled),
-            ("symbolic", snap.symbolic),
-            ("sandwich_exact", snap.sandwich_exact),
-            ("truncated", snap.truncated),
-            ("analyzed", snap.analyzed),
-            ("normalized_upgrades", snap.normalized_upgrades),
-            ("static_prunes", snap.static_prunes),
-            ("cache_hits", self.cache.hits()),
-            ("cache_misses", self.cache.misses()),
-            ("cache_evictions", self.cache.evictions()),
-        ];
-        let gauges = [
-            ("cache_entries", self.cache.len() as u64),
-            ("instances", self.catalog.len() as u64),
-            ("pool_workers", self.pool.workers() as u64),
-        ];
+        let snap = self.metrics.snapshot();
         let pool = self.pool.metrics();
         let extra = [
             ("pool_queue_wait_us", pool.queue_wait.snapshot()),
             ("pool_task_run_us", pool.task_run.snapshot()),
         ];
-        let mut appendix = String::new();
-        render_window_gauges(&self.series.windows(&self.window_sample()), &mut appendix);
         self.metrics
-            .expose_with(&counters, &gauges, &extra, &appendix)
+            .expose(&snap, &self.counters(&snap), &self.gauges(), &extra)
     }
 
     /// Handles one protocol line, returning the response line (always exactly one
     /// line, `OK …` or `ERR …`). `QUIT` returns `OK bye`; closing the connection is
     /// the server loop's business.
     pub fn handle_line(&self, line: &str) -> String {
-        ServeStats::bump(&self.stats.requests);
+        self.metrics.bump(Counter::Requests);
         let response = match self.handle_command(line) {
             Ok(payload) => format!("OK {payload}"),
             Err(e) => {
-                ServeStats::bump(&self.stats.errors);
+                self.metrics.bump(Counter::Errors);
                 format!("ERR {e}")
             }
         };
         // Lazy time-series sampling rides the request path (no ticker
         // thread): after the command so the sample sees its effects.
-        self.maybe_sample();
+        self.metrics.sample_if_due();
         response
     }
 
@@ -870,7 +799,7 @@ impl ServeState {
                 Ok(format!("metrics\n{}", self.render_metrics().trim_end()))
             }
             Command::MetricsReset => {
-                self.metrics_reset();
+                self.metrics.reset();
                 Ok("metrics reset".to_string())
             }
             Command::Top => Ok(self.render_top()),
@@ -890,6 +819,17 @@ mod tests {
             workers,
             ..ServeConfig::default()
         })
+    }
+
+    /// One `STATS` counter, read the way `STATS` reads it.
+    fn stat(state: &ServeState, name: &str) -> u64 {
+        let snap = state.metrics().snapshot();
+        state
+            .counters(&snap)
+            .iter()
+            .find(|(counter, _)| *counter == name)
+            .map(|(_, value)| *value)
+            .expect("a STATS counter")
     }
 
     fn d0() -> Instance {
@@ -912,11 +852,10 @@ mod tests {
             assert_eq!(served.certain, reference.certain, "{text}");
             assert_eq!(served.plan, reference.plan.kind(), "{text}");
         }
-        let snap = state.snapshot();
-        assert_eq!(snap.evals, 3);
-        assert_eq!(snap.certified, 1);
-        assert_eq!(snap.oracle, 2);
-        assert!(snap.worlds > 0);
+        assert_eq!(stat(&state, "evals"), 3);
+        assert_eq!(stat(&state, "certified"), 1);
+        assert_eq!(stat(&state, "oracle"), 2);
+        assert!(stat(&state, "worlds") > 0);
     }
 
     #[test]
@@ -934,7 +873,7 @@ mod tests {
         assert!(state
             .handle_line("EVAL d0 owa exists u . D(u")
             .starts_with("ERR"));
-        assert_eq!(state.snapshot().errors, 2);
+        assert_eq!(stat(&state, "errors"), 2);
     }
 
     #[test]
@@ -982,8 +921,8 @@ mod tests {
         assert!(state
             .handle_line("EXPLAIN nope owa exists u . D(u, u)")
             .starts_with("ERR unknown instance"));
-        assert_eq!(state.snapshot().explains, 2);
-        assert_eq!(state.snapshot().evals, 0, "EXPLAIN executes nothing");
+        assert_eq!(stat(&state, "explains"), 2);
+        assert_eq!(stat(&state, "evals"), 0, "EXPLAIN executes nothing");
         // EXPLAIN warms the same plan cache EVAL uses.
         state.handle_line("EVAL d0 cwa exists u v . D(u, v)");
         assert!(state.cache().hits() >= 1);
@@ -1133,11 +1072,18 @@ mod tests {
         assert_eq!(eval, "OK plan=symbolic certain={}");
         let explain = state.handle_line("EXPLAIN chain owa forall u . exists v . R(u, v)");
         assert!(explain.starts_with("OK dispatch=symbolic"), "{explain}");
-        let snap = state.snapshot();
-        assert_eq!(snap.symbolic, 1, "EXPLAIN probes but does not evaluate");
-        assert_eq!(snap.sandwich_exact, 1);
-        assert_eq!(snap.oracle, 0);
-        assert_eq!(snap.worlds, 0, "the oracle was retired for this request");
+        assert_eq!(
+            stat(&state, "symbolic"),
+            1,
+            "EXPLAIN probes but does not evaluate"
+        );
+        assert_eq!(stat(&state, "sandwich_exact"), 1);
+        assert_eq!(stat(&state, "oracle"), 0);
+        assert_eq!(
+            stat(&state, "worlds"),
+            0,
+            "the oracle was retired for this request"
+        );
         let stats = state.handle_line("STATS");
         assert!(stats.contains("symbolic=1"), "{stats}");
         assert!(stats.contains("sandwich_exact=1"), "{stats}");
@@ -1160,18 +1106,16 @@ mod tests {
         assert!(line.contains("diagnostics=[widened(FO→∃Pos)]"), "{line}");
         assert!(!line.contains('\n'), "ANALYZE is a one-liner: {line}");
         // ANALYZE executed nothing, but it counted.
-        let snap = state.snapshot();
-        assert_eq!(snap.analyzed, 1);
-        assert_eq!(snap.evals, 0);
+        assert_eq!(stat(&state, "analyzed"), 1);
+        assert_eq!(stat(&state, "evals"), 0);
         // EVAL on the same query answers by the certified normalized pass —
         // byte-identical to the raw ∃Pos query's answer, zero worlds.
         let eval = state.handle_line("EVAL d0 cwa !(!(exists u v . D(u, v)))");
         assert_eq!(eval, "OK plan=normalized certain={()}");
         let plain = state.handle_line("EVAL d0 cwa exists u v . D(u, v)");
         assert_eq!(plain, "OK plan=compiled certain={()}");
-        let snap = state.snapshot();
-        assert_eq!(snap.normalized_upgrades, 1);
-        assert_eq!(snap.worlds, 0, "no worlds were enumerated");
+        assert_eq!(stat(&state, "normalized_upgrades"), 1);
+        assert_eq!(stat(&state, "worlds"), 0, "no worlds were enumerated");
         // An unchanged query reports an empty trace and no widening.
         let noop = state.handle_line("ANALYZE d0 cwa exists u v . D(u, v)");
         assert!(noop.contains("steps=0"), "{noop}");
@@ -1180,7 +1124,7 @@ mod tests {
         // A statically-false query is diagnosed and counted as a prune.
         let pruned = state.handle_line("ANALYZE d0 cwa exists u . D(u, u) & !D(u, u)");
         assert!(pruned.contains("statically-false"), "{pruned}");
-        assert!(state.snapshot().static_prunes >= 1, "{pruned}");
+        assert!(stat(&state, "static_prunes") >= 1, "{pruned}");
         // The STATS line carries all three analyzer counters.
         let stats = state.handle_line("STATS");
         assert!(stats.contains("analyzed=3"), "{stats}");
@@ -1208,7 +1152,7 @@ mod tests {
         // stream is exhausted and the verdict must carry the flag.
         let line = state.handle_line("EVAL nulls wcwa exists u . R(u) & !S(u)");
         assert_eq!(line, "OK plan=oracle certain={()} truncated=true");
-        assert_eq!(state.snapshot().truncated, 1);
+        assert_eq!(stat(&state, "truncated"), 1);
         // The same verdict through the batch path carries the same flag.
         let responses = state.eval_batch(&[EvalRequest {
             instance: "nulls".into(),
@@ -1218,7 +1162,7 @@ mod tests {
         let response = responses[0].as_ref().expect("served");
         assert!(response.truncated);
         assert_eq!(response.render(), "plan=oracle certain={()} truncated=true");
-        assert_eq!(state.snapshot().truncated, 2);
+        assert_eq!(stat(&state, "truncated"), 2);
     }
 
     #[test]
@@ -1286,10 +1230,9 @@ mod tests {
         assert!(line.contains("est="), "{line}");
         assert!(!line.contains('\n'), "PROFILE is a one-liner: {line}");
         // PROFILE is a real evaluation: it counts and feeds the histograms.
-        let snap = state.snapshot();
-        assert_eq!(snap.evals, 1);
-        assert_eq!(snap.compiled, 1);
-        assert_eq!(state.metrics().request_totals().count, 1);
+        assert_eq!(stat(&state, "evals"), 1);
+        assert_eq!(stat(&state, "compiled"), 1);
+        assert_eq!(state.metrics().snapshot().latency().count, 1);
         // The answer is byte-identical to EVAL's.
         let eval = state.handle_line("EVAL d0 cwa exists u v . D(u, v) & D(v, u)");
         assert_eq!(eval, "OK plan=compiled certain={()}");
@@ -1341,7 +1284,7 @@ mod tests {
             fallback.ends_with("compiled=false reason=complement_too_wide(columns=4,limit=3)"),
             "{fallback}"
         );
-        assert_eq!(state.snapshot().evals, 2);
+        assert_eq!(stat(&state, "evals"), 2);
         // Unknown instances stay typed errors.
         assert!(state
             .handle_line("PROFILE nope owa exists u . D(u, u)")
@@ -1370,16 +1313,17 @@ mod tests {
         state.load("d0", d0());
         state.handle_line("EVAL d0 cwa exists u v . D(u, v)");
         assert_eq!(state.metrics().slow_queries().len(), 1);
-        let evals_before = state.snapshot().evals;
-        let totals_before = state.metrics().request_totals().count;
+        let evals_before = stat(&state, "evals");
+        let totals_before = state.metrics().snapshot().latency().count;
         assert_eq!(state.handle_line("METRICS RESET"), "OK metrics reset");
         // The slow log and the window baselines are gone...
         assert!(state.metrics().slow_queries().is_empty());
-        let delta = state.series().window(&state.window_sample(), 60_000_000);
+        let metrics = state.metrics();
+        let delta = metrics.series().window(&metrics.snapshot(), 60_000_000);
         assert_eq!(delta.evals, 0, "windows restart at the reset baseline");
         // ...while every lifetime quantity survives.
-        assert_eq!(state.snapshot().evals, evals_before);
-        assert_eq!(state.metrics().request_totals().count, totals_before);
+        assert_eq!(stat(&state, "evals"), evals_before);
+        assert_eq!(state.metrics().snapshot().latency().count, totals_before);
     }
 
     #[test]
@@ -1398,17 +1342,15 @@ mod tests {
         let lines: Vec<String> = exposition.lines().map(str::to_string).collect();
         nev_obs::validate_exposition(&lines).expect("grammar-valid exposition");
         assert_eq!(lines.last().map(String::as_str), Some("# EOF"));
-        // Every request lands in exactly one per-plan histogram: the totals
-        // must reconcile exactly with the `evals` counter.
-        let totals = state.metrics().request_totals();
-        assert_eq!(totals.count, state.snapshot().evals);
-        let per_plan: u64 = state
-            .metrics()
-            .plan_snapshots()
+        // Every request lands in exactly one per-plan histogram, and `evals`
+        // and the dispatch counters are read off those same counts.
+        assert_eq!(state.metrics().snapshot().latency().count, 4);
+        assert_eq!(stat(&state, "evals"), 4);
+        let dispatched: u64 = ["certified", "normalized_upgrades", "symbolic", "oracle"]
             .iter()
-            .map(|(_, snap)| snap.count)
+            .map(|name| stat(&state, name))
             .sum();
-        assert_eq!(per_plan, state.snapshot().evals);
+        assert_eq!(dispatched, 4);
         assert!(
             exposition.contains("nev_evals_total 4"),
             "counter block present:\n{exposition}"
@@ -1453,8 +1395,8 @@ mod tests {
             assert!(line.ends_with("spans=-"), "{line}");
         }
         // TRACE is an eval: it counts, and it feeds the same histograms.
-        assert!(state.snapshot().evals >= 1);
-        assert!(state.metrics().request_totals().count >= 1);
+        assert!(stat(&state, "evals") >= 1);
+        assert!(state.metrics().snapshot().latency().count >= 1);
     }
 
     #[test]

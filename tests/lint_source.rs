@@ -4,7 +4,7 @@
 //! 1. **Clocks live in `nev-obs`.** `Instant::now` / `SystemTime::now` may appear
 //!    only in the observability crate's timer paths (`Timer`, the metrics
 //!    registry epoch, the span clock). Everywhere else must thread an
-//!    [`nev_obs`] timer through, so the `NEV_OBS=off` kill-switch really does
+//!    [`nev_obs`] timer through, so the `NEV_TRACE=0` kill-switch really does
 //!    make timing inert.
 //! 2. **No `.unwrap()` in serving-layer request handling.** `nev-serve`'s
 //!    library code handles untrusted wire input; every panic site must carry an
@@ -103,7 +103,7 @@ fn clock_reads_stay_inside_nev_obs() {
     assert!(
         violations.is_empty(),
         "direct clock reads outside the nev-obs timer paths (route them through \
-         nev_obs::Timer so NEV_OBS=off disables them):\n{}",
+         nev_obs::Timer so NEV_TRACE=0 disables them):\n{}",
         violations.join("\n")
     );
 }
@@ -168,8 +168,8 @@ fn every_relaxed_ordering_is_justified() {
     // The workspace genuinely uses relaxed atomics; if this ever hits zero the
     // scan itself has rotted (renamed import, moved sources), not the code.
     assert!(
-        justified >= 20,
-        "expected >= 20 justified relaxed accesses, found {justified} — \
+        justified >= 10,
+        "expected >= 10 justified relaxed accesses, found {justified} — \
          is the scan still finding the sources?"
     );
 }

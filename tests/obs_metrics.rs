@@ -4,8 +4,9 @@
 //! The properties pinned here are the ones PR 8 promises:
 //!
 //! * **exact reconciliation** — the per-plan request-latency histogram counts
-//!   sum to the `evals` counter, even while many clients hammer the server at
-//!   once (every eval is observed exactly once, where `evals` is bumped);
+//!   sum to the `evals` counter, and `evals` to the dispatch counters, in
+//!   every `METRICS` and `STATS` response, even mid-flight while many clients
+//!   hammer the server at once (both are read off one registry snapshot);
 //! * **grammar-valid exposition** — `METRICS` always shape-validates against
 //!   [`naive_eval::obs::validate_exposition`], terminated by `# EOF`;
 //! * **trace sanity** — a `TRACE` stage timeline's depth-0 durations can never
@@ -31,7 +32,7 @@ use std::thread;
 
 use naive_eval::core::engine::{CertainEngine, DispatchOptions};
 use naive_eval::core::{Semantics, Snapshot};
-use naive_eval::obs::{validate_exposition, Timer, TraceRecorder};
+use naive_eval::obs::{validate_exposition, Counter, Timer, TraceRecorder};
 use naive_eval::serve::state::{ServeConfig, ServeState};
 use naive_eval::serve::{Client, Server, ServerHandle};
 
@@ -45,6 +46,35 @@ fn spawn_server(workers: usize) -> (Arc<ServeState>, ServerHandle) {
         .spawn()
         .expect("spawn accept loop");
     (state, handle)
+}
+
+/// The value of the unlabelled sample `name` in an exposition.
+fn sample(exposition: &[String], name: &str) -> u64 {
+    exposition
+        .iter()
+        .find_map(|line| line.strip_prefix(&format!("{name} ")))
+        .unwrap_or_else(|| panic!("{name} sample in the exposition"))
+        .parse()
+        .expect("u64 sample")
+}
+
+/// Σ `nev_request_latency_us_count{…}` over the plan labels of an exposition.
+fn plan_counts(exposition: &[String]) -> u64 {
+    exposition
+        .iter()
+        .filter_map(|line| line.strip_prefix("nev_request_latency_us_count{"))
+        .filter_map(|line| line.split_once("} "))
+        .map(|(_, value)| value.parse::<u64>().expect("u64 count"))
+        .sum()
+}
+
+/// The value of the `name=` token of a `STATS` line.
+fn stat(line: &str, name: &str) -> u64 {
+    line.split_whitespace()
+        .find_map(|token| token.strip_prefix(&format!("{name}=")))
+        .unwrap_or_else(|| panic!("{name}= token in {line}"))
+        .parse()
+        .expect("u64 token")
 }
 
 const QUERIES: [(&str, &str); 4] = [
@@ -82,10 +112,24 @@ fn concurrent_clients_reconcile_histograms_with_counters() {
                     if round % 2 == 0 {
                         client.send(&format!("PREPARE {query}")).expect("prepare");
                     }
-                    // METRICS mid-flight must still validate: the exposition is
-                    // assembled from live atomics, never torn.
+                    // METRICS mid-flight must still validate, and its counters
+                    // must agree with its histograms: both are rendered from
+                    // one registry snapshot, never torn.
                     let exposition = client.metrics().expect("metrics");
                     validate_exposition(&exposition).expect("mid-flight exposition");
+                    assert_eq!(
+                        plan_counts(&exposition),
+                        sample(&exposition, "nev_evals_total"),
+                        "mid-flight METRICS: per-plan counts vs evals"
+                    );
+                    // So must STATS: `evals` is the sum of the dispatch counters.
+                    let stats = client.send("STATS").expect("stats");
+                    let dispatched: u64 =
+                        ["certified", "normalized_upgrades", "symbolic", "oracle"]
+                            .iter()
+                            .map(|name| stat(&stats, name))
+                            .sum();
+                    assert_eq!(stat(&stats, "evals"), dispatched, "{stats}");
                 }
             })
         })
@@ -94,25 +138,16 @@ fn concurrent_clients_reconcile_histograms_with_counters() {
         worker.join().expect("client thread");
     }
 
-    let evals = state.snapshot().evals;
-    assert_eq!(evals, (CLIENTS * ROUNDS) as u64);
     // Exact reconciliation: every eval landed in exactly one per-plan histogram.
-    assert_eq!(state.metrics().request_totals().count, evals);
-    let per_plan: u64 = state
-        .metrics()
-        .plan_snapshots()
-        .iter()
-        .map(|(_, snap)| snap.count)
-        .sum();
-    assert_eq!(per_plan, evals);
+    let evals = state.metrics().snapshot().evals();
+    assert_eq!(evals, (CLIENTS * ROUNDS) as u64);
 
     // The final exposition validates and carries the reconciled counter.
     let mut client = Client::connect(&addr).expect("connect");
     let exposition = client.metrics().expect("metrics");
     validate_exposition(&exposition).expect("final exposition");
-    assert!(exposition
-        .iter()
-        .any(|line| line == &format!("nev_evals_total {evals}")));
+    assert_eq!(sample(&exposition, "nev_evals_total"), evals);
+    assert_eq!(plan_counts(&exposition), evals);
     assert_eq!(exposition.last().map(String::as_str), Some("# EOF"));
 
     // STATS carries the latency digest derived from the same histograms.
@@ -138,8 +173,7 @@ fn windowed_deltas_reconcile_exactly_with_lifetime_counters() {
         }
         assert_eq!(seed.send("METRICS RESET").unwrap(), "OK metrics reset");
     }
-    let baseline = state.snapshot();
-    let baseline_latency = state.metrics().request_totals().count;
+    let baseline = state.metrics().snapshot();
 
     const CLIENTS: usize = 5;
     const ROUNDS: usize = 4;
@@ -164,15 +198,16 @@ fn windowed_deltas_reconcile_exactly_with_lifetime_counters() {
 
     // The 60s trailing window baselines at the reset sample (nothing in the
     // ring is 60s old), so its deltas must equal the lifetime deltas exactly.
-    let now = state.snapshot();
-    let delta = state.series().window(&state.window_sample(), 60_000_000);
-    assert_eq!(delta.evals, now.evals - baseline.evals);
+    let now = state.metrics().snapshot();
+    let delta = state.metrics().series().window(&now, 60_000_000);
+    let counter_delta = |c| now.counter(c) - baseline.counter(c);
+    assert_eq!(delta.evals, now.evals() - baseline.evals());
     assert_eq!(delta.evals, (CLIENTS * ROUNDS) as u64);
-    assert_eq!(delta.requests, now.requests - baseline.requests);
-    assert_eq!(delta.errors, now.errors - baseline.errors);
+    assert_eq!(delta.requests, counter_delta(Counter::Requests));
+    assert_eq!(delta.errors, counter_delta(Counter::Errors));
     assert_eq!(
         delta.latency.count,
-        state.metrics().request_totals().count - baseline_latency
+        now.latency().count - baseline.latency().count
     );
     let per_plan: u64 = delta.plans.iter().map(|(_, snap)| snap.count).sum();
     assert_eq!(
@@ -196,9 +231,9 @@ fn windowed_deltas_reconcile_exactly_with_lifetime_counters() {
 
     // The reset emptied the slow log; the post-reset traffic refilled it.
     assert!(!state.metrics().slow_queries().is_empty());
-    // Lifetime counters survived the reset: histogram counts still reconcile
-    // with `evals` over the whole process lifetime.
-    assert_eq!(state.metrics().request_totals().count, now.evals);
+    // Lifetime counters survived the reset: the histograms still count every
+    // eval of the process lifetime, the pre-reset ones included.
+    assert_eq!(now.evals(), (2 + CLIENTS * ROUNDS) as u64);
     handle.shutdown();
 }
 
@@ -283,8 +318,7 @@ fn profile_reconciles_with_the_exec_accounting() {
         assert!(ops.contains(label), "{ops}");
     }
     // PROFILE counted as a real evaluation.
-    assert_eq!(state.snapshot().evals, 1);
-    assert_eq!(state.metrics().request_totals().count, 1);
+    assert_eq!(state.metrics().snapshot().evals(), 1);
     handle.shutdown();
 }
 
@@ -301,9 +335,8 @@ fn trace_stage_durations_never_exceed_the_total() {
         assert!(line.starts_with("OK trace plan="), "{line}");
         assert!(!line.contains('\n'), "TRACE is one line: {line}");
     }
-    // TRACE runs real evals: it counts, and it feeds the same histograms.
-    assert_eq!(state.snapshot().evals, QUERIES.len() as u64);
-    assert_eq!(state.metrics().request_totals().count, QUERIES.len() as u64);
+    // TRACE runs real evals: they count in the same histograms.
+    assert_eq!(state.metrics().snapshot().evals(), QUERIES.len() as u64);
 
     // The depth-0 invariant, checked on the trace object itself (the wire line
     // reports the rendered spans; the object carries the structure).

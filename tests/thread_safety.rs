@@ -16,10 +16,9 @@ use naive_eval::core::engine::{CertainEngine, Certificate, EvalPlan, Evaluation,
 use naive_eval::core::{Semantics, Snapshot, WorldBounds, Worlds};
 use naive_eval::exec::{CompiledQuery, ExecStats, InternedInstance};
 use naive_eval::incomplete::{Instance, Relation, Schema, Tuple, Value};
+use naive_eval::obs::{MetricsRegistry, MetricsSnapshot};
 use naive_eval::serve::state::{EvalRequest, EvalResponse, ServeConfig, ServeState};
-use naive_eval::serve::{
-    Catalog, LoadReport, OracleOutcome, PlanCache, ServeStats, StatsSnapshot, WorkerPool,
-};
+use naive_eval::serve::{Catalog, LoadReport, OracleOutcome, PlanCache, WorkerPool};
 
 fn require_send_sync<T: Send + Sync>() {}
 fn require_send<T: Send>() {}
@@ -66,8 +65,8 @@ fn service_layer_is_send_and_sync() {
     require_send_sync::<WorkerPool>();
     require_send_sync::<ServeState>();
     require_send_sync::<ServeConfig>();
-    require_send_sync::<ServeStats>();
-    require_send_sync::<StatsSnapshot>();
+    require_send_sync::<MetricsRegistry>();
+    require_send_sync::<MetricsSnapshot>();
     require_send_sync::<EvalRequest>();
     require_send_sync::<EvalResponse>();
     require_send_sync::<OracleOutcome>();
@@ -102,7 +101,7 @@ fn shared_state_is_usable_from_spawned_threads() {
     for handle in handles {
         assert_eq!(handle.join().expect("no panics"), 1);
     }
-    assert_eq!(state.snapshot().evals, 4);
+    assert_eq!(state.metrics().snapshot().evals(), 4);
 }
 
 #[test]
