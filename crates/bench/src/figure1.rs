@@ -155,7 +155,7 @@ impl CellOutcome {
 /// comparison (Corollary 10.12); soundness (naïve ⊆ certain) is additionally recorded
 /// on the *original* instance (Proposition 10.13).
 pub fn run_cell(semantics: Semantics, fragment: Fragment, config: &Figure1Config) -> CellOutcome {
-    let cell_timer = nev_obs::Timer::start_always();
+    let cell_timer = nev_obs::Timer::start();
     let expectation = expectation(semantics, fragment);
     let cell_seed = config
         .seed

@@ -166,8 +166,8 @@ pub struct PreparedQuery {
 }
 
 /// Wall-clock telemetry for the three preparation stages of a [`PreparedQuery`]:
-/// parse, classify and compile. All zero when tracing is disabled (`NEV_TRACE=0`)
-/// or when the query was built from an already-parsed [`Query`] (no parse stage).
+/// parse, classify and compile. `parse_us` is zero when the query was built from
+/// an already-parsed [`Query`] (no parse stage).
 ///
 /// Telemetry never participates in equality: two `PreparedQuery`s that prepared
 /// the same query compare equal regardless of how long preparation took, so
@@ -257,8 +257,8 @@ impl PreparedQuery {
         Ok(prepared)
     }
 
-    /// Wall-clock telemetry for the parse/classify/compile preparation stages
-    /// (all-zero under `NEV_TRACE=0`). Never part of equality.
+    /// Wall-clock telemetry for the parse/classify/compile preparation stages.
+    /// Never part of equality.
     pub fn prep_timings(&self) -> PrepTimings {
         self.prep
     }
@@ -788,8 +788,8 @@ pub struct Evaluation {
     /// the query has no compiled plan.
     pub exec: ExecStats,
     /// The per-request stage timeline (exec pass, symbolic probe, world
-    /// enumeration, …), bounded by [`nev_obs::MAX_SPANS`]. Empty when tracing is
-    /// disabled (`NEV_TRACE=0`) or the entry point did not record one. Like
+    /// enumeration, …), bounded by [`nev_obs::MAX_SPANS`]. Empty when the entry
+    /// point ran under [`TraceRecorder::disabled`] or recorded none. Like
     /// [`nev_exec::ExecTimings`], traces never participate in equality — two
     /// evaluations that computed the same answers compare equal whatever their
     /// timelines — so the determinism suites hold with tracing on or off.
@@ -1310,16 +1310,14 @@ impl CertainEngine {
                 profile,
             },
         );
-        if recorder.is_enabled() {
-            let t = out.timings;
-            for (stage, runs, us) in [
-                (Stage::Scan, t.scans, t.scan_us),
-                (Stage::JoinBuild, t.join_builds, t.join_build_us),
-                (Stage::JoinProbe, t.join_probes, t.join_probe_us),
-            ] {
-                if runs > 0 {
-                    recorder.leaf(stage, us);
-                }
+        let t = out.timings;
+        for (stage, runs, us) in [
+            (Stage::Scan, t.scans, t.scan_us),
+            (Stage::JoinBuild, t.join_builds, t.join_build_us),
+            (Stage::JoinProbe, t.join_probes, t.join_probe_us),
+        ] {
+            if runs > 0 {
+                recorder.leaf(stage, us);
             }
         }
         drop(span);
@@ -2032,28 +2030,22 @@ mod tests {
             .expect("valid query");
         // OWA × Pos is not guaranteed: exec pass, symbolic probe, then worlds.
         let eval = engine.evaluate(&d0(), Semantics::Owa, &q);
-        if nev_obs::enabled() {
-            let stages: Vec<Stage> = eval.trace.spans().iter().map(|s| s.stage).collect();
-            assert!(stages.contains(&Stage::Exec), "stages: {stages:?}");
-            assert!(stages.contains(&Stage::Symbolic), "stages: {stages:?}");
-            assert!(stages.contains(&Stage::OracleWorlds), "stages: {stages:?}");
-            // Depth-0 stages partition the request wall-clock from below.
-            assert!(eval.trace.top_level_us() <= eval.trace.total_us());
-            assert_eq!(eval.trace.dropped(), 0);
-        } else {
-            assert!(eval.trace.is_empty());
-        }
+        let stages: Vec<Stage> = eval.trace.spans().iter().map(|s| s.stage).collect();
+        assert!(stages.contains(&Stage::Exec), "stages: {stages:?}");
+        assert!(stages.contains(&Stage::Symbolic), "stages: {stages:?}");
+        assert!(stages.contains(&Stage::OracleWorlds), "stages: {stages:?}");
+        // Depth-0 stages partition the request wall-clock from below.
+        assert!(eval.trace.top_level_us() <= eval.trace.total_us());
+        assert_eq!(eval.trace.dropped(), 0);
         // The certified path records just the exec pass.
         let eval = engine.evaluate(&d0(), Semantics::Cwa, &q);
         assert_eq!(eval.worlds_enumerated, 0);
-        if nev_obs::enabled() {
-            assert!(eval.trace.spans().iter().any(|s| s.stage == Stage::Exec));
-            assert!(!eval
-                .trace
-                .spans()
-                .iter()
-                .any(|s| s.stage == Stage::OracleWorlds));
-        }
+        assert!(eval.trace.spans().iter().any(|s| s.stage == Stage::Exec));
+        assert!(!eval
+            .trace
+            .spans()
+            .iter()
+            .any(|s| s.stage == Stage::OracleWorlds));
     }
 
     #[test]
@@ -2067,14 +2059,10 @@ mod tests {
         ];
         let batch = engine.evaluate_all(&Snapshot::new(&d0()), Semantics::Owa, &queries);
         assert_eq!(batch.enumeration_passes, 1);
-        if nev_obs::enabled() {
-            let stages: Vec<Stage> = batch.trace.spans().iter().map(|s| s.stage).collect();
-            assert!(stages.contains(&Stage::Exec), "stages: {stages:?}");
-            assert!(stages.contains(&Stage::OracleWorlds), "stages: {stages:?}");
-            assert!(batch.trace.top_level_us() <= batch.trace.total_us());
-        } else {
-            assert!(batch.trace.is_empty());
-        }
+        let stages: Vec<Stage> = batch.trace.spans().iter().map(|s| s.stage).collect();
+        assert!(stages.contains(&Stage::Exec), "stages: {stages:?}");
+        assert!(stages.contains(&Stage::OracleWorlds), "stages: {stages:?}");
+        assert!(batch.trace.top_level_us() <= batch.trace.total_us());
     }
 
     #[test]
@@ -2094,10 +2082,6 @@ mod tests {
         assert_eq!(a, b, "a stripped trace must not break equality");
         // Prep timings are observable but inert.
         let t = q.prep_timings();
-        if nev_obs::enabled() {
-            assert!(t.parse_us + t.classify_us + t.compile_us < u64::MAX);
-        } else {
-            assert_eq!((t.parse_us, t.classify_us, t.compile_us), (0, 0, 0));
-        }
+        assert!(t.parse_us + t.classify_us + t.compile_us < u64::MAX);
     }
 }

@@ -46,8 +46,7 @@ pub struct ExecOutput {
     pub answers: BTreeSet<Tuple>,
     /// Execution counters for this pass.
     pub stats: ExecStats,
-    /// Phase timings for this pass (always-equal telemetry; zero when the
-    /// `NEV_TRACE=0` kill switch disables instrumentation).
+    /// Phase timings for this pass (always-equal telemetry).
     pub timings: ExecTimings,
     /// The per-operator profile, when [`RunOptions::profile`] asked for one.
     pub profile: Option<OpProfile>,
@@ -236,9 +235,7 @@ fn eval(node: &PlanNode, ctx: &mut ExecContext<'_>) -> Batch {
         profile.ops.len() - 1
     };
     ctx.profile_depth = depth + 1;
-    // A profile is an explicit request for wall-clock numbers, so the timer
-    // ignores the NEV_TRACE kill switch (unlike the ambient stage timings).
-    let timer = Timer::start_always();
+    let timer = Timer::start();
     let batch = eval_node(node, ctx);
     let wall_us = timer.elapsed_us();
     ctx.profile_depth = depth;
@@ -278,9 +275,7 @@ fn eval_node(node: &PlanNode, ctx: &mut ExecContext<'_>) -> Batch {
             let timer = Timer::start();
             let batch = eval_scan(relation, pattern, schema, ctx);
             ctx.timings.scans += 1;
-            if timer.is_running() {
-                ctx.timings.scan_us += timer.elapsed_us();
-            }
+            ctx.timings.scan_us += timer.elapsed_us();
             batch
         }
         PlanNode::Unit => Batch::unit(),
@@ -416,13 +411,9 @@ fn eval_join_group(group: &PlanNode, ctx: &mut ExecContext<'_>) -> Batch {
             Some(prev) => {
                 let fold_est =
                     cost::join_estimate(est_acc, &prev.schema, leaf_est, &leaves[i].schema(), adom);
-                let timer = if profiled {
-                    Timer::start_always()
-                } else {
-                    Timer::disabled()
-                };
+                let timer = profiled.then(Timer::start);
                 let joined = eval_join(prev, next, ctx);
-                if profiled {
+                if let Some(timer) = timer {
                     let depth = ctx.profile_depth;
                     let profile = ctx.profile.as_mut().expect("profiled execution");
                     profile.ops.push(OpSample {
@@ -557,9 +548,7 @@ fn eval_join(l: Batch, r: Batch, ctx: &mut ExecContext<'_>) -> Batch {
         }
     }
     ctx.timings.join_builds += 1;
-    if build_timer.is_running() {
-        ctx.timings.join_build_us += build_timer.elapsed_us();
-    }
+    ctx.timings.join_build_us += build_timer.elapsed_us();
     let probe_timer = Timer::start();
     let mut cols: Vec<Vec<u32>> = vec![Vec::new(); sources.len()];
     let mut rows = 0usize;
@@ -581,9 +570,7 @@ fn eval_join(l: Batch, r: Batch, ctx: &mut ExecContext<'_>) -> Batch {
         }
     }
     ctx.timings.join_probes += 1;
-    if probe_timer.is_running() {
-        ctx.timings.join_probe_us += probe_timer.elapsed_us();
-    }
+    ctx.timings.join_probe_us += probe_timer.elapsed_us();
     ctx.stats.intermediate_rows += rows as u64;
     Batch { schema, cols, rows }
 }
@@ -735,7 +722,7 @@ impl CompiledQuery {
     /// data repeatedly interns it once; a caller holding a plain
     /// [`nev_incomplete::Instance`] interns it with [`InternedInstance::new`].
     pub fn execute(&self, inst: &InternedInstance, options: &RunOptions) -> ExecOutput {
-        let wall = options.profile.then(Timer::start_always);
+        let wall = options.profile.then(Timer::start);
         let mut ctx = ExecContext::new(inst, self.reorder);
         ctx.profile = options.profile.then(OpProfile::default);
         // Replay the compile-time rule count and the root cardinality estimate
@@ -935,14 +922,10 @@ mod tests {
         // The phase counts do not depend on the clock: two scans, one join.
         let t = out.timings;
         assert_eq!((t.scans, t.join_builds, t.join_probes), (2, 1, 1));
-        if nev_obs::enabled() {
-            // A scan and a hash join ran: their phases were measured. (µs
-            // clocks can legitimately read 0 on a fast pass, so nothing is
-            // asserted about the values here.)
-            let _ = out.timings.total_us();
-        } else {
-            assert_eq!(out.timings.total_us(), 0, "kill switch zeroes timings");
-        }
+        // A scan and a hash join ran: their phases were measured. (µs clocks
+        // can legitimately read 0 on a fast pass, so nothing is asserted
+        // about the values here.)
+        let _ = out.timings.total_us();
         // Timings never affect output equality — the run-to-run equality
         // pins across the workspace rely on this.
         let again = compiled.execute(&InternedInstance::new(&d), &RunOptions::naive());

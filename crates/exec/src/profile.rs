@@ -12,9 +12,7 @@
 //!
 //! Profiling is strictly opt-in per execution: the default path through
 //! [`crate::exec`] checks one `Option` per node and records nothing, so
-//! unprofiled runs (and their served bytes) are untouched. Because a profile
-//! is an explicit request for wall-clock numbers, its timers ignore the
-//! `NEV_TRACE` kill switch — unlike the ambient stage timings.
+//! unprofiled runs (and their served bytes) are untouched.
 
 use crate::algebra::{flatten_join_refs, PlanNode, ScanTerm};
 

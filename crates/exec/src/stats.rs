@@ -75,9 +75,8 @@ impl ExecStats {
 /// timings vary run to run — so `ExecTimings` deliberately compares
 /// **equal to every other `ExecTimings`**. Result types can keep deriving
 /// `PartialEq`/`Eq` and every existing telemetry-parity assertion stays exact.
-/// The `_us` fields stay zero under the `NEV_TRACE=0` kill switch; the phase
-/// counts are always kept, so a phase that ran is known to have run even when
-/// its timer read zero.
+/// The phase counts are kept beside the `_us` fields, so a phase that ran is
+/// known to have run even when its timer read zero.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ExecTimings {
     /// Time in relation scans.

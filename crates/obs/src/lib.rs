@@ -33,19 +33,18 @@
 //!   ([`TimeSeries::window`]) — the data behind the wire `TOP` summary and
 //!   the `nevtop` dashboard.
 //!
-//! ## The kill switch
+//! ## One instrumentation mode
 //!
-//! `NEV_TRACE=0` (also `off`/`false`) disables all time measurement: [`Timer`]
-//! and [`TraceRecorder`] become inert — no `Instant::now()` calls, no span
-//! records, no histogram samples — so the instrumented hot paths cost one
-//! branch per probe point. The flag is read once per process ([`enabled`]).
-//! Tracing never changes served bytes either way; the CI determinism suite
-//! runs under both settings to pin that.
+//! Every [`Timer`] reads the clock and every [`TraceRecorder::new`] records;
+//! there is no process-wide switch. An entry point that wants no stage
+//! timeline says so at the call site with [`TraceRecorder::disabled`]. Timing
+//! never changes an answer or a served byte: [`Trace`] and the executor's
+//! timings compare equal to every other value of their type.
 //!
 //! ```
 //! use nev_obs::{Histogram, Stage, TraceRecorder};
 //!
-//! let recorder = TraceRecorder::with_enabled(true);
+//! let recorder = TraceRecorder::new();
 //! {
 //!     let _exec = recorder.span(Stage::Exec);
 //!     recorder.leaf(Stage::Scan, 7); // replayed child timing, depth 1
@@ -74,65 +73,21 @@ pub use registry::{validate_exposition, Counter, MetricsRegistry, MetricsSnapsho
 pub use span::{Span, SpanRecord, Stage, Trace, TraceRecorder, MAX_SPANS};
 pub use timeseries::{TimeSeries, WindowDelta, WINDOWS};
 
-use std::sync::OnceLock;
 use std::time::Instant;
 
-static ENABLED: OnceLock<bool> = OnceLock::new();
-
-/// Whether instrumentation is live for this process.
-///
-/// Defaults to `true`; set `NEV_TRACE=0` (or `off` / `false`) to disable every
-/// timer and span in the workspace. Read once and cached — flipping the
-/// environment variable mid-process has no effect, which keeps concurrent
-/// probe points consistent with each other.
-pub fn enabled() -> bool {
-    *ENABLED.get_or_init(|| {
-        !matches!(
-            std::env::var("NEV_TRACE").as_deref(),
-            Ok("0") | Ok("off") | Ok("false")
-        )
-    })
-}
-
-/// A start-time capture that is inert when instrumentation is disabled.
-///
-/// [`Timer::start`] consults [`enabled`] once: when tracing is off it never
-/// calls `Instant::now()`, and [`Timer::is_running`] lets call sites skip the
-/// recording branch entirely — the "provably near-zero overhead" contract.
+/// A start-time capture: microseconds elapsed since [`Timer::start`].
 #[derive(Clone, Copy, Debug)]
-pub struct Timer(Option<Instant>);
+pub struct Timer(Instant);
 
 impl Timer {
-    /// Starts a timer, or an inert one when the kill switch is set.
+    /// Starts a timer.
     pub fn start() -> Self {
-        if enabled() {
-            Timer(Some(Instant::now()))
-        } else {
-            Timer(None)
-        }
+        Timer(Instant::now())
     }
 
-    /// Starts a timer regardless of the kill switch (for reporting tools that
-    /// always want wall-clock numbers, e.g. the load generator).
-    pub fn start_always() -> Self {
-        Timer(Some(Instant::now()))
-    }
-
-    /// An inert timer: [`Timer::is_running`] is `false`, elapsed time is 0.
-    pub fn disabled() -> Self {
-        Timer(None)
-    }
-
-    /// Whether this timer captured a start instant.
-    pub fn is_running(&self) -> bool {
-        self.0.is_some()
-    }
-
-    /// Microseconds since the timer started (0 when inert).
+    /// Microseconds since the timer started.
     pub fn elapsed_us(&self) -> u64 {
-        self.0
-            .map(|at| at.elapsed().as_micros().min(u128::from(u64::MAX)) as u64)
-            .unwrap_or(0)
+        self.0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64
     }
 }
 
@@ -141,17 +96,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_timer_is_inert() {
-        let t = Timer::disabled();
-        assert!(!t.is_running());
-        assert_eq!(t.elapsed_us(), 0);
-    }
-
-    #[test]
     fn always_on_timer_runs() {
-        let t = Timer::start_always();
-        assert!(t.is_running());
-        // Elapsed time is monotone, not negative — just probe it compiles/runs.
-        let _ = t.elapsed_us();
+        let t = Timer::start();
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        assert!(t.elapsed_us() >= 1_000, "the timer reads the clock");
     }
 }

@@ -511,7 +511,7 @@ mod tests {
         registry.observe_plan("compiled", 4_000);
         registry.observe_plan("oracle", 90_000);
         registry.observe_plan("unknown", 1); // ignored: fixed label set
-        let rec = TraceRecorder::with_enabled(true);
+        let rec = TraceRecorder::new();
         drop(rec.span(Stage::Exec));
         registry.observe_trace(&rec.finish());
         let snap = registry.snapshot();

@@ -7,9 +7,12 @@
 //! span is open. [`TraceRecorder::finish`] freezes everything into a
 //! [`Trace`], the value that rides on evaluation results.
 //!
-//! The recorder is inert when built disabled (or when the process-wide
-//! [`crate::enabled`] kill switch is off): no clock reads, no records, and
-//! `finish` returns the empty trace.
+//! Order follows the work, not the clock: a span takes its place in the
+//! trace when it opens and a leaf when it is replayed, so every span precedes
+//! its children and siblings keep the order they ran in, however coarse the
+//! µs clock. A leaf is also never dated before the span it is replayed under.
+//! A recorder built with [`TraceRecorder::disabled`] is inert: no clock
+//! reads, no records, and `finish` returns the empty trace.
 
 use std::sync::Mutex;
 use std::time::Instant;
@@ -20,8 +23,6 @@ pub const MAX_SPANS: usize = 64;
 /// The span taxonomy: every timed stage of a request's life, across layers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Stage {
-    /// Query-text parsing (`nev-logic`).
-    Parse,
     /// Figure 1 cell classification of the parsed query (`nev-core`).
     Classify,
     /// Plan-cache lookup in the serving layer (children replay on a miss).
@@ -44,11 +45,10 @@ pub enum Stage {
 
 impl Stage {
     /// Number of stages in the taxonomy.
-    pub const COUNT: usize = 10;
+    pub const COUNT: usize = 9;
 
     /// Every stage, in declaration order (indexable by [`Stage::index`]).
     pub const ALL: [Stage; Stage::COUNT] = [
-        Stage::Parse,
         Stage::Classify,
         Stage::CacheProbe,
         Stage::Optimize,
@@ -71,7 +71,6 @@ impl Stage {
     /// The wire/exposition name (snake_case, stable).
     pub fn name(self) -> &'static str {
         match self {
-            Stage::Parse => "parse",
             Stage::Classify => "classify",
             Stage::CacheProbe => "cache_probe",
             Stage::Optimize => "optimize",
@@ -128,7 +127,8 @@ impl PartialEq for Trace {
 impl Eq for Trace {}
 
 impl Trace {
-    /// The recorded spans, ordered by start offset (parents before children).
+    /// The recorded spans in pre-order: each span before its children,
+    /// siblings in the order they opened or were replayed.
     pub fn spans(&self) -> &[SpanRecord] {
         &self.spans
     }
@@ -190,9 +190,31 @@ impl Trace {
 }
 
 struct RecorderInner {
+    /// Records in the order their spans opened (leaves: were replayed), so
+    /// every span precedes its children. An open span's record has
+    /// `dur_us == 0` until its guard drops.
     spans: Vec<SpanRecord>,
-    depth: u8,
+    /// Start offsets of the spans still open, outermost first; the length is
+    /// the current nesting depth.
+    open: Vec<u64>,
     dropped: u32,
+}
+
+impl RecorderInner {
+    /// Appends `record` unless the trace is full; returns its slot.
+    fn push(&mut self, record: SpanRecord) -> Option<usize> {
+        if self.spans.len() < MAX_SPANS {
+            self.spans.push(record);
+            Some(self.spans.len() - 1)
+        } else {
+            self.dropped += 1;
+            None
+        }
+    }
+
+    fn depth(&self) -> u8 {
+        self.open.len().min(usize::from(u8::MAX)) as u8
+    }
 }
 
 /// Collects spans for one request. Cheap to create; inert when disabled.
@@ -202,57 +224,51 @@ pub struct TraceRecorder {
 }
 
 impl TraceRecorder {
-    /// A recorder honouring the process-wide kill switch.
+    /// A live recorder; its epoch is now.
     pub fn new() -> Self {
-        TraceRecorder::with_enabled(crate::enabled())
+        TraceRecorder::with_epoch(Some(Instant::now()))
     }
 
-    /// An explicitly disabled recorder (every operation is a no-op).
+    /// A disabled recorder (every operation is a no-op).
     pub fn disabled() -> Self {
-        TraceRecorder::with_enabled(false)
+        TraceRecorder::with_epoch(None)
     }
 
-    /// A recorder with the given enablement, independent of the environment —
-    /// what unit tests use so they never race on the global switch.
-    pub fn with_enabled(enabled: bool) -> Self {
+    fn with_epoch(epoch: Option<Instant>) -> Self {
         TraceRecorder {
-            epoch: enabled.then(Instant::now),
+            epoch,
             inner: Mutex::new(RecorderInner {
                 spans: Vec::new(),
-                depth: 0,
+                open: Vec::new(),
                 dropped: 0,
             }),
         }
-    }
-
-    /// Whether this recorder is live.
-    pub fn is_enabled(&self) -> bool {
-        self.epoch.is_some()
     }
 
     fn now_us(&self, epoch: Instant) -> u64 {
         epoch.elapsed().as_micros().min(u128::from(u64::MAX)) as u64
     }
 
-    /// Opens a span for `stage`; it records when the returned guard drops.
-    /// Spans opened while another is live nest one level deeper.
+    /// Opens a span for `stage`; its duration is set when the returned guard
+    /// drops. Spans opened while another is live nest one level deeper.
     pub fn span(&self, stage: Stage) -> Span<'_> {
         let Some(epoch) = self.epoch else {
             return Span { open: None };
         };
         let start_us = self.now_us(epoch);
-        let depth = {
-            let mut inner = self.inner.lock().expect("trace recorder poisoned");
-            let depth = inner.depth;
-            inner.depth = inner.depth.saturating_add(1);
-            depth
-        };
+        let mut inner = self.inner.lock().expect("trace recorder poisoned");
+        let depth = inner.depth();
+        inner.open.push(start_us);
+        let slot = inner.push(SpanRecord {
+            stage,
+            start_us,
+            dur_us: 0,
+            depth,
+        });
         Span {
             open: Some(SpanOpen {
                 recorder: self,
-                stage,
-                start_us,
-                depth,
+                slot,
             }),
         }
     }
@@ -260,36 +276,35 @@ impl TraceRecorder {
     /// Replays an externally measured duration as a child of the currently
     /// open span (depth = current nesting). Used for sub-phase timings the
     /// recorder cannot wrap directly, e.g. the executor's scan/join split.
+    ///
+    /// The leaf is dated `dur_us` before now, but never before the start of
+    /// the innermost open span: a summed sub-phase duration can exceed the
+    /// time its parent has been open, and a child never starts before it.
     pub fn leaf(&self, stage: Stage, dur_us: u64) {
         let Some(epoch) = self.epoch else {
             return;
         };
         let now = self.now_us(epoch);
         let mut inner = self.inner.lock().expect("trace recorder poisoned");
-        let depth = inner.depth;
-        push_span(
-            &mut inner,
-            SpanRecord {
-                stage,
-                start_us: now.saturating_sub(dur_us),
-                dur_us,
-                depth,
-            },
-        );
+        let parent_start = inner.open.last().copied().unwrap_or(0);
+        let depth = inner.depth();
+        inner.push(SpanRecord {
+            stage,
+            start_us: now.saturating_sub(dur_us).max(parent_start),
+            dur_us,
+            depth,
+        });
     }
 
-    /// Freezes the timeline. Spans sort by start offset (ties broken by
-    /// depth, parents first) so the rendering reads chronologically.
+    /// Freezes the timeline, spans in the order they were opened.
     pub fn finish(self) -> Trace {
         let Some(epoch) = self.epoch else {
             return Trace::default();
         };
         let total_us = self.now_us(epoch);
         let inner = self.inner.into_inner().expect("trace recorder poisoned");
-        let mut spans = inner.spans;
-        spans.sort_by_key(|s| (s.start_us, s.depth));
         Trace {
-            spans,
+            spans: inner.spans,
             total_us,
             dropped: inner.dropped,
         }
@@ -305,24 +320,15 @@ impl Default for TraceRecorder {
 impl std::fmt::Debug for TraceRecorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TraceRecorder")
-            .field("enabled", &self.is_enabled())
+            .field("enabled", &self.epoch.is_some())
             .finish()
-    }
-}
-
-fn push_span(inner: &mut RecorderInner, record: SpanRecord) {
-    if inner.spans.len() < MAX_SPANS {
-        inner.spans.push(record);
-    } else {
-        inner.dropped += 1;
     }
 }
 
 struct SpanOpen<'a> {
     recorder: &'a TraceRecorder,
-    stage: Stage,
-    start_us: u64,
-    depth: u8,
+    /// The span's record, or `None` when the trace was full at open.
+    slot: Option<usize>,
 }
 
 /// RAII guard from [`TraceRecorder::span`]: the span's duration is the
@@ -339,16 +345,11 @@ impl Drop for Span<'_> {
         let epoch = open.recorder.epoch.expect("live span implies epoch");
         let now = open.recorder.now_us(epoch);
         let mut inner = open.recorder.inner.lock().expect("trace recorder poisoned");
-        inner.depth = inner.depth.saturating_sub(1);
-        push_span(
-            &mut inner,
-            SpanRecord {
-                stage: open.stage,
-                start_us: open.start_us,
-                dur_us: now.saturating_sub(open.start_us),
-                depth: open.depth,
-            },
-        );
+        inner.open.pop();
+        if let Some(slot) = open.slot {
+            let record = &mut inner.spans[slot];
+            record.dur_us = now.saturating_sub(record.start_us);
+        }
     }
 }
 
@@ -370,7 +371,7 @@ mod tests {
 
     #[test]
     fn nested_spans_record_depths_and_order() {
-        let rec = TraceRecorder::with_enabled(true);
+        let rec = TraceRecorder::new();
         {
             let _outer = rec.span(Stage::Exec);
             rec.leaf(Stage::Scan, 5);
@@ -385,7 +386,7 @@ mod tests {
         assert!(depths.contains(&(Stage::Scan, 1)));
         assert!(depths.contains(&(Stage::JoinBuild, 1)));
         assert!(depths.contains(&(Stage::OracleWorlds, 0)));
-        // Parents sort before their children (same start, smaller depth).
+        // Parents precede their children.
         let exec_at = trace
             .spans()
             .iter()
@@ -401,7 +402,7 @@ mod tests {
 
     #[test]
     fn top_level_sum_is_bounded_by_total() {
-        let rec = TraceRecorder::with_enabled(true);
+        let rec = TraceRecorder::new();
         for _ in 0..3 {
             let _span = rec.span(Stage::Exec);
             std::thread::sleep(std::time::Duration::from_micros(200));
@@ -425,8 +426,8 @@ mod tests {
 
     #[test]
     fn traces_always_compare_equal() {
-        let rec = TraceRecorder::with_enabled(true);
-        let _span = rec.span(Stage::Parse);
+        let rec = TraceRecorder::new();
+        let _span = rec.span(Stage::Exec);
         drop(_span);
         let a = rec.finish();
         let b = Trace::default();
@@ -435,7 +436,7 @@ mod tests {
 
     #[test]
     fn span_count_is_bounded() {
-        let rec = TraceRecorder::with_enabled(true);
+        let rec = TraceRecorder::new();
         for _ in 0..(MAX_SPANS + 10) {
             let _span = rec.span(Stage::Scan);
         }
@@ -446,7 +447,7 @@ mod tests {
 
     #[test]
     fn render_shows_nesting_markers() {
-        let rec = TraceRecorder::with_enabled(true);
+        let rec = TraceRecorder::new();
         {
             let _outer = rec.span(Stage::Exec);
             rec.leaf(Stage::Scan, 3);
@@ -454,5 +455,57 @@ mod tests {
         let rendered = rec.finish().render();
         assert!(rendered.starts_with("exec:"), "rendered: {rendered}");
         assert!(rendered.contains(">scan:3"), "rendered: {rendered}");
+    }
+
+    #[test]
+    fn a_leaf_longer_than_its_open_parent_still_renders_after_it() {
+        let rec = TraceRecorder::new();
+        // Open the parent well after the epoch, then replay a child whose
+        // duration reaches back before the parent's start.
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        {
+            let _outer = rec.span(Stage::Exec);
+            rec.leaf(Stage::Scan, 1_000_000);
+        }
+        let trace = rec.finish();
+        let rendered = trace.render();
+        assert!(rendered.starts_with("exec:"), "rendered: {rendered}");
+        assert!(rendered.contains(">scan:1000000"), "rendered: {rendered}");
+        assert_eq!(trace.spans()[0].start_us, trace.spans()[1].start_us);
+    }
+
+    #[test]
+    fn siblings_keep_the_order_they_ran_in_whatever_their_durations() {
+        let rec = TraceRecorder::new();
+        {
+            let _probe = rec.span(Stage::CacheProbe);
+            // Replayed in the order the phases ran; the later one was longer.
+            rec.leaf(Stage::Classify, 0);
+            rec.leaf(Stage::Optimize, 1_000_000);
+        }
+        {
+            let _exec = rec.span(Stage::Exec);
+            rec.leaf(Stage::Scan, 0);
+        }
+        // Opened right after the exec span closed, often within the same µs
+        // as its last child's replay: it still follows that child.
+        drop(rec.span(Stage::Symbolic));
+        let stages: Vec<(Stage, u8)> = rec
+            .finish()
+            .spans()
+            .iter()
+            .map(|s| (s.stage, s.depth))
+            .collect();
+        assert_eq!(
+            stages,
+            [
+                (Stage::CacheProbe, 0),
+                (Stage::Classify, 1),
+                (Stage::Optimize, 1),
+                (Stage::Exec, 0),
+                (Stage::Scan, 1),
+                (Stage::Symbolic, 0),
+            ]
+        );
     }
 }

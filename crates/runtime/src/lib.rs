@@ -13,7 +13,7 @@
 //! keep working.
 //!
 //! The pool records queue-wait and run-time latency histograms per task
-//! ([`PoolMetrics`]); `NEV_TRACE=0` disables the measurement entirely.
+//! ([`PoolMetrics`]).
 
 pub mod pool;
 

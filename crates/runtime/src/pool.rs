@@ -40,8 +40,7 @@ pub const SUBMITTER_BACKOFF: Duration = Duration::from_micros(50);
 pub const IDLE_WAIT_TIMEOUT: Duration = Duration::from_millis(10);
 
 /// Pool telemetry: how long tasks queue before running versus how long they
-/// run. Both histograms record in microseconds, only while [`nev_obs`]
-/// instrumentation is enabled (`NEV_TRACE=0` leaves them empty). The
+/// run. Both histograms record in microseconds, one sample per task. The
 /// queue-wait distribution is what justifies — or retunes — the submitter
 /// backoff constants above.
 #[derive(Debug, Default)]
@@ -183,7 +182,7 @@ impl WorkerPool {
         self.workers.len()
     }
 
-    /// The pool's queue-wait / run-time histograms (empty when `NEV_TRACE=0`).
+    /// The pool's queue-wait / run-time histograms.
     pub fn metrics(&self) -> &PoolMetrics {
         &self.shared.metrics
     }
@@ -214,8 +213,7 @@ impl WorkerPool {
             Arc::new((0..n).map(|_| Mutex::new(None)).collect());
         let done = Arc::new(AtomicUsize::new(0));
         // One submission timestamp for the whole batch: each task's queue
-        // wait is submit → its own start. Inert (no clock reads, no samples)
-        // when instrumentation is disabled.
+        // wait is submit → its own start.
         let submitted = Timer::start();
         let tasks: Vec<Task> = items
             .into_iter()
@@ -226,18 +224,14 @@ impl WorkerPool {
                 let done = Arc::clone(&done);
                 let metrics = Arc::clone(&self.shared.metrics);
                 Box::new(move || {
-                    if submitted.is_running() {
-                        metrics.queue_wait.record(submitted.elapsed_us());
-                    }
+                    metrics.queue_wait.record(submitted.elapsed_us());
                     let running = Timer::start();
                     // Capture panics instead of unwinding the worker: an
                     // unwound worker would never increment `done`, hanging the
                     // submitter, and would permanently shrink the pool.
                     let out =
                         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(index, item)));
-                    if running.is_running() {
-                        metrics.task_run.record(running.elapsed_us());
-                    }
+                    metrics.task_run.record(running.elapsed_us());
                     *results[index].lock().expect("result slot poisoned") = Some(out);
                     done.fetch_add(1, Ordering::Release);
                 }) as Task
@@ -387,20 +381,13 @@ mod tests {
 
     #[test]
     fn pool_metrics_count_every_task_when_enabled() {
-        // Gated on the process-wide switch: under NEV_TRACE=0 the histograms
-        // must stay empty instead (the zero-overhead contract).
         let pool = WorkerPool::new(2);
         let out = pool.run((0..32u64).collect(), |_, n| n);
         assert_eq!(out.len(), 32);
         let wait = pool.metrics().queue_wait.snapshot();
         let run = pool.metrics().task_run.snapshot();
-        if nev_obs::enabled() {
-            assert_eq!(wait.count, 32, "one queue-wait sample per task");
-            assert_eq!(run.count, 32, "one run-time sample per task");
-        } else {
-            assert_eq!(wait.count, 0, "kill switch leaves histograms empty");
-            assert_eq!(run.count, 0);
-        }
+        assert_eq!(wait.count, 32, "one queue-wait sample per task");
+        assert_eq!(run.count, 32, "one run-time sample per task");
     }
 
     #[test]

@@ -277,7 +277,7 @@ pub fn run_load(
     let eval_hist = Histogram::new();
     let explain_hist = Histogram::new();
     let timed_send = |client: &mut Client, hist: &Histogram, line: &str| {
-        let timer = Timer::start_always();
+        let timer = Timer::start();
         let response = client.send(line);
         hist.record(timer.elapsed_us());
         response

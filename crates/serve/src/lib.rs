@@ -51,9 +51,8 @@
 //! one line for `nevtop`; `METRICS RESET` re-baselines the windows and
 //! empties the slow log without touching lifetime counters; and `STATS`
 //! carries an `uptime_us=`/`p50_us=`/`p95_us=`/`p99_us=` digest.
-//! Setting `NEV_TRACE=0` disables span collection; request latencies, served
-//! bytes and all results are identical either way (`PROFILE` times on its own
-//! explicit-request clock, exempt from the kill switch).
+//! Timing never changes a served byte or a result: traces and executor
+//! timings compare equal to every other value of their type.
 //!
 //! The pool itself lives in the **`nev-runtime`** crate, below `nev-core` in
 //! the dependency order, so the engine's chunked oracle can run on it: one

@@ -265,20 +265,14 @@ impl ServeState {
         let (plan, hit) = self
             .cache
             .get_or_prepare_with_status(query_text, semantics)?;
-        if let Some(recorder) = options.trace.filter(|r| !hit && r.is_enabled()) {
+        if let Some(recorder) = options.trace.filter(|_| !hit) {
             // A miss paid the full preparation inside the probe span; replay
-            // its phases as children. Hits skip this — their preparation
+            // its classify and compile phases as children, one leaf each
+            // whatever the clock read. Hits skip this — their preparation
             // happened on some earlier request.
             let prep = plan.prepared.prep_timings();
-            for (stage, us) in [
-                (Stage::Parse, prep.parse_us),
-                (Stage::Classify, prep.classify_us),
-                (Stage::Optimize, prep.compile_us),
-            ] {
-                if us > 0 {
-                    recorder.leaf(stage, us);
-                }
-            }
+            recorder.leaf(Stage::Classify, prep.classify_us);
+            recorder.leaf(Stage::Optimize, prep.compile_us);
         }
         drop(probe);
         let evaluation = self
@@ -296,7 +290,7 @@ impl ServeState {
         query_text: &str,
         options: &DispatchOptions<'_>,
     ) -> Result<(CachedPlan, Evaluation, u64), ServeError> {
-        let total = Timer::start_always();
+        let total = Timer::start();
         let (plan, evaluation) = self.dispatch(name, semantics, query_text, options)?;
         let latency = total.elapsed_us();
         self.record(&plan.prepared, &evaluation, latency);
@@ -563,7 +557,7 @@ impl ServeState {
         let passes: Vec<(Vec<Evaluation>, u64)> = groups
             .iter()
             .map(|(snapshot, semantics, queries)| {
-                let timer = Timer::start_always();
+                let timer = Timer::start();
                 let batch = self.engine.evaluate_all(snapshot, *semantics, queries);
                 (batch.results, timer.elapsed_us())
             })
@@ -1055,11 +1049,30 @@ mod tests {
         assert_eq!(expected, [5, 2, 2], "five compiled passes, two with a join");
         let recorded = [Stage::Scan, Stage::JoinBuild, Stage::JoinProbe]
             .map(|stage| state.metrics().stage_snapshot(stage).count);
-        if nev_obs::enabled() {
-            assert_eq!(recorded, expected);
-        } else {
-            assert_eq!(recorded, [0; 3], "NEV_TRACE=0 records no spans");
+        assert_eq!(recorded, expected);
+    }
+
+    #[test]
+    fn preparation_stage_counts_follow_the_cache_misses_not_the_clock() {
+        let state = state(0);
+        state.handle_line("LOAD d R(1,2);R(2,?1);S(2)");
+        for line in [
+            "EVAL d owa Q(x) :- S(x)",
+            "EVAL d owa Q(x) :- S(x)",
+            "EVAL d cwa Q(x, y) :- exists z . R(x, z) & R(z, y)",
+            "EVAL d owa Q(x) :- T(x)",
+            "TRACE d owa Q(x) :- T(x)",
+            "EVAL d wcwa forall u v w t . R(u, v) & R(w, t)",
+        ] {
+            assert!(state.handle_line(line).starts_with("OK "), "{line}");
         }
+        // Every miss classified and compiled its query, however fast; every
+        // hit prepared nothing.
+        let misses = stat(&state, "cache_misses");
+        assert_eq!(misses, 4, "two repeated texts hit the cache");
+        let recorded = [Stage::Classify, Stage::Optimize]
+            .map(|stage| state.metrics().stage_snapshot(stage).count);
+        assert_eq!(recorded, [misses; 2]);
     }
 
     #[test]
@@ -1377,23 +1390,19 @@ mod tests {
         );
         assert!(line.contains(" dropped=0 "), "{line}");
         assert!(!line.contains('\n'), "TRACE is a one-liner: {line}");
-        if nev_obs::enabled() {
-            assert!(line.contains("exec:"), "{line}");
-            // Depth-0 stage durations can never exceed the request total.
-            let total: u64 = line
-                .split_whitespace()
-                .find_map(|tok| tok.strip_prefix("total_us="))
-                .unwrap()
-                .parse()
-                .unwrap();
-            let trace = state
-                .eval_with_trace("d0", Semantics::Cwa, "exists u v . D(u, v) & D(v, u)")
-                .unwrap()
-                .1;
-            assert!(trace.top_level_us() <= trace.total_us().max(total));
-        } else {
-            assert!(line.ends_with("spans=-"), "{line}");
-        }
+        assert!(line.contains("exec:"), "{line}");
+        // Depth-0 stage durations can never exceed the request total.
+        let total: u64 = line
+            .split_whitespace()
+            .find_map(|tok| tok.strip_prefix("total_us="))
+            .unwrap()
+            .parse()
+            .unwrap();
+        let trace = state
+            .eval_with_trace("d0", Semantics::Cwa, "exists u v . D(u, v) & D(v, u)")
+            .unwrap()
+            .1;
+        assert!(trace.top_level_us() <= trace.total_us().max(total));
         // TRACE is an eval: it counts, and it feeds the same histograms.
         assert!(stat(&state, "evals") >= 1);
         assert!(state.metrics().snapshot().latency().count >= 1);

@@ -9,7 +9,7 @@
 //!
 //! * [`obs`] — zero-dependency observability: log-bucketed latency histograms,
 //!   RAII stage spans and per-request traces, the metrics registry behind the
-//!   wire `METRICS`/`TRACE` commands (kill switch: `NEV_TRACE=0`);
+//!   wire `METRICS`/`TRACE` commands;
 //! * [`incomplete`] — incomplete databases with labelled nulls (naïve and Codd
 //!   tables), orderings on tuples and instances;
 //! * [`hom`] — homomorphisms, valuations, minimality, cores and isomorphism;

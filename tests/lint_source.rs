@@ -4,8 +4,8 @@
 //! 1. **Clocks live in `nev-obs`.** `Instant::now` / `SystemTime::now` may appear
 //!    only in the observability crate's timer paths (`Timer`, the metrics
 //!    registry epoch, the span clock). Everywhere else must thread an
-//!    [`nev_obs`] timer through, so the `NEV_TRACE=0` kill-switch really does
-//!    make timing inert.
+//!    [`nev_obs`] timer through, so every clock read in the workspace goes
+//!    through one timer type.
 //! 2. **No `.unwrap()` in serving-layer request handling.** `nev-serve`'s
 //!    library code handles untrusted wire input; every panic site must carry an
 //!    `.expect("why this cannot fail")` message (also enforced by the CI clippy
@@ -103,7 +103,7 @@ fn clock_reads_stay_inside_nev_obs() {
     assert!(
         violations.is_empty(),
         "direct clock reads outside the nev-obs timer paths (route them through \
-         nev_obs::Timer so NEV_TRACE=0 disables them):\n{}",
+         nev_obs::Timer, the workspace's one clock type):\n{}",
         violations.join("\n")
     );
 }
