@@ -10,13 +10,9 @@
 //! * **single_thread_baseline** — what serving looked like before `nev-serve`:
 //!   every request parses + classifies + compiles its query afresh and runs its
 //!   own sequential world pass (`CertainEngine::evaluate`);
-//! * **serve_batch** — `ServeState::eval_batch` with an empty pool: the
-//!   *amortisation* wins (plan cache, one shared world pass per (instance,
-//!   semantics) group, the groups run one after another);
-//! * **parallel_oracle_4_workers / sequential_oracle** — one expensive FO query,
-//!   world stream chunked across the pool vs the engine's sequential oracle.
-
-use std::sync::Arc;
+//! * **serve_batch** — `ServeState::eval_batch`: the *amortisation* wins (plan
+//!   cache, one shared world pass per (instance, semantics) group, the groups
+//!   run one after another).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -24,9 +20,7 @@ use nev_core::engine::{CertainEngine, PreparedQuery};
 use nev_core::Semantics;
 use nev_incomplete::builder::x;
 use nev_incomplete::{inst, Instance};
-use nev_serve::oracle::parallel_certain_answers;
 use nev_serve::state::{EvalRequest, ServeConfig, ServeState};
-use nev_serve::WorkerPool;
 
 /// Constant-free Boolean queries landing in OWA cells without a Figure 1
 /// guarantee: every one of them is oracle-bound.
@@ -75,11 +69,8 @@ fn requests() -> Vec<EvalRequest> {
     out
 }
 
-fn serve_state(workers: usize) -> ServeState {
-    let state = ServeState::new(ServeConfig {
-        workers,
-        ..ServeConfig::default()
-    });
+fn serve_state() -> ServeState {
+    let state = ServeState::new(ServeConfig::default());
     for (name, instance) in instances() {
         state.load(name, instance);
     }
@@ -113,65 +104,29 @@ fn bench_batch_throughput(c: &mut Criterion) {
     // to the single-thread baseline on every request (constant-free queries, so
     // the grouped shared pass is exact).
     let engine = CertainEngine::new();
-    for workers in [0, 4] {
-        let state = serve_state(workers);
-        let responses = state.eval_batch(&requests);
-        for (request, response) in requests.iter().zip(&responses) {
-            let response = response.as_ref().expect("served");
-            let instance = &instances
-                .iter()
-                .find(|(n, _)| *n == request.instance)
-                .expect("known instance")
-                .1;
-            let prepared = PreparedQuery::parse(&request.query).expect("valid query");
-            let reference = engine.evaluate(instance, request.semantics, &prepared);
-            assert_eq!(
-                response.certain, reference.certain,
-                "workers={workers} {request:?}"
-            );
-        }
+    let amortised = serve_state();
+    let responses = amortised.eval_batch(&requests);
+    for (request, response) in requests.iter().zip(&responses) {
+        let response = response.as_ref().expect("served");
+        let instance = &instances
+            .iter()
+            .find(|(n, _)| *n == request.instance)
+            .expect("known instance")
+            .1;
+        let prepared = PreparedQuery::parse(&request.query).expect("valid query");
+        let reference = engine.evaluate(instance, request.semantics, &prepared);
+        assert_eq!(response.certain, reference.certain, "{request:?}");
     }
 
     let mut group = c.benchmark_group("serve_throughput");
     group.bench_function("single_thread_baseline", |b| {
         b.iter(|| baseline_answers(&requests, &instances))
     });
-    let amortised = serve_state(0);
     group.bench_function("serve_batch", |b| {
         b.iter(|| amortised.eval_batch(&requests).len())
     });
     group.finish();
 }
 
-fn bench_parallel_oracle(c: &mut Criterion) {
-    // One oracle-bound query on a 4-null chain, under a semantics with no early
-    // exit for it: the enumeration is thousands of worlds and per-world
-    // evaluation is the cost — the shape the chunked oracle targets.
-    let d = inst! { "D" => [[x(1), x(2)], [x(2), x(3)], [x(3), x(4)]] };
-    let engine = CertainEngine::new();
-    let query = Arc::new(
-        engine
-            .prepare("exists u . forall v . D(u, v) -> D(v, u)")
-            .expect("valid query"),
-    );
-    let pool = WorkerPool::new(4);
-    let sequential = engine.certain_answers(&d, Semantics::Cwa, &query);
-    let parallel = parallel_certain_answers(&pool, &engine, &d, Semantics::Cwa, &query, 32);
-    assert_eq!(parallel.certain, sequential, "verdicts must agree");
-
-    let mut group = c.benchmark_group("serve_oracle");
-    group.bench_function("sequential_oracle", |b| {
-        b.iter(|| engine.certain_answers(&d, Semantics::Cwa, &query).len())
-    });
-    group.bench_function("parallel_oracle_4_workers", |b| {
-        b.iter(|| {
-            parallel_certain_answers(&pool, &engine, &d, Semantics::Cwa, &query, 32)
-                .certain
-                .len()
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_batch_throughput, bench_parallel_oracle);
+criterion_group!(benches, bench_batch_throughput);
 criterion_main!(benches);

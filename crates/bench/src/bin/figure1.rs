@@ -17,7 +17,7 @@
 //! `--threads N` validates the cells in parallel on an `N`-worker `nev-runtime`
 //! pool; each cell is an independent deterministic task, so the table is
 //! byte-identical at every thread count. When the flag is absent, `NEV_WORKERS`
-//! (the workspace-wide pool-size knob) supplies the default. `--timings`
+//! supplies the default. `--timings`
 //! appends a per-cell wall-time column to the table; it is **off** by default
 //! precisely because timings vary run to run while the default table's bytes
 //! must not. `--analyze` appends the static analyser's `normalized` column —

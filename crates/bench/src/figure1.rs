@@ -244,7 +244,7 @@ pub fn run_cell(semantics: Semantics, fragment: Fragment, config: &Figure1Config
 
 /// The (semantics, fragment) cells matching the optional filters (`None` keeps
 /// every row resp. column), in Figure 1 order. This is the work-list the
-/// `figure1 --threads` flag distributes across a `nev-serve` worker pool; each
+/// `figure1 --threads` flag distributes across a `nev-runtime` worker pool; each
 /// cell is an independent deterministic task, so the assembled table is identical
 /// at any worker count.
 pub fn cell_pairs(

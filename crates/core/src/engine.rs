@@ -25,9 +25,9 @@
 //! 3. the oracle ([`crate::oracle`]) streams worlds from the lazy
 //!    [`Semantics::worlds`] iterator with early exit (a Boolean query stops at
 //!    the first counter-world, a k-ary intersection stops when it becomes
-//!    empty), sequentially or — when the engine carries a worker pool —
-//!    chunked across the pool; each per-world evaluation routes through the
-//!    compiled plan when one exists;
+//!    empty), in one sequential pass whose verdict and world count are the
+//!    same on every run; each per-world evaluation routes through the compiled
+//!    plan when one exists;
 //! 4. [`CertainEngine::evaluate_all`] amortises the expensive part across a batch:
 //!    the instance's worlds are enumerated **at most once** and every per-query
 //!    certain-answer intersection is folded in that single pass.
@@ -38,7 +38,7 @@
 //!
 //! This engine **is** the evaluation API (the legacy free functions of
 //! [`crate::certain`] were removed once every caller migrated). The per-world
-//! primitive the oracles are built from — [`PreparedQuery::answers_in_world`] —
+//! primitive the oracle is built from — [`PreparedQuery::answers_in_world`] —
 //! is public, so external schedulers can reassemble the exact same
 //! certain-answer intersection.
 //!
@@ -71,7 +71,6 @@
 use std::borrow::Borrow;
 use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::Arc;
 
 use nev_analyze::{CheckError, QueryAnalysis};
 use nev_exec::{
@@ -84,10 +83,9 @@ use nev_logic::parser::ParseError;
 use nev_logic::query::QueryError;
 use nev_logic::{parse_query, Fragment, Query};
 use nev_obs::{Stage, Timer, Trace, TraceRecorder};
-use nev_runtime::WorkerPool;
 use nev_symbolic::{complete_candidates, cwa_certain_answers, under_approximation, EvalProfile};
 
-use crate::oracle::{self, OracleOutcome, DEFAULT_CHUNK};
+use crate::oracle::{self, OracleOutcome};
 use crate::semantics::{Semantics, WorldBounds};
 use crate::snapshot::Snapshot;
 use crate::summary::{expectation, Expectation};
@@ -376,8 +374,8 @@ impl PreparedQuery {
     /// The bounded oracle is *exactly* the intersection of this set over a world
     /// stream — for Boolean and k-ary queries alike, since `{()} ∩ {()} = {()}` and
     /// any empty factor empties the product. Exposing the per-world step lets
-    /// external schedulers (e.g. the `nev-serve` chunked parallel oracle) compute
-    /// the same certain answers under their own world partitioning.
+    /// external callers compute the same certain answers over their own world
+    /// streams.
     pub fn answers_in_world(
         &self,
         world: &Instance,
@@ -937,8 +935,6 @@ impl DispatchOptions<'static> {
 #[derive(Clone, Debug, Default)]
 pub struct CertainEngine {
     bounds: WorldBounds,
-    /// The pool the bounded oracle chunks its world stream across.
-    pool: Option<Arc<WorkerPool>>,
 }
 
 impl CertainEngine {
@@ -949,16 +945,7 @@ impl CertainEngine {
 
     /// An engine with explicit world-enumeration bounds.
     pub fn with_bounds(bounds: WorldBounds) -> Self {
-        CertainEngine { bounds, pool: None }
-    }
-
-    /// Attaches a shared worker pool: the oracle splits the world stream
-    /// across it ([`oracle::parallel_certain_answers`]). Naïve passes stay on
-    /// the calling thread. Answers are byte-identical with or without a pool —
-    /// only wall-clock changes.
-    pub fn with_pool(mut self, pool: Arc<WorkerPool>) -> Self {
-        self.pool = Some(pool);
-        self
+        CertainEngine { bounds }
     }
 
     /// The engine's base world-enumeration bounds (query constants are added per
@@ -1029,30 +1016,20 @@ impl CertainEngine {
     /// Figure 1 dispatch — the one function every evaluation entry point
     /// calls. A certified cell is answered by one naïve pass; elsewhere the
     /// PTIME symbolic ladder runs on the naïve answers, and only when it stays
-    /// open the bounded oracle — chunked across the engine's pool when it
-    /// carries one ([`oracle::parallel_certain_answers`]), the sequential
-    /// world pass otherwise.
+    /// open the bounded oracle, one sequential world pass
+    /// ([`oracle::world_pass`]).
     ///
     /// The instance comes as a [`Snapshot`], whose interned form and core bit
     /// are computed at most once and shared with every other evaluation of the
     /// same snapshot: a catalog entry pays for each once, however many
     /// requests it answers.
-    ///
-    /// The query is taken by [`Borrow`], so a cached `Arc<PreparedQuery>` is
-    /// shared with the pool's oracle tasks without a deep clone.
-    pub fn dispatch<Q, D>(
+    pub fn dispatch<D: Borrow<Instance>>(
         &self,
         snapshot: &Snapshot<D>,
         semantics: Semantics,
-        query: &Q,
+        prepared: &PreparedQuery,
         options: &DispatchOptions<'_>,
-    ) -> Evaluation
-    where
-        Q: Borrow<PreparedQuery> + Clone + Send + Sync + 'static,
-        D: Borrow<Instance>,
-    {
-        let prepared = query.borrow();
-        let d = snapshot.instance();
+    ) -> Evaluation {
         let disabled = TraceRecorder::disabled();
         let recorder = options.trace.unwrap_or(&disabled);
         if let Some(cert) = self.certify(snapshot, semantics, prepared) {
@@ -1086,12 +1063,7 @@ impl CertainEngine {
         );
         if !options.stop_before_oracle {
             let oracle_span = recorder.span(Stage::OracleWorlds);
-            eval.resolve(match &self.pool {
-                Some(pool) => {
-                    oracle::parallel_certain_answers(pool, self, d, semantics, query, DEFAULT_CHUNK)
-                }
-                None => self.world_pass(d, semantics, prepared),
-            });
+            eval.resolve(self.world_pass(snapshot.instance(), semantics, prepared));
             drop(oracle_span);
         }
         eval

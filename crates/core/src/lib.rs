@@ -16,8 +16,8 @@
 //! * [`snapshot`] — an immutable instance with its lazily derived state (the
 //!   interned form and the core bit), computed at most once and shared by every
 //!   evaluation of that instance;
-//! * [`oracle`] — the two bounded world oracles: a sequential pass shared by a
-//!   slice of queries, and the chunked oracle across a worker pool;
+//! * [`oracle`] — the bounded world oracle: one sequential pass shared by a
+//!   slice of queries;
 //! * [`semantics`] — the six concrete semantics of incompleteness (OWA, CWA, WCWA,
 //!   powerset CWA, minimal CWA, minimal powerset CWA), exact possible-world
 //!   membership tests, and lazy bounded possible-world enumeration (§2.3, §4.3, §7,

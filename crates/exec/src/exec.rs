@@ -23,8 +23,8 @@
 //! guaranteed Figure 1 cell is answered by one ordinary relational evaluation,
 //! and at the sizes this system serves a single pass beats fanning scans and
 //! joins out across threads (BENCH.md records the crossover measurement that
-//! retired the parallel scan and join kernels). Inter-request parallelism and
-//! the chunked world oracle live above this crate.
+//! retired the parallel scan and join kernels). Inter-request parallelism
+//! lives above this crate.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 

@@ -295,16 +295,14 @@ impl MetricsRegistry {
 
     /// Renders the full exposition of `snap`: uptime and caller gauges,
     /// caller counters (suffixed `_total`), the per-plan request-latency and
-    /// per-stage latency histograms, any extra named histograms (e.g. the
-    /// worker pool's queue-wait/run split), the trailing-window
-    /// `nev_window_*` gauges ending at `snap`, the slow-query log as comment
-    /// lines, and the `# EOF` terminator. Empty histograms are elided.
+    /// per-stage latency histograms, the trailing-window `nev_window_*`
+    /// gauges ending at `snap`, the slow-query log as comment lines, and the
+    /// `# EOF` terminator. Empty histograms are elided.
     pub fn expose(
         &self,
         snap: &MetricsSnapshot,
         counters: &[(&str, u64)],
         gauges: &[(&str, u64)],
-        extra_hists: &[(&str, HistogramSnapshot)],
     ) -> String {
         use std::fmt::Write;
         let mut out = String::with_capacity(4096);
@@ -344,12 +342,6 @@ impl MetricsRegistry {
                     &format!("stage=\"{}\"", stage.name()),
                     &mut out,
                 );
-            }
-        }
-        for (name, hist) in extra_hists {
-            if hist.count > 0 {
-                let _ = writeln!(out, "# TYPE nev_{name} histogram");
-                hist.render_prometheus(&format!("nev_{name}"), "", &mut out);
             }
         }
         render_window_gauges(&self.series.windows(snap), &mut out);
@@ -518,13 +510,12 @@ mod tests {
         let text = registry.expose(
             &snap,
             &[("evals", snap.evals()), ("requests", 5)],
-            &[("pool_workers", 2)],
-            &[],
+            &[("instances", 2)],
         );
         let lines = lines(&text);
         validate_exposition(&lines).expect("well-formed exposition");
         assert!(lines.iter().any(|l| l == "nev_evals_total 3"));
-        assert!(lines.iter().any(|l| l == "nev_pool_workers 2"));
+        assert!(lines.iter().any(|l| l == "nev_instances 2"));
         // Histogram counts reconcile with the counter read off them.
         let plan_count: u64 = lines
             .iter()
@@ -581,7 +572,7 @@ mod tests {
         let latencies: Vec<u64> = slow.iter().map(|s| s.latency_us).collect();
         assert_eq!(latencies, vec![900, 500]);
         // The log renders as comment lines the validator accepts.
-        let text = registry.expose(&registry.snapshot(), &[], &[], &[]);
+        let text = registry.expose(&registry.snapshot(), &[], &[]);
         validate_exposition(&lines(&text)).expect("slow log keeps grammar valid");
         assert!(text.contains("# slow_query latency_us=900"));
         // Reset empties the log without touching the latency histograms.
@@ -603,7 +594,7 @@ mod tests {
             stages: Vec::new(),
         });
         registry.observe_plan("oracle", 9);
-        let text = registry.expose(&registry.snapshot(), &[], &[], &[]);
+        let text = registry.expose(&registry.snapshot(), &[], &[]);
         validate_exposition(&lines(&text)).expect("window gauges keep grammar valid");
         let window_at = text
             .find("nev_window_evals{window=\"60s\"} 1")
@@ -618,7 +609,7 @@ mod tests {
     #[test]
     fn validator_rejects_malformed_expositions() {
         let empty = MetricsRegistry::new(&[], 0);
-        let ok = empty.expose(&empty.snapshot(), &[], &[], &[]);
+        let ok = empty.expose(&empty.snapshot(), &[], &[]);
         validate_exposition(&lines(&ok)).expect("empty registry exposes fine");
         assert!(
             validate_exposition(&lines("nev_x 1\n# EOF")).is_err(),

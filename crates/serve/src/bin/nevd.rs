@@ -1,14 +1,15 @@
 //! `nevd` — the certain-answer service daemon.
 //!
 //! ```text
-//! nevd [--port P] [--workers N] [--cache-capacity C]
+//! nevd [--port P] [--cache-capacity C]
 //! ```
 //!
 //! Binds a loopback TCP listener (`--port 0`, the default, picks an ephemeral
 //! port and prints it) and serves the line protocol documented in
-//! `nev_serve::wire`: `LOAD`, `PREPARE`, `EVAL`, `STATS`, `QUIT`. The
-//! parallel oracle splits world streams into chunks of
-//! `nev_serve::oracle::DEFAULT_CHUNK` worlds.
+//! `nev_serve::wire`: `LOAD`, `PREPARE`, `EVAL`, `STATS`, `QUIT`. Each
+//! connection is served on a thread of its own, and every request, the
+//! oracle's world pass included, runs on that thread. `--workers N` is
+//! accepted and ignored (read by nevbench until its next benchmark PR).
 
 use std::sync::Arc;
 
@@ -17,7 +18,7 @@ use nev_serve::server::Server;
 use nev_serve::state::{ServeConfig, ServeState};
 
 fn usage_and_exit(code: i32) -> ! {
-    println!("usage: nevd [--port P] [--workers N] [--cache-capacity C]");
+    println!("usage: nevd [--port P] [--cache-capacity C]");
     std::process::exit(code);
 }
 
@@ -28,7 +29,10 @@ fn main() {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--port" => port = parse_flag_value("--port", args.next()),
-            "--workers" => config.workers = parse_flag_value("--workers", args.next()),
+            "--workers" => {
+                // Read by nevbench until its next benchmark PR: accepted and ignored.
+                let _: usize = parse_flag_value("--workers", args.next());
+            }
             "--cache-capacity" => {
                 config.cache_capacity = parse_flag_value("--cache-capacity", args.next());
             }
@@ -40,7 +44,6 @@ fn main() {
         }
     }
 
-    let workers = config.workers;
     let state = Arc::new(ServeState::new(config));
     let server = match Server::bind(&format!("127.0.0.1:{port}"), state) {
         Ok(server) => server,
@@ -50,7 +53,7 @@ fn main() {
         }
     };
     match server.local_addr() {
-        Ok(addr) => println!("nevd listening on {addr} ({workers} workers)"),
+        Ok(addr) => println!("nevd listening on {addr}"),
         Err(e) => eprintln!("nevd: local_addr failed: {e}"),
     }
     if let Err(e) = server.run() {

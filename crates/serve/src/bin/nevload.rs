@@ -1,23 +1,22 @@
 //! `nevload` — the load-generator client and round-trip checker.
 //!
 //! ```text
-//! nevload --self-check [--seed S] [--instances I] [--requests N] [--workers W]
+//! nevload --self-check [--seed S] [--instances I] [--requests N]
 //! nevload --addr HOST:PORT [--seed S] [--instances I] [--requests N]
 //! ```
 //!
 //! Drives the seeded workload of `nev_serve::client::workload` through a server —
 //! either one it spawns in-process on an ephemeral port (`--self-check`, the CI
-//! smoke mode; `--workers` sizes that server's pool) or an already-running `nevd`
-//! (`--addr`) — and checks **every** `EVAL` response byte-for-byte against a bare
-//! in-process `CertainEngine` evaluation of the same snapshot. Exits non-zero on
-//! any mismatch.
+//! smoke mode) or an already-running `nevd` (`--addr`) — and checks **every**
+//! `EVAL` response byte-for-byte against a bare in-process `CertainEngine`
+//! evaluation of the same snapshot. Exits non-zero on any mismatch.
 
 use nev_serve::cli::parse_flag_value;
 use nev_serve::client::{run_load, self_check};
 
 fn usage_and_exit(code: i32) -> ! {
     println!(
-        "usage: nevload --self-check [--seed S] [--instances I] [--requests N] [--workers W]\n\
+        "usage: nevload --self-check [--seed S] [--instances I] [--requests N]\n\
          \x20      nevload --addr HOST:PORT [--seed S] [--instances I] [--requests N]"
     );
     std::process::exit(code);
@@ -29,7 +28,6 @@ fn main() {
     let mut seed: u64 = 20130622;
     let mut instances: usize = 2;
     let mut requests: usize = 24;
-    let mut workers: Option<usize> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -38,7 +36,6 @@ fn main() {
             "--seed" => seed = parse_flag_value("--seed", args.next()),
             "--instances" => instances = parse_flag_value("--instances", args.next()),
             "--requests" => requests = parse_flag_value("--requests", args.next()),
-            "--workers" => workers = Some(parse_flag_value("--workers", args.next())),
             "--help" | "-h" => usage_and_exit(0),
             other => {
                 eprintln!("unknown option: {other}");
@@ -48,15 +45,8 @@ fn main() {
     }
 
     let report = match (do_self_check, addr) {
-        (true, None) => self_check(seed, instances, requests, workers.unwrap_or(4)),
-        (false, Some(addr)) => {
-            if workers.is_some() {
-                // The pool size of a remote server is the server's business.
-                eprintln!("--workers only applies to --self-check (the spawned server's pool)");
-                std::process::exit(2);
-            }
-            run_load(&addr, seed, instances, requests)
-        }
+        (true, None) => self_check(seed, instances, requests),
+        (false, Some(addr)) => run_load(&addr, seed, instances, requests),
         _ => usage_and_exit(2),
     };
     match report {

@@ -166,14 +166,13 @@ fn render_frame(client: &mut Client, addr: &str) -> io::Result<String> {
     let _ = writeln!(
         out,
         "\nlifetime: p50_us={} p95_us={} p99_us={} cache_hits={} cache_misses={} \
-         cache_entries={} pool_workers={}",
+         cache_entries={}",
         read(&stats_kv, "p50_us"),
         read(&stats_kv, "p95_us"),
         read(&stats_kv, "p99_us"),
         read(&stats_kv, "cache_hits"),
         read(&stats_kv, "cache_misses"),
         read(&stats_kv, "cache_entries"),
-        read(&stats_kv, "pool_workers"),
     );
     Ok(out)
 }

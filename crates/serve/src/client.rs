@@ -4,7 +4,7 @@
 //! response line. [`run_load`] drives a whole seeded [`workload`] through a
 //! server and checks every answer **against a bare in-process
 //! `CertainEngine` evaluation** of the same snapshot — deliberately bypassing
-//! the serve layer's cache/pool/oracle so a serve-layer bug cannot cancel out —
+//! the serve layer's catalog and cache so a serve-layer bug cannot cancel out —
 //! the round-trip correctness check behind `nevload` and the CI smoke run.
 
 use std::fmt;
@@ -110,7 +110,7 @@ pub struct WorkloadRequest {
 /// Queries are generated **without constants** so batched evaluation provably
 /// coincides with solo evaluation (the engine's merged-bounds caveat) and mix the
 /// guaranteed fragments (certified, cheap) with Pos/FO under OWA and CWA (oracle
-/// bound — the traffic the worker pool exists for).
+/// bound — the traffic the world oracle answers).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Workload {
     /// Named instances to `LOAD`.
@@ -253,7 +253,7 @@ impl fmt::Display for LoadReport {
 /// response against a **bare** in-process [`nev_core::engine::CertainEngine`]
 /// evaluation of the same
 /// snapshot — deliberately *not* a second `ServeState`, so a bug common to the
-/// whole serve layer (cache, pool, parallel oracle) cannot cancel out: the
+/// whole serve layer (catalog, cache, handlers) cannot cancel out: the
 /// reference path shares only the engine itself with the code under test.
 /// Assumes the server runs the default [`ServeConfig`] world bounds. Returns the
 /// report; `all_match()` is the pass/fail signal.
@@ -406,16 +406,8 @@ const EXPLAIN_SAMPLE: usize = 4;
 
 /// Runs the load generator against a freshly spawned in-process server (the
 /// `nevload --self-check` mode): returns the report and tears the server down.
-pub fn self_check(
-    seed: u64,
-    instances: usize,
-    requests: usize,
-    workers: usize,
-) -> io::Result<LoadReport> {
-    let state = Arc::new(ServeState::new(ServeConfig {
-        workers,
-        ..ServeConfig::default()
-    }));
+pub fn self_check(seed: u64, instances: usize, requests: usize) -> io::Result<LoadReport> {
+    let state = Arc::new(ServeState::new(ServeConfig::default()));
     let server = crate::server::Server::bind("127.0.0.1:0", state)?;
     let mut handle = server.spawn()?;
     let report = run_load(&handle.addr().to_string(), seed, instances, requests);
@@ -453,7 +445,7 @@ mod tests {
 
     #[test]
     fn self_check_round_trips_byte_identically() {
-        let report = self_check(7, 2, 10, 2).expect("self-check runs");
+        let report = self_check(7, 2, 10).expect("self-check runs");
         assert_eq!(report.loaded, 2);
         assert!(report.all_match(), "{report}");
         assert_eq!(report.answered, 10);

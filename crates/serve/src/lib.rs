@@ -4,10 +4,10 @@
 //! cost exactly one naïve evaluation pass — cheap enough to *serve*. This crate is
 //! the serving layer the rest of the workspace plugs into: a shared catalog of
 //! incomplete instances, a plan cache that amortises preparation across requests,
-//! a work-stealing worker pool, a parallel bounded oracle for the cells that still
-//! need possible-world enumeration, and a loopback TCP line-protocol server
-//! (`nevd`) with a load-generator client (`nevload`) and a live terminal
-//! dashboard (`nevtop`).
+//! handlers that run the engine's Figure 1 dispatch (its bounded oracle is one
+//! sequential world pass), and a loopback TCP line-protocol server (`nevd`)
+//! with a load-generator client (`nevload`) and a live terminal dashboard
+//! (`nevtop`).
 //!
 //! The module DAG, bottom to top:
 //!
@@ -21,12 +21,6 @@
 //!         ├──► cache    (LRU of Arc<PreparedQuery> holding the nev-opt
 //!         │              optimised plan, keyed on the canonical rendering,
 //!         │              single-flight preparation)
-//!         ├──► oracle   (re-export of nev_core::oracle: the possible-world
-//!         │              stream chunked across the pool, early-exit
-//!         │              cancellation; verdicts ≡ sequential)
-//!         ├──► pool     (re-export of nev_runtime::WorkerPool: work-stealing
-//!         │              deques, caller-helps, deterministic maps — serving
-//!         │              oracle chunks)
 //!         └──► wire     (line-protocol grammar, canonical rendering)
 //! client (blocking protocol client, seeded load generator, self-check)
 //! ```
@@ -44,9 +38,8 @@
 //! commands agree by construction. `TRACE` answers one request's stage
 //! timeline as a one-liner; `PROFILE` runs one real evaluation and annotates
 //! every executed operator of a compiled plan with wall time, output rows and
-//! the `nev-opt` cost model's estimate; `METRICS` emits the whole registry,
-//! the pool's queue-wait/run split and the trailing-window `nev_window_*`
-//! gauges as a Prometheus-style exposition (the protocol's sole multi-line
+//! the `nev-opt` cost model's estimate; `METRICS` emits the whole registry
+//! and the trailing-window `nev_window_*` gauges as a Prometheus-style exposition (the protocol's sole multi-line
 //! response, terminated by `# EOF`); `TOP` condenses the windowed rates into
 //! one line for `nevtop`; `METRICS RESET` re-baselines the windows and
 //! empties the slow log without touching lifetime counters; and `STATS`
@@ -54,25 +47,20 @@
 //! Timing never changes a served byte or a result: traces and executor
 //! timings compare equal to every other value of their type.
 //!
-//! The pool itself lives in the **`nev-runtime`** crate, below `nev-core` in
-//! the dependency order, so the engine's chunked oracle can run on it: one
-//! `ServeState` holds one `Arc<WorkerPool>`, hands it to its engine
-//! ([`nev_core::engine::CertainEngine::with_pool`]), and sizes it from
-//! [`ServeConfig::workers`] (defaulting to the `NEV_WORKERS` environment
-//! variable via [`env_workers`]). Everything else — certified naïve passes,
-//! the symbolic ladder, batch groups — runs sequentially on the thread
-//! serving the request.
+//! Every request — certified naïve pass, symbolic ladder, oracle world pass,
+//! batch group — runs sequentially on the thread serving its connection, so
+//! `nevd` starts one thread per connection and no other. The crate still
+//! re-exports `nev-runtime`'s [`WorkerPool`] and [`env_workers`] for the
+//! `figure1` binary, which fans its cells out on that pool.
 //!
 //! Correctness invariants, each backed by a test suite:
 //!
 //! * **snapshot isolation** — an `EVAL` runs entirely against the `Arc<Instance>`
 //!   snapshot it resolved; concurrent `LOAD`s swap the catalog map copy-on-write
 //!   and never mutate a shared instance;
-//! * **schedule-independent answers** — certain answers are intersections over
-//!   world streams, so worker count and stealing order never change a result:
-//!   the determinism suite pins byte-identical responses at 1, 2 and 8 workers,
-//!   and the property suite pins parallel ≡ sequential oracle verdicts on all
-//!   five fragments;
+//! * **repeatable answers** — the oracle visits worlds in stream order, so a
+//!   replayed request stream gives byte-identical responses and the same
+//!   `worlds=` counts on every run (the determinism suite pins both);
 //! * **round-trip fidelity** — every server response renders canonically, and the
 //!   load generator asserts byte-identity against an in-process
 //!   [`nev_core::engine::CertainEngine`] run on the same snapshots.
@@ -84,8 +72,8 @@ pub mod cache;
 pub mod catalog;
 pub mod cli;
 pub mod client;
+#[doc(hidden)]
 pub mod oracle;
-pub mod pool;
 pub mod server;
 pub mod state;
 pub mod wire;
@@ -93,9 +81,7 @@ pub mod wire;
 pub use cache::PlanCache;
 pub use catalog::Catalog;
 pub use client::{run_load, self_check, workload, Client, LoadReport};
-pub use nev_runtime::env_workers;
-pub use oracle::{parallel_certain_answers, OracleOutcome};
-pub use pool::WorkerPool;
+pub use nev_runtime::{env_workers, WorkerPool};
 pub use server::{Server, ServerHandle};
 pub use state::{
     EvalRequest, EvalResponse, PlanKind, ServeConfig, ServeError, ServeState, PLAN_LABELS,
@@ -105,8 +91,8 @@ pub use state::{
 #[cfg(test)]
 mod thread_safety {
     //! `static_assertions`-style compile tests: if this module compiles, the
-    //! service types are `Send + Sync` and safe to share across the pool and the
-    //! connection threads.
+    //! service types are `Send + Sync` and safe to share across the connection
+    //! threads.
     use super::*;
 
     fn require_send_sync<T: Send + Sync>() {}
@@ -115,9 +101,7 @@ mod thread_safety {
     fn service_types_are_send_and_sync() {
         require_send_sync::<Catalog>();
         require_send_sync::<PlanCache>();
-        require_send_sync::<WorkerPool>();
         require_send_sync::<ServeState>();
-        require_send_sync::<OracleOutcome>();
         require_send_sync::<EvalResponse>();
     }
 }

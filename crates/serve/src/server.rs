@@ -4,8 +4,8 @@
 //! One thread accepts connections; each connection gets its own thread reading
 //! request lines and writing one response line per request (see [`crate::wire`]
 //! for the grammar). All connection threads share the same `Arc<ServeState>` —
-//! the catalog, plan cache and worker pool amortise across clients exactly as
-//! they do across requests.
+//! the catalog and plan cache amortise across clients exactly as they do
+//! across requests.
 
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -168,10 +168,7 @@ mod tests {
 
     #[test]
     fn spawned_server_answers_and_shuts_down() {
-        let state = Arc::new(ServeState::new(ServeConfig {
-            workers: 1,
-            ..ServeConfig::default()
-        }));
+        let state = Arc::new(ServeState::new(ServeConfig::default()));
         let server = Server::bind("127.0.0.1:0", state).expect("bind ephemeral");
         let mut handle = server.spawn().expect("spawn accept loop");
         let mut client = Client::connect(&handle.addr().to_string()).expect("connect");
@@ -189,10 +186,7 @@ mod tests {
 
     #[test]
     fn shutdown_returns_with_no_client_ever_connected() {
-        let state = Arc::new(ServeState::new(ServeConfig {
-            workers: 0,
-            ..ServeConfig::default()
-        }));
+        let state = Arc::new(ServeState::new(ServeConfig::default()));
         let server = Server::bind("127.0.0.1:0", state).expect("bind ephemeral");
         let mut handle = server.spawn().expect("spawn accept loop");
         let addr = handle.addr();
@@ -210,10 +204,7 @@ mod tests {
 
     #[test]
     fn concurrent_clients_share_catalog_and_cache() {
-        let state = Arc::new(ServeState::new(ServeConfig {
-            workers: 2,
-            ..ServeConfig::default()
-        }));
+        let state = Arc::new(ServeState::new(ServeConfig::default()));
         let server = Server::bind("127.0.0.1:0", Arc::clone(&state)).expect("bind");
         let handle = server.spawn().expect("spawn");
         let addr = handle.addr().to_string();

@@ -1,20 +1,19 @@
-//! The shared service state: catalog + plan cache + worker pool + engine, and the
+//! The shared service state: catalog + plan cache + engine, and the
 //! request handlers (`LOAD` / `PREPARE` / `EVAL` / `EXPLAIN` / `ANALYZE` /
 //! `PROFILE` / `STATS` / `TOP` / `METRICS`) built on them.
 //!
 //! One [`ServeState`] is shared (behind an `Arc`) by every connection thread of a
 //! [`crate::server::Server`] and by in-process callers (benchmarks, tests, the
 //! load generator's reference run). It is `Send + Sync` by construction: the
-//! catalog hands out immutable snapshots, the cache hands out `Arc`s, the pool is
-//! its own synchronisation, and the engine is immutable configuration.
+//! catalog hands out immutable snapshots, the cache hands out `Arc`s, and the
+//! engine is immutable configuration.
 //!
 //! Figure 1 dispatch is the engine's ([`CertainEngine::dispatch`]); the handlers
 //! resolve the snapshot and the cached plan, call it, and render its
 //! [`Evaluation`]. Two evaluation paths exist:
 //!
-//! * [`ServeState::eval`] — one request: the engine carries this state's pool, so
-//!   a cell the symbolic ladder leaves open runs the **parallel oracle** (the
-//!   world stream chunked across the pool with early-exit cancellation);
+//! * [`ServeState::eval`] — one request: a cell the symbolic ladder leaves open
+//!   runs the engine's **sequential world pass**, with early exit;
 //! * [`ServeState::eval_batch`] — many requests: requests are grouped by (instance,
 //!   semantics), each group's distinct queries are folded into **one shared world
 //!   pass** (`CertainEngine::evaluate_all`), and the groups run one after another.
@@ -39,17 +38,17 @@ use nev_incomplete::{Instance, Tuple};
 use nev_obs::{
     Counter, MetricsRegistry, MetricsSnapshot, SlowQuery, Stage, Timer, Trace, TraceRecorder,
 };
-use nev_runtime::env_workers;
 
 use crate::cache::{CachedPlan, PlanCache};
 use crate::catalog::Catalog;
-use crate::pool::WorkerPool;
 use crate::wire::{self, Command};
 
 /// Configuration of a service instance.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// Background worker threads (callers help, so `0` is sequential).
+    /// Read by nevbench until its next benchmark PR: accepted and ignored
+    /// (see the compat block in `nev_serve::oracle`).
+    #[doc(hidden)]
     pub workers: usize,
     /// Plan-cache capacity in distinct queries.
     pub cache_capacity: usize,
@@ -60,9 +59,7 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
-            // Thread counts are configured in exactly one place: NEV_WORKERS
-            // (when set) sizes the pool the parallel oracle runs on.
-            workers: env_workers().unwrap_or(4),
+            workers: 0,
             cache_capacity: 256,
             bounds: WorldBounds::default(),
         }
@@ -126,6 +123,13 @@ fn render_compile_reason(prepared: &PreparedQuery) -> String {
     }
 }
 
+/// The [`Semantics`] a request line spells, or the typed error `ERR` renders.
+fn parse_semantics(spelling: String) -> Result<Semantics, ServeError> {
+    spelling
+        .parse()
+        .map_err(|_| ServeError::UnknownSemantics(spelling))
+}
+
 /// One `EVAL` request, as consumed by [`ServeState::eval_batch`].
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct EvalRequest {
@@ -184,21 +188,16 @@ pub struct ServeState {
     engine: CertainEngine,
     catalog: Catalog,
     cache: PlanCache,
-    pool: Arc<WorkerPool>,
     metrics: MetricsRegistry,
 }
 
 impl ServeState {
-    /// Builds a service from its configuration. The worker pool runs the
-    /// parallel oracle's world chunks (the engine holds an `Arc` of it).
+    /// Builds a service from its configuration.
     pub fn new(config: ServeConfig) -> Self {
-        let pool = Arc::new(WorkerPool::new(config.workers));
-        let engine = CertainEngine::with_bounds(config.bounds).with_pool(Arc::clone(&pool));
         ServeState {
-            engine,
+            engine: CertainEngine::with_bounds(config.bounds),
             catalog: Catalog::new(),
             cache: PlanCache::new(config.cache_capacity),
-            pool,
             metrics: MetricsRegistry::new(PLAN_LABELS, SLOW_LOG_CAPACITY),
         }
     }
@@ -211,11 +210,6 @@ impl ServeState {
     /// The plan cache.
     pub fn cache(&self) -> &PlanCache {
         &self.cache
-    }
-
-    /// The worker pool.
-    pub fn pool(&self) -> &WorkerPool {
-        &self.pool
     }
 
     /// The underlying engine (bounds included).
@@ -384,9 +378,8 @@ impl ServeState {
 
     /// Answers one `EVAL` request through the engine's dispatch: certified
     /// naïve pass when Figure 1 guarantees it, else the symbolic ladder, else
-    /// the chunked **parallel oracle**. The certain answers are identical to
-    /// `CertainEngine::evaluate` on the same inputs — only the oracle's
-    /// schedule differs.
+    /// the bounded oracle's **sequential world pass**. The certain answers are
+    /// identical to `CertainEngine::evaluate` on the same inputs.
     pub fn eval(
         &self,
         name: &str,
@@ -400,11 +393,11 @@ impl ServeState {
     /// [`ServeState::eval`] returning the request's stage timeline alongside the
     /// answer (the `TRACE` command). The trace covers the whole request — the
     /// plan-cache probe (with parse/classify/compile replayed as children on a
-    /// miss), the engine's exec pass, the symbolic probe, and the parallel
-    /// oracle — and is also what feeds the metrics registry: the per-plan
-    /// latency histogram records exactly once per successful request (its
-    /// counts are the `evals` and dispatch counters); the per-stage
-    /// histograms and the slow-query log absorb the finished trace.
+    /// miss), the engine's exec pass, the symbolic probe, and the oracle — and
+    /// is also what feeds the metrics registry: the per-plan latency histogram
+    /// records exactly once per successful request (its counts are the `evals`
+    /// and dispatch counters); the per-stage histograms and the slow-query log
+    /// absorb the finished trace.
     pub fn eval_with_trace(
         &self,
         name: &str,
@@ -614,12 +607,11 @@ impl ServeState {
         ]
     }
 
-    /// The cache, catalog and pool gauges `STATS` and `METRICS` report.
-    fn gauges(&self) -> [(&'static str, u64); 3] {
+    /// The cache and catalog gauges `STATS` and `METRICS` report.
+    fn gauges(&self) -> [(&'static str, u64); 2] {
         [
             ("cache_entries", self.cache.len() as u64),
             ("instances", self.catalog.len() as u64),
-            ("pool_workers", self.pool.workers() as u64),
         ]
     }
 
@@ -677,18 +669,13 @@ impl ServeState {
 
     /// The full `METRICS` exposition of one snapshot: every `STATS` counter
     /// and gauge, the per-plan request-latency and per-stage histograms, the
-    /// worker pool's queue-wait/run split, the trailing-window `nev_window_*`
-    /// gauges, and the slow-query log — Prometheus-style text ending with a
-    /// `# EOF` line (see [`nev_obs::validate_exposition`]).
+    /// trailing-window `nev_window_*` gauges, and the slow-query log —
+    /// Prometheus-style text ending with a `# EOF` line (see
+    /// [`nev_obs::validate_exposition`]).
     pub fn render_metrics(&self) -> String {
         let snap = self.metrics.snapshot();
-        let pool = self.pool.metrics();
-        let extra = [
-            ("pool_queue_wait_us", pool.queue_wait.snapshot()),
-            ("pool_task_run_us", pool.task_run.snapshot()),
-        ];
         self.metrics
-            .expose(&snap, &self.counters(&snap), &self.gauges(), &extra)
+            .expose(&snap, &self.counters(&snap), &self.gauges())
     }
 
     /// Handles one protocol line, returning the response line (always exactly one
@@ -733,9 +720,7 @@ impl ServeState {
                 semantics,
                 query,
             } => {
-                let semantics: Semantics = semantics
-                    .parse()
-                    .map_err(|_| ServeError::UnknownSemantics(semantics))?;
+                let semantics = parse_semantics(semantics)?;
                 let response = self.eval(&name, semantics, &query)?;
                 Ok(response.render())
             }
@@ -744,9 +729,7 @@ impl ServeState {
                 semantics,
                 query,
             } => {
-                let semantics: Semantics = semantics
-                    .parse()
-                    .map_err(|_| ServeError::UnknownSemantics(semantics))?;
+                let semantics = parse_semantics(semantics)?;
                 self.explain(&name, semantics, &query)
             }
             Command::Analyze {
@@ -754,9 +737,7 @@ impl ServeState {
                 semantics,
                 query,
             } => {
-                let semantics: Semantics = semantics
-                    .parse()
-                    .map_err(|_| ServeError::UnknownSemantics(semantics))?;
+                let semantics = parse_semantics(semantics)?;
                 self.analyze(&name, semantics, &query)
             }
             Command::Trace {
@@ -764,9 +745,7 @@ impl ServeState {
                 semantics,
                 query,
             } => {
-                let semantics: Semantics = semantics
-                    .parse()
-                    .map_err(|_| ServeError::UnknownSemantics(semantics))?;
+                let semantics = parse_semantics(semantics)?;
                 let (response, trace) = self.eval_with_trace(&name, semantics, &query)?;
                 Ok(format!(
                     "trace plan={} total_us={} dropped={} spans={}",
@@ -781,9 +760,7 @@ impl ServeState {
                 semantics,
                 query,
             } => {
-                let semantics: Semantics = semantics
-                    .parse()
-                    .map_err(|_| ServeError::UnknownSemantics(semantics))?;
+                let semantics = parse_semantics(semantics)?;
                 self.profile(&name, semantics, &query)
             }
             Command::Stats => Ok(self.render_stats()),
@@ -808,11 +785,8 @@ mod tests {
     use nev_incomplete::builder::{c, x};
     use nev_incomplete::inst;
 
-    fn state(workers: usize) -> ServeState {
-        ServeState::new(ServeConfig {
-            workers,
-            ..ServeConfig::default()
-        })
+    fn state() -> ServeState {
+        ServeState::new(ServeConfig::default())
     }
 
     /// One `STATS` counter, read the way `STATS` reads it.
@@ -832,7 +806,7 @@ mod tests {
 
     #[test]
     fn eval_matches_the_in_process_engine_on_both_paths() {
-        let state = state(2);
+        let state = state();
         state.load("d0", d0());
         let engine = CertainEngine::new();
         for (text, semantics) in [
@@ -854,7 +828,7 @@ mod tests {
 
     #[test]
     fn unknown_names_and_semantics_are_typed_errors() {
-        let state = state(0);
+        let state = state();
         assert_eq!(
             state.eval("nope", Semantics::Owa, "exists u . D(u, u)"),
             Err(ServeError::UnknownInstance("nope".into()))
@@ -872,7 +846,7 @@ mod tests {
 
     #[test]
     fn protocol_round_trip_session() {
-        let state = state(1);
+        let state = state();
         assert_eq!(
             state.handle_line("LOAD d0 D(?1,?2);D(?2,?1)"),
             "OK loaded d0 facts=2"
@@ -889,13 +863,13 @@ mod tests {
         assert_eq!(owa, "OK plan=oracle certain={}");
         let stats = state.handle_line("STATS");
         assert!(stats.starts_with("OK requests="), "{stats}");
-        assert!(stats.contains("pool_workers=1"), "{stats}");
+        assert!(stats.contains(" instances=1 "), "{stats}");
         assert_eq!(state.handle_line("QUIT"), "OK bye");
     }
 
     #[test]
     fn explain_exposes_the_optimised_plan_over_the_protocol() {
-        let state = state(0);
+        let state = state();
         state.load("d0", d0());
         // A compiled certified cell: dispatch decision plus both plans.
         let line = state.handle_line("EXPLAIN d0 cwa exists u v . D(u, v)");
@@ -924,7 +898,7 @@ mod tests {
 
     #[test]
     fn eval_batch_amortises_and_preserves_request_order() {
-        let state = state(3);
+        let state = state();
         state.load("d0", d0());
         state.load("loops", inst! { "D" => [[x(1), x(1)], [x(1), x(2)]] });
         let texts = [
@@ -967,7 +941,7 @@ mod tests {
 
     #[test]
     fn evals_and_batches_share_the_catalog_entrys_derived_state() {
-        let state = state(2);
+        let state = state();
         state.load("d0", d0());
         let entry = state.catalog().entry("d0").expect("loaded");
         assert!(
@@ -1010,7 +984,7 @@ mod tests {
 
     #[test]
     fn stage_counts_follow_the_phases_run_not_the_clock() {
-        let state = state(0);
+        let state = state();
         let facts = "R(1,2);R(2,3);R(3,?1);S(2)";
         state.handle_line(&format!("LOAD d {facts}"));
         let entry = state.catalog().entry("d").expect("loaded");
@@ -1052,9 +1026,60 @@ mod tests {
         assert_eq!(recorded, expected);
     }
 
+    /// The `worlds` counter a `STATS` line reports.
+    fn stats_worlds(line: &str) -> u64 {
+        line.split_whitespace()
+            .find_map(|kv| kv.strip_prefix("worlds="))
+            .and_then(|v| v.parse().ok())
+            .expect("a worlds= field")
+    }
+
+    #[test]
+    fn replayed_oracle_requests_count_the_same_worlds() {
+        let requests = [
+            ("EVAL", "forall u . exists v . D(u, v)"),
+            ("EVAL", "exists u . !D(u, u)"),
+            ("PROFILE", "exists u . !D(u, u)"),
+        ];
+        // The worlds the reference oracle enumerates for each request.
+        let engine = CertainEngine::new();
+        let expected: Vec<u64> = requests
+            .iter()
+            .map(|(_, text)| {
+                let query = engine.prepare(text).expect("valid query");
+                engine
+                    .compare(&d0(), Semantics::Owa, &query)
+                    .worlds_enumerated as u64
+            })
+            .collect();
+        for replay in 0..50 {
+            let state = state();
+            state.load("d0", d0());
+            let mut before = stats_worlds(&state.handle_line("STATS"));
+            let steps: Vec<u64> = requests
+                .iter()
+                .map(|(command, text)| {
+                    let response = state.handle_line(&format!("{command} d0 owa {text}"));
+                    assert!(response.contains("plan=oracle"), "{response}");
+                    let after = stats_worlds(&state.handle_line("STATS"));
+                    let step = after - before;
+                    before = after;
+                    step
+                })
+                .collect();
+            assert_eq!(steps, expected, "replay {replay}");
+            for ((_, text), &worlds) in requests.iter().zip(&expected) {
+                let (_, evaluation) = state
+                    .dispatch("d0", Semantics::Owa, text, &DispatchOptions::default())
+                    .expect("served");
+                assert_eq!(evaluation.worlds_enumerated as u64, worlds, "{text}");
+            }
+        }
+    }
+
     #[test]
     fn preparation_stage_counts_follow_the_cache_misses_not_the_clock() {
-        let state = state(0);
+        let state = state();
         state.handle_line("LOAD d R(1,2);R(2,?1);S(2)");
         for line in [
             "EVAL d owa Q(x) :- S(x)",
@@ -1077,7 +1102,7 @@ mod tests {
 
     #[test]
     fn symbolic_dispatch_retires_the_oracle_and_shows_on_the_wire() {
-        let state = state(2);
+        let state = state();
         // A broken chain: Pos × OWA carries no Figure 1 guarantee, but the
         // Kleene/naïve sandwich closes on "certainly false" — zero worlds.
         state.load("chain", inst! { "R" => [[c(1), x(1)]] });
@@ -1105,7 +1130,7 @@ mod tests {
 
     #[test]
     fn analyze_round_trips_and_normalized_dispatch_shows_on_the_wire() {
-        let state = state(1);
+        let state = state();
         state.load("d0", d0());
         // `¬¬∃uv D(u,v)` classifies FO (no CWA guarantee), but its normal form
         // is ∃Pos — ANALYZE reports the widening and the upgraded dispatch.
@@ -1152,7 +1177,6 @@ mod tests {
     #[test]
     fn truncated_oracle_verdicts_are_flagged_on_the_wire() {
         let state = ServeState::new(ServeConfig {
-            workers: 1,
             bounds: WorldBounds {
                 max_worlds: 4,
                 ..WorldBounds::default()
@@ -1180,7 +1204,7 @@ mod tests {
 
     #[test]
     fn eval_batch_reports_per_request_errors_in_place() {
-        let state = state(1);
+        let state = state();
         state.load("d0", d0());
         let requests = [
             EvalRequest {
@@ -1201,7 +1225,7 @@ mod tests {
 
     #[test]
     fn stats_carries_the_request_latency_digest() {
-        let state = state(0);
+        let state = state();
         state.load("d0", d0());
         let before = state.render_stats();
         assert!(before.contains(" uptime_us="), "{before}");
@@ -1228,7 +1252,7 @@ mod tests {
 
     #[test]
     fn profile_annotates_every_operator_of_a_compiled_plan() {
-        let state = state(0);
+        let state = state();
         state.load("d0", d0());
         // A certified compiled cell with a join: the profile must carry the
         // join group, its scans, and the pairwise fold with estimates.
@@ -1253,7 +1277,7 @@ mod tests {
 
     #[test]
     fn profile_annotates_the_normal_form_on_normalized_dispatches() {
-        let state = state(1);
+        let state = state();
         state.load("d0", d0());
         // ¬¬∃ is FO as written but ∃Pos once normalized: the normal form's
         // compiled plan is the pass that ran, so it is the one annotated.
@@ -1273,7 +1297,7 @@ mod tests {
 
     #[test]
     fn profile_reports_compiled_false_on_uncompiled_dispatches() {
-        let state = state(1);
+        let state = state();
         state.load("d0", d0());
         // An oracle cell: PROFILE still answers (real dispatch), but there is
         // no operator pipeline to annotate.
@@ -1306,7 +1330,7 @@ mod tests {
 
     #[test]
     fn top_renders_trailing_window_rates() {
-        let state = state(1);
+        let state = state();
         state.load("d0", d0());
         state.handle_line("EVAL d0 cwa exists u v . D(u, v)");
         let top = state.handle_line("TOP");
@@ -1322,7 +1346,7 @@ mod tests {
 
     #[test]
     fn metrics_reset_zeroes_windows_but_never_lifetime_counters() {
-        let state = state(0);
+        let state = state();
         state.load("d0", d0());
         state.handle_line("EVAL d0 cwa exists u v . D(u, v)");
         assert_eq!(state.metrics().slow_queries().len(), 1);
@@ -1341,7 +1365,7 @@ mod tests {
 
     #[test]
     fn metrics_exposition_validates_and_reconciles_with_evals() {
-        let state = state(2);
+        let state = state();
         state.load("d0", d0());
         for (text, semantics) in [
             ("exists u v . D(u, v) & D(v, u)", Semantics::Cwa),
@@ -1381,7 +1405,7 @@ mod tests {
 
     #[test]
     fn trace_command_runs_a_real_eval_and_renders_a_stage_timeline() {
-        let state = state(1);
+        let state = state();
         state.load("d0", d0());
         let line = state.handle_line("TRACE d0 cwa exists u v . D(u, v) & D(v, u)");
         assert!(
@@ -1410,7 +1434,7 @@ mod tests {
 
     #[test]
     fn slow_query_log_captures_the_worst_requests() {
-        let state = state(0);
+        let state = state();
         state.load("d0", d0());
         state
             .eval("d0", Semantics::Owa, "exists u . !D(u, u)")
@@ -1426,7 +1450,7 @@ mod tests {
 
     #[test]
     fn metrics_over_the_wire_is_the_sole_multiline_response() {
-        let state = state(1);
+        let state = state();
         state.load("d0", d0());
         state.handle_line("EVAL d0 cwa exists u v . D(u, v)");
         let response = state.handle_line("METRICS");

@@ -15,11 +15,8 @@ use naive_eval::serve::wire::{parse_instance, render_answers};
 use naive_eval::serve::{Client, Server};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // A 2-worker service: catalog + plan cache + pool behind a TCP listener.
-    let state = Arc::new(ServeState::new(ServeConfig {
-        workers: 2,
-        ..ServeConfig::default()
-    }));
+    // A service: catalog + plan cache + engine behind a TCP listener.
+    let state = Arc::new(ServeState::new(ServeConfig::default()));
     let server = Server::bind("127.0.0.1:0", Arc::clone(&state))?;
     let addr = server.local_addr()?;
     let mut handle = server.spawn()?;

@@ -21,8 +21,8 @@
 //! * [`gen`] — seeded random instance and formula generators;
 //! * [`sql`] — SQL-style three-valued logic (the motivating paradox);
 //! * [`serve`] — the concurrent certain-answer service: shared catalog, plan
-//!   cache, work-stealing pool, parallel oracle, and the `nevd` line-protocol
-//!   server with its `nevload` load generator;
+//!   cache, Figure 1 request handlers, and the `nevd` line-protocol server with
+//!   its `nevload` load generator;
 //! * [`mod@bench`] — the experiment harness behind the `figure1` binary and the
 //!   Criterion benchmarks.
 

@@ -35,11 +35,8 @@ use naive_eval::obs::{validate_exposition, Counter, Timer, TraceRecorder};
 use naive_eval::serve::state::{ServeConfig, ServeState};
 use naive_eval::serve::{Client, Server, ServerHandle};
 
-fn spawn_server(workers: usize) -> (Arc<ServeState>, ServerHandle) {
-    let state = Arc::new(ServeState::new(ServeConfig {
-        workers,
-        ..ServeConfig::default()
-    }));
+fn spawn_server() -> (Arc<ServeState>, ServerHandle) {
+    let state = Arc::new(ServeState::new(ServeConfig::default()));
     let handle = Server::bind("127.0.0.1:0", Arc::clone(&state))
         .expect("bind loopback ephemeral port")
         .spawn()
@@ -85,7 +82,7 @@ const QUERIES: [(&str, &str); 4] = [
 
 #[test]
 fn concurrent_clients_reconcile_histograms_with_counters() {
-    let (state, mut handle) = spawn_server(4);
+    let (state, mut handle) = spawn_server();
     let addr = handle.addr().to_string();
 
     {
@@ -160,7 +157,7 @@ fn concurrent_clients_reconcile_histograms_with_counters() {
 
 #[test]
 fn windowed_deltas_reconcile_exactly_with_lifetime_counters() {
-    let (state, mut handle) = spawn_server(4);
+    let (state, mut handle) = spawn_server();
     let addr = handle.addr().to_string();
     {
         let mut seed = Client::connect(&addr).expect("connect");
@@ -282,7 +279,7 @@ fn profile_reconciles_with_the_exec_accounting() {
 
     // Over the wire: every per-op inclusive time is bounded by the reported
     // exec span, and the annotated plan covers the whole operator tree.
-    let (state, mut handle) = spawn_server(2);
+    let (state, mut handle) = spawn_server();
     let mut client = Client::connect(&handle.addr().to_string()).expect("connect");
     client
         .send("LOAD chain R(?1,?2);R(?2,?3);R(?3,?4)")
@@ -323,7 +320,7 @@ fn profile_reconciles_with_the_exec_accounting() {
 
 #[test]
 fn trace_stage_durations_never_exceed_the_total() {
-    let (state, mut handle) = spawn_server(2);
+    let (state, mut handle) = spawn_server();
     let mut client = Client::connect(&handle.addr().to_string()).expect("connect");
     client.send("LOAD d0 D(?1,?2);D(?2,?1)").unwrap();
 
@@ -356,7 +353,7 @@ fn trace_stage_durations_never_exceed_the_total() {
 fn tracing_never_perturbs_served_answers() {
     // Evaluate the same requests twice and demand byte-identical renderings;
     // then run the engine under a live and a disabled recorder.
-    let (state, mut handle) = spawn_server(2);
+    let (state, mut handle) = spawn_server();
     let mut client = Client::connect(&handle.addr().to_string()).expect("connect");
     client.send("LOAD d0 D(?1,?2);D(?2,?1)").unwrap();
 

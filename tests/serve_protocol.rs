@@ -14,11 +14,8 @@ use naive_eval::serve::state::{PlanKind, ServeConfig, ServeState};
 use naive_eval::serve::wire::render_answers;
 use naive_eval::serve::{self_check, Client, Server};
 
-fn spawn_server(workers: usize) -> naive_eval::serve::ServerHandle {
-    let state = Arc::new(ServeState::new(ServeConfig {
-        workers,
-        ..ServeConfig::default()
-    }));
+fn spawn_server() -> naive_eval::serve::ServerHandle {
+    let state = Arc::new(ServeState::new(ServeConfig::default()));
     Server::bind("127.0.0.1:0", state)
         .expect("bind loopback ephemeral port")
         .spawn()
@@ -34,7 +31,7 @@ fn intro() -> Instance {
 
 #[test]
 fn tcp_round_trip_matches_the_in_process_engine_byte_for_byte() {
-    let handle = spawn_server(2);
+    let handle = spawn_server();
     let mut client = Client::connect(&handle.addr().to_string()).expect("connect");
 
     // LOAD the paper's intro instance and D0 over the wire.
@@ -108,7 +105,7 @@ fn tcp_round_trip_matches_the_in_process_engine_byte_for_byte() {
 
 #[test]
 fn replacement_loads_are_snapshot_isolated() {
-    let handle = spawn_server(1);
+    let handle = spawn_server();
     let addr = handle.addr().to_string();
     let mut a = Client::connect(&addr).expect("connect a");
     let mut b = Client::connect(&addr).expect("connect b");
@@ -128,10 +125,10 @@ fn replacement_loads_are_snapshot_isolated() {
 }
 
 #[test]
-fn self_check_passes_at_several_worker_counts() {
-    for workers in [0, 4] {
-        let report = self_check(99, 2, 12, workers).expect("self-check runs");
-        assert!(report.all_match(), "workers={workers}: {report}");
-        assert_eq!(report.answered, 12, "workers={workers}");
+fn self_check_passes_on_several_seeds() {
+    for seed in [99, 7] {
+        let report = self_check(seed, 2, 12).expect("self-check runs");
+        assert!(report.all_match(), "seed={seed}: {report}");
+        assert_eq!(report.answered, 12, "seed={seed}");
     }
 }

@@ -1,6 +1,5 @@
 //! `static_assertions`-style thread-safety audit: compile-time proof that every
-//! type shared across `nev-serve`'s worker pool and connection threads is
-//! `Send + Sync`.
+//! type shared across `nev-serve`'s connection threads is `Send + Sync`.
 //!
 //! These are *compile tests*: if this file builds, the properties hold. They pin
 //! the workspace's concurrency contract — instances are plain immutable data once
@@ -13,12 +12,13 @@
 //! state, two `OnceLock`s that are written once and read thereafter.
 
 use naive_eval::core::engine::{CertainEngine, Certificate, EvalPlan, Evaluation, PreparedQuery};
+use naive_eval::core::oracle::OracleOutcome;
 use naive_eval::core::{Semantics, Snapshot, WorldBounds, Worlds};
 use naive_eval::exec::{CompiledQuery, ExecStats, InternedInstance};
 use naive_eval::incomplete::{Instance, Relation, Schema, Tuple, Value};
 use naive_eval::obs::{MetricsRegistry, MetricsSnapshot};
 use naive_eval::serve::state::{EvalRequest, EvalResponse, ServeConfig, ServeState};
-use naive_eval::serve::{Catalog, LoadReport, OracleOutcome, PlanCache, WorkerPool};
+use naive_eval::serve::{Catalog, LoadReport, PlanCache};
 
 fn require_send_sync<T: Send + Sync>() {}
 fn require_send<T: Send>() {}
@@ -42,8 +42,6 @@ fn query_and_executor_layer_is_send_and_sync() {
 
 #[test]
 fn engine_layer_is_send_and_sync() {
-    // The engine carries an optional Arc<WorkerPool> for the chunked oracle,
-    // so pooled engines stay shareable across connection threads.
     require_send_sync::<CertainEngine>();
     require_send_sync::<Semantics>();
     require_send_sync::<WorldBounds>();
@@ -52,9 +50,8 @@ fn engine_layer_is_send_and_sync() {
     require_send_sync::<Evaluation>();
     require_send_sync::<Snapshot>();
     require_send_sync::<Snapshot<&'static Instance>>();
-    // The lazy world stream borrows the instance immutably; it can migrate to a
-    // worker thread (the parallel oracle drives it from the submitting thread,
-    // but nothing about the type forbids handing it off).
+    // The lazy world stream borrows the instance immutably; nothing about the
+    // type forbids handing it to another thread.
     require_send::<Worlds<'static>>();
 }
 
@@ -62,7 +59,6 @@ fn engine_layer_is_send_and_sync() {
 fn service_layer_is_send_and_sync() {
     require_send_sync::<Catalog>();
     require_send_sync::<PlanCache>();
-    require_send_sync::<WorkerPool>();
     require_send_sync::<ServeState>();
     require_send_sync::<ServeConfig>();
     require_send_sync::<MetricsRegistry>();
@@ -81,10 +77,7 @@ fn shared_state_is_usable_from_spawned_threads() {
     use naive_eval::incomplete::inst;
     use std::sync::Arc;
 
-    let state = Arc::new(ServeState::new(ServeConfig {
-        workers: 2,
-        ..ServeConfig::default()
-    }));
+    let state = Arc::new(ServeState::new(ServeConfig::default()));
     state.load("d0", inst! { "D" => [[x(1), x(2)], [x(2), x(1)]] });
     let handles: Vec<_> = (0..4)
         .map(|_| {
@@ -147,10 +140,7 @@ fn evals_racing_reloads_pair_every_answer_with_one_version() {
         );
     }
 
-    let state = Arc::new(ServeState::new(ServeConfig {
-        workers: 1,
-        ..ServeConfig::default()
-    }));
+    let state = Arc::new(ServeState::new(ServeConfig::default()));
     state.load("d", versions[0].clone());
     let done = Arc::new(AtomicBool::new(false));
     let total = Arc::new(AtomicUsize::new(0));
