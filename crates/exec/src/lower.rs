@@ -9,10 +9,14 @@
 //!   body — `∃u.true` is false on an empty active domain, and padding preserves
 //!   exactly that);
 //! * `¬` inside a conjunction becomes an **anti-join** against the positive part
-//!   whenever the negated subformula's variables are already bound; everywhere else
-//!   it becomes an active-domain **complement** `adom^k ∖ φ`;
-//! * `→` and `∀` are first rewritten away by [`nev_logic::rewrite`] (`¬φ ∨ ψ`,
-//!   `¬∃¬`).
+//!   whenever the negated subformula's variables are already bound; a Boolean
+//!   `¬φ` becomes the anti-join `{()} ▷ φ`; everywhere else `¬` becomes an
+//!   active-domain **complement** `adom^k ∖ φ` with `k ≥ 1`;
+//! * `→` and `∀` are first rewritten away by [`nev_logic::rewrite`]: `¬φ ∨ ψ`, and
+//!   `∀x̄ ψ ⇒ ¬∃x̄ ν(ψ)` with the negation pushed into the body. A guarded
+//!   universal `∀x̄ (G → φ₁ ∨ … ∨ φₙ)` thus lowers to `{()} ▷ π∅(G ▷ φ₁ ▷ … ▷ φₙ)`
+//!   whenever each `φᵢ`'s variables are bound by the guard, with no complement;
+//!   a body the guard does not bind joins the complement of only that body.
 //!
 //! The only shapes the compiler rejects are complements whose column count exceeds
 //! [`CompilerConfig::max_complement_columns`]: those would materialise `adom(D)^k`,
@@ -57,7 +61,7 @@ impl Default for CompilerConfig {
 /// Why a query has no compiled form.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum CompileError {
-    /// A negation (or a `∀` via `¬∃¬`) requires an active-domain complement over
+    /// A negation (or a `∀` via `¬∃x̄ ν(ψ)`) requires an active-domain complement over
     /// more columns than the configured limit.
     ComplementTooWide {
         /// Columns the complement would have.
@@ -164,8 +168,18 @@ fn pad_to(l: Lowered, target: &[String]) -> Lowered {
     )
 }
 
-/// Active-domain complement smart constructor, applying the cost guard.
+/// Negation smart constructor: `{()} ▷ φ` for a Boolean `φ`, otherwise the
+/// active-domain complement, applying the cost guard.
 fn complement(l: Lowered, config: &CompilerConfig) -> Result<Lowered, CompileError> {
+    if l.schema.is_empty() {
+        return Ok(Lowered::new(
+            PlanNode::AntiJoin {
+                left: Box::new(PlanNode::Unit),
+                right: Box::new(l.node),
+            },
+            Vec::new(),
+        ));
+    }
     if l.schema.len() > config.max_complement_columns {
         return Err(CompileError::ComplementTooWide {
             columns: l.schema.len(),
@@ -373,7 +387,8 @@ impl CompiledQuery {
         CompiledQuery::compile_with(query, &CompilerConfig::default())
     }
 
-    /// Compiles a query: rewrites `→`/`∀` away, lowers the executable core into the
+    /// Compiles a query: rewrites `→`/`∀` away (universals as `¬∃` over the
+    /// negated body, see [`nev_logic::rewrite`]), lowers the executable core into the
     /// operator DAG, pads the plan so that unused answer variables range over
     /// the active domain (exactly as the interpreter enumerates them), and —
     /// unless disabled — runs the `nev-opt` rule stage over the result.
@@ -510,9 +525,35 @@ mod tests {
     #[test]
     fn forall_lowers_via_not_exists_not() {
         let q = compiled("forall u . exists v . D(u, v)");
-        let s = q.explain();
-        // ∀u φ ≡ ¬∃u ¬φ: two complements around a projection.
-        assert!(s.matches("Complement").count() >= 2, "{s}");
+        // ∀u φ ≡ ¬∃u ¬φ: the unguarded body keeps its one-column complement,
+        // and the Boolean negation around the projection is an anti-join.
+        assert_eq!(
+            q.logical_plan().compact(),
+            "AntiJoin(Unit, Project[](Complement(Project[u](Scan D(u,v)))))"
+        );
+    }
+
+    #[test]
+    fn guarded_universals_lower_to_anti_joins() {
+        for text in [
+            "forall u v . (E(u, v) -> exists w . E(v, w))",
+            "forall u v . (E(u, v) -> (E(v, u) | E(u, u)))",
+            "forall u . (S(u) -> (forall v . (S(v) -> S(v))))",
+            "forall u . (E(u, u) -> false)",
+        ] {
+            let s = compiled(text).explain();
+            assert!(!s.contains("Complement"), "`{text}`:\n{s}");
+            assert!(s.contains("AntiJoin"), "`{text}`:\n{s}");
+        }
+    }
+
+    #[test]
+    fn boolean_negation_is_an_anti_join_from_unit() {
+        let q = compiled("!(exists u . S(u))");
+        assert_eq!(
+            q.logical_plan().compact(),
+            "AntiJoin(Unit, Project[](Scan S(u)))"
+        );
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //! * [`cq`] — conjunctive queries and unions of conjunctive queries as first-class
 //!   data, their canonical (frozen) instances, and evaluation by homomorphism;
 //! * [`rewrite`] — semantics-preserving rewrites into the executable core
-//!   (`→` elimination, `∀ ⇒ ¬∃¬`) used by the `nev-exec` compiler.
+//!   (`→` elimination, `∀x̄ ψ ⇒ ¬∃x̄ ν(ψ)` with the negation pushed into the
+//!   body) used by the `nev-exec` compiler.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

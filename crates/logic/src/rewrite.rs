@@ -3,9 +3,14 @@
 //! The compiled execution engine (`nev-exec`) lowers formulas into relational
 //! algebra. Its lowering only has to understand the connectives
 //! `true/false/atom/=/¬/∧/∨/∃` because the two remaining connectives are
-//! definable: `φ → ψ ≡ ¬φ ∨ ψ` and `∀x̄ φ ≡ ¬∃x̄ ¬φ`. Both rewrites are applied
-//! under the *active-domain* semantics of [`crate::eval`], where they are exact
-//! equivalences (quantifiers on both sides range over the same `adom(D)`).
+//! definable. [`to_executable_core`] writes `φ → ψ` as `¬φ ∨ ψ` and `∀x̄ ψ` as
+//! `¬∃x̄ ν(ψ)`, where ν pushes the negation one level into the body:
+//! `ν(A → B) = A ∧ ν(B)`, `ν(B₁ ∨ … ∨ Bₙ) = ν(B₁) ∧ … ∧ ν(Bₙ)`, `ν(¬A) = A`,
+//! and otherwise `ν(A) = ¬A`. A guarded universal `∀x̄ (G → φ₁ ∨ φ₂)` thus
+//! becomes `¬∃x̄ (G ∧ ¬φ₁ ∧ ¬φ₂)`, a conjunction the lowering runs as the
+//! anti-joins `G ▷ φ₁ ▷ φ₂`. Every step is an exact equivalence under the
+//! *active-domain* semantics of [`crate::eval`] (quantifiers on both sides range
+//! over the same `adom(D)`).
 //!
 //! The rewrites deliberately use the raw AST constructors, not the flattening
 //! smart constructors, so the output shape is predictable for the lowering and
@@ -13,52 +18,50 @@
 
 use crate::ast::Formula;
 
-/// Replaces every implication `φ → ψ` by `¬φ ∨ ψ`, recursively.
-pub fn eliminate_implications(f: &Formula) -> Formula {
+/// Rewrites a formula into the executable core `true/false/atom/=/¬/∧/∨/∃`:
+/// implications become `¬φ ∨ ψ` and universals become `¬∃x̄ ν(ψ)` (see the
+/// module docs), in one recursion.
+pub fn to_executable_core(f: &Formula) -> Formula {
     match f {
         Formula::True | Formula::False | Formula::Atom { .. } | Formula::Eq(_, _) => f.clone(),
-        Formula::Not(inner) => Formula::Not(Box::new(eliminate_implications(inner))),
-        Formula::And(parts) => Formula::And(parts.iter().map(eliminate_implications).collect()),
-        Formula::Or(parts) => Formula::Or(parts.iter().map(eliminate_implications).collect()),
+        Formula::Not(inner) => Formula::Not(Box::new(to_executable_core(inner))),
+        Formula::And(parts) => Formula::And(parts.iter().map(to_executable_core).collect()),
+        Formula::Or(parts) => Formula::Or(parts.iter().map(to_executable_core).collect()),
         Formula::Implies(a, b) => Formula::Or(vec![
-            Formula::Not(Box::new(eliminate_implications(a))),
-            eliminate_implications(b),
+            Formula::Not(Box::new(to_executable_core(a))),
+            to_executable_core(b),
         ]),
         Formula::Exists(vars, body) => {
-            Formula::Exists(vars.clone(), Box::new(eliminate_implications(body)))
+            Formula::Exists(vars.clone(), Box::new(to_executable_core(body)))
         }
         Formula::Forall(vars, body) => {
-            Formula::Forall(vars.clone(), Box::new(eliminate_implications(body)))
+            let mut conjuncts = Vec::new();
+            negate_into(body, &mut conjuncts);
+            let negated = if conjuncts.len() == 1 {
+                conjuncts.pop().expect("one conjunct")
+            } else {
+                Formula::And(conjuncts)
+            };
+            Formula::Not(Box::new(Formula::Exists(vars.clone(), Box::new(negated))))
         }
     }
 }
 
-/// Replaces every universal quantifier `∀x̄ φ` by `¬∃x̄ ¬φ`, recursively.
-pub fn eliminate_universals(f: &Formula) -> Formula {
+/// ν: appends to `out` the conjuncts of the executable core of `¬f`, pushing
+/// the negation through `→` and `∨` and cancelling it against `¬`.
+fn negate_into(f: &Formula, out: &mut Vec<Formula>) {
     match f {
-        Formula::True | Formula::False | Formula::Atom { .. } | Formula::Eq(_, _) => f.clone(),
-        Formula::Not(inner) => Formula::Not(Box::new(eliminate_universals(inner))),
-        Formula::And(parts) => Formula::And(parts.iter().map(eliminate_universals).collect()),
-        Formula::Or(parts) => Formula::Or(parts.iter().map(eliminate_universals).collect()),
-        Formula::Implies(a, b) => Formula::Implies(
-            Box::new(eliminate_universals(a)),
-            Box::new(eliminate_universals(b)),
-        ),
-        Formula::Exists(vars, body) => {
-            Formula::Exists(vars.clone(), Box::new(eliminate_universals(body)))
+        Formula::Implies(a, b) => {
+            out.push(to_executable_core(a));
+            negate_into(b, out);
         }
-        Formula::Forall(vars, body) => Formula::Not(Box::new(Formula::Exists(
-            vars.clone(),
-            Box::new(Formula::Not(Box::new(eliminate_universals(body)))),
-        ))),
+        Formula::Or(parts) => parts.iter().for_each(|p| negate_into(p, out)),
+        // `¬A` and the `¬∃` of a nested universal both cancel the negation.
+        _ => match to_executable_core(f) {
+            Formula::Not(inner) => out.push(*inner),
+            core => out.push(Formula::Not(Box::new(core))),
+        },
     }
-}
-
-/// Rewrites a formula into the executable core `true/false/atom/=/¬/∧/∨/∃`:
-/// implications become `¬φ ∨ ψ` and universals become `¬∃¬` (in that order, so the
-/// implications produced nowhere reintroduce `∀`).
-pub fn to_executable_core(f: &Formula) -> Formula {
-    eliminate_universals(&eliminate_implications(f))
 }
 
 /// Bottom-up constant folding: `¬⊤ ⇒ ⊥`, `t = t ⇒ ⊤`, distinct constants `c ≠ c'
@@ -412,6 +415,12 @@ mod tests {
             "exists u . !D(u, u)",
             "forall u . u = u",
             "(exists u v . D(u, v)) -> (exists w . D(w, w))",
+            "forall u . (!D(u, u) | exists v . D(u, v))",
+            "forall u . (D(u, u) -> (forall v . (D(v, v) -> D(u, v))))",
+            "forall u v . (D(u, v) -> (D(v, v) -> D(v, u)))",
+            "forall u v . ((D(u, v) & D(v, u)) -> u = v)",
+            "forall u . (D(u, 1) -> false)",
+            "forall u . !(forall v . D(u, v))",
         ]
         .iter()
         .map(|s| parse_formula(s).expect("valid formula"))
@@ -697,15 +706,45 @@ mod tests {
     #[test]
     fn forall_becomes_not_exists_not() {
         let f = parse_formula("forall u . D(u, u)").expect("valid");
-        let core = eliminate_universals(&f);
+        let core = to_executable_core(&f);
         assert_eq!(core.to_string(), "!(exists u . !D(u, u))");
     }
 
     #[test]
     fn implication_becomes_disjunction() {
         let f = parse_formula("D(u, u) -> D(u, v)").expect("valid");
-        let core = eliminate_implications(&f);
+        let core = to_executable_core(&f);
         assert_eq!(core.to_string(), "!D(u, u) | D(u, v)");
+    }
+
+    #[test]
+    fn guarded_universals_push_the_negation_into_the_body() {
+        let cases = [
+            // The guard stays positive; the body's disjuncts are negated.
+            (
+                "forall u v . D(u, v) -> (D(v, u) | D(u, u))",
+                "!(exists u v . (D(u, v) & !D(v, u) & !D(u, u)))",
+            ),
+            // ν(¬A) = A: a negated disjunct needs no complement.
+            (
+                "forall u . (!D(u, u) | exists v . D(u, v))",
+                "!(exists u . (D(u, u) & !(exists v . D(u, v))))",
+            ),
+            // A nested universal's ¬∃ cancels against the outer negation.
+            (
+                "forall u . (D(u, u) -> (forall v . (D(v, v) -> D(u, v))))",
+                "!(exists u . (D(u, u) & (exists v . (D(v, v) & !D(u, v)))))",
+            ),
+            // Chained implications guard one conjunction.
+            (
+                "forall u v . (D(u, v) -> (D(v, v) -> D(v, u)))",
+                "!(exists u v . (D(u, v) & D(v, v) & !D(v, u)))",
+            ),
+        ];
+        for (input, expected) in cases {
+            let f = parse_formula(input).expect("valid");
+            assert_eq!(to_executable_core(&f).to_string(), expected, "{input}");
+        }
     }
 
     mod properties {
@@ -802,6 +841,29 @@ mod tests {
 
         proptest! {
             #![proptest_config(ProptestConfig { cases: 96, .. ProptestConfig::default() })]
+
+            /// The executable-core rewrite preserves active-domain semantics
+            /// on arbitrary formulas and instances, the empty instance included.
+            #[test]
+            fn executable_core_is_semantics_preserving(
+                seed in 1u64..u64::MAX,
+                d in instance_strategy(),
+            ) {
+                let mut state = seed;
+                let f = random_formula(&mut state, 3);
+                let core = to_executable_core(&f);
+                prop_assert!(is_executable_core(&core), "{} → {}", f, core);
+                let vars: Vec<String> = f.free_variables().into_iter().collect();
+                let q = Query::new(vars.clone(), f.clone()).expect("well-formed");
+                let qc = Query::new(vars, core.clone()).expect("well-formed");
+                for inst in [&d, &Instance::new()] {
+                    prop_assert_eq!(
+                        evaluate_query(inst, &qc),
+                        evaluate_query(inst, &q),
+                        "{} → {} on {}", f, core, inst
+                    );
+                }
+            }
 
             /// Every normalization pass — and their composition to a fixpoint —
             /// preserves active-domain semantics on arbitrary formulas and

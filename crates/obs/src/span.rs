@@ -29,6 +29,9 @@ pub enum Stage {
     CacheProbe,
     /// Compilation + `nev-opt` plan optimisation into the executable form.
     Optimize,
+    /// The `nev-analyze` static pass: normalization, re-classification and
+    /// null-flow, plus compiling the normal form when it differs.
+    Normalize,
     /// The naive/compiled evaluation pass (`nev-exec`).
     Exec,
     /// Relation scans inside the exec pass.
@@ -45,13 +48,14 @@ pub enum Stage {
 
 impl Stage {
     /// Number of stages in the taxonomy.
-    pub const COUNT: usize = 9;
+    pub const COUNT: usize = 10;
 
     /// Every stage, in declaration order (indexable by [`Stage::index`]).
     pub const ALL: [Stage; Stage::COUNT] = [
         Stage::Classify,
         Stage::CacheProbe,
         Stage::Optimize,
+        Stage::Normalize,
         Stage::Exec,
         Stage::Scan,
         Stage::JoinBuild,
@@ -74,6 +78,7 @@ impl Stage {
             Stage::Classify => "classify",
             Stage::CacheProbe => "cache_probe",
             Stage::Optimize => "optimize",
+            Stage::Normalize => "normalize",
             Stage::Exec => "exec",
             Stage::Scan => "scan",
             Stage::JoinBuild => "join_build",

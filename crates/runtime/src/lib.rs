@@ -7,15 +7,11 @@
 //! run sequentially: a certified naïve pass, the symbolic ladder and the
 //! bounded world oracle all run on the calling thread.
 //!
-//! It lives below every other `nev-*` crate (dependencies: `std` and the
-//! telemetry layer `nev-obs` only).
-//!
-//! The pool records queue-wait and run-time latency histograms per task
-//! ([`PoolMetrics`]).
+//! It lives below every other `nev-*` crate and depends on `std` only.
 
 pub mod pool;
 
-pub use pool::{PoolMetrics, WorkerPool};
+pub use pool::WorkerPool;
 
 /// The worker count configured through the `NEV_WORKERS` environment variable,
 /// if set to a parseable `usize`: the default of the `figure1` harness's

@@ -22,8 +22,6 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use nev_obs::{Histogram, Timer};
-
 /// Consecutive empty polls a waiting submitter spends yielding its timeslice
 /// before it backs off to a real sleep. Yield-first keeps small batches from
 /// stalling by a full sleep on loaded or single-core machines.
@@ -39,18 +37,6 @@ pub const SUBMITTER_BACKOFF: Duration = Duration::from_micros(50);
 /// explicit), so it trades idle wake frequency against drop responsiveness.
 pub const IDLE_WAIT_TIMEOUT: Duration = Duration::from_millis(10);
 
-/// Pool telemetry: how long tasks queue before running versus how long they
-/// run. Both histograms record in microseconds, one sample per task. The
-/// queue-wait distribution is what justifies — or retunes — the submitter
-/// backoff constants above.
-#[derive(Debug, Default)]
-pub struct PoolMetrics {
-    /// Batch submission → task start, per task.
-    pub queue_wait: Histogram,
-    /// Task closure run time, per task.
-    pub task_run: Histogram,
-}
-
 type Task = Box<dyn FnOnce() + Send + 'static>;
 
 struct Shared {
@@ -63,10 +49,6 @@ struct Shared {
     /// Idle workers sleep here; submissions notify it.
     idle: Mutex<()>,
     wakeup: Condvar,
-    /// Queue-wait / run-time telemetry. In its own `Arc` so task closures can
-    /// record into it without capturing `Shared` (tasks sit *inside* the
-    /// deques `Shared` owns — capturing it would cycle the `Arc`).
-    metrics: Arc<PoolMetrics>,
 }
 
 impl Shared {
@@ -160,7 +142,6 @@ impl WorkerPool {
             shutdown: AtomicBool::new(false),
             idle: Mutex::new(()),
             wakeup: Condvar::new(),
-            metrics: Arc::new(PoolMetrics::default()),
         });
         let handles = (0..workers)
             .map(|home| {
@@ -180,11 +161,6 @@ impl WorkerPool {
     /// Number of background worker threads (callers always help on top).
     pub fn workers(&self) -> usize {
         self.workers.len()
-    }
-
-    /// The pool's queue-wait / run-time histograms.
-    pub fn metrics(&self) -> &PoolMetrics {
-        &self.shared.metrics
     }
 
     /// Maps `f` over `items` in parallel, preserving input order in the results.
@@ -212,9 +188,6 @@ impl WorkerPool {
         let results: Arc<Vec<Mutex<Option<std::thread::Result<T>>>>> =
             Arc::new((0..n).map(|_| Mutex::new(None)).collect());
         let done = Arc::new(AtomicUsize::new(0));
-        // One submission timestamp for the whole batch: each task's queue
-        // wait is submit → its own start.
-        let submitted = Timer::start();
         let tasks: Vec<Task> = items
             .into_iter()
             .enumerate()
@@ -222,16 +195,12 @@ impl WorkerPool {
                 let f = Arc::clone(&f);
                 let results = Arc::clone(&results);
                 let done = Arc::clone(&done);
-                let metrics = Arc::clone(&self.shared.metrics);
                 Box::new(move || {
-                    metrics.queue_wait.record(submitted.elapsed_us());
-                    let running = Timer::start();
                     // Capture panics instead of unwinding the worker: an
                     // unwound worker would never increment `done`, hanging the
                     // submitter, and would permanently shrink the pool.
                     let out =
                         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(index, item)));
-                    metrics.task_run.record(running.elapsed_us());
                     *results[index].lock().expect("result slot poisoned") = Some(out);
                     done.fetch_add(1, Ordering::Release);
                 }) as Task
@@ -377,17 +346,6 @@ mod tests {
             assert_eq!(got.len(), 50);
             assert_eq!(got[7], t as u64 * 1000 + 7);
         }
-    }
-
-    #[test]
-    fn pool_metrics_count_every_task_when_enabled() {
-        let pool = WorkerPool::new(2);
-        let out = pool.run((0..32u64).collect(), |_, n| n);
-        assert_eq!(out.len(), 32);
-        let wait = pool.metrics().queue_wait.snapshot();
-        let run = pool.metrics().task_run.snapshot();
-        assert_eq!(wait.count, 32, "one queue-wait sample per task");
-        assert_eq!(run.count, 32, "one run-time sample per task");
     }
 
     #[test]

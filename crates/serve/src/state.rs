@@ -261,12 +261,13 @@ impl ServeState {
             .get_or_prepare_with_status(query_text, semantics)?;
         if let Some(recorder) = options.trace.filter(|_| !hit) {
             // A miss paid the full preparation inside the probe span; replay
-            // its classify and compile phases as children, one leaf each
-            // whatever the clock read. Hits skip this — their preparation
+            // its classify, compile and analyze phases as children, one leaf
+            // each whatever the clock read. Hits skip this — their preparation
             // happened on some earlier request.
             let prep = plan.prepared.prep_timings();
             recorder.leaf(Stage::Classify, prep.classify_us);
             recorder.leaf(Stage::Optimize, prep.compile_us);
+            recorder.leaf(Stage::Normalize, prep.analyze_us);
         }
         drop(probe);
         let evaluation = self
@@ -1091,13 +1092,13 @@ mod tests {
         ] {
             assert!(state.handle_line(line).starts_with("OK "), "{line}");
         }
-        // Every miss classified and compiled its query, however fast; every
-        // hit prepared nothing.
+        // Every miss classified, compiled and normalized its query, however
+        // fast; every hit prepared nothing.
         let misses = stat(&state, "cache_misses");
         assert_eq!(misses, 4, "two repeated texts hit the cache");
-        let recorded = [Stage::Classify, Stage::Optimize]
+        let recorded = [Stage::Classify, Stage::Optimize, Stage::Normalize]
             .map(|stage| state.metrics().stage_snapshot(stage).count);
-        assert_eq!(recorded, [misses; 2]);
+        assert_eq!(recorded, [misses; 3]);
     }
 
     #[test]
