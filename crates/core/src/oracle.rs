@@ -1,8 +1,8 @@
 //! The bounded world oracle: intersect a query's answers over the streamed
 //! possible worlds, exiting early once the intersection is empty.
 //!
-//! [`world_pass`] is one **sequential** pass over the [`Semantics::worlds`]
-//! stream shared by a slice of queries, folding the per-world step
+//! [`world_pass`] is one **sequential** pass over a pruned world stream shared
+//! by a slice of queries, folding the per-world step
 //! [`PreparedQuery::answers_in_world`]. With one query it is the oracle behind
 //! [`CertainEngine::dispatch`], [`CertainEngine::compare`] and
 //! [`CertainEngine::certain_answers`]; with many it is the shared pass of
@@ -13,10 +13,86 @@
 //! vacuously certain, a k-ary intersection is empty, and either verdict is
 //! flagged truncated when the cap suppressed worlds.
 //!
+//! # Why a finite constant budget suffices
+//!
+//! Write `A = Const(D) ∪ Const(Q)`. Certain answers are *generic*: for a
+//! permutation π of `Const` fixing `A` pointwise, `Q(π(W)) = π(Q(W))`, and
+//! every semantics here is closed under π (its worlds are built from
+//! valuations and homomorphisms, which commute with π). A certain answer uses
+//! only constants of `A`, and [`PreparedQuery::answers_in_world`] keeps only
+//! such tuples, which π fixes; so a world and its π-image contribute the same
+//! factor to the intersection. A valuation of `n` nulls uses at most `n`
+//! constants outside `A`, and some π maps them onto `n` fixed fresh ones, so
+//! the budget `A` plus `n` fresh constants ([`WorldBounds::budget_parts`])
+//! reaches every world up to such a π. Hence the bounded oracle is:
+//!
+//! * **exact** for CWA and minimal CWA;
+//! * exact for the powerset semantics over unions of at most `union_width`
+//!   images (each unioned valuation gets its own `n` fresh constants), and an
+//!   over-approximation for wider unions;
+//! * exact for WCWA when `wcwa_max_extra_tuples` covers every missing fact over
+//!   `adom(v(D))`, and an over-approximation otherwise;
+//! * a sound **over-approximation** for OWA, whose worlds may add unboundedly
+//!   many facts over unboundedly many new constants.
+//!
+//! Every visited world is a genuine possible world, so an intersection over
+//! fewer worlds can only be larger: a bounded answer never misses a certain
+//! answer.
+//!
+//! # Pruning the stream
+//!
+//! The pass runs over a pruned version of [`Semantics::worlds`]' stream.
+//! Every world it visits is a world of the full stream, and a world `W` of
+//! the full stream is left out only when a world `W′` the pruned stream keeps
+//! *covers* it: `Q(W′) ∩ Aᵏ ⊆ Q(W) ∩ Aᵏ` for every query of the pass. Then
+//! the intersection is unchanged, and so is every verdict of an uncapped
+//! pass; under a world cap the pruned pass is truncated less often.
+//! Let `F` be the fresh constants of the budget: those outside `Const(D)` and
+//! the constants of every query of the pass.
+//!
+//! 1. **Restricted growth** (CWA, minimal CWA, WCWA, OWA). Permutations of `F`
+//!    fix every query's `A`, so by the genericity argument above a world and
+//!    its image under one contribute the same factor. The streams are closed
+//!    under them: π∘v is again a valuation into the budget, and π preserves
+//!    `adom(v(D))`, the OWA extension domain (its extra values lie outside the
+//!    budget) and minimality. Each valuation has exactly one image π∘v in
+//!    restricted-growth form ([`Valuations::up_to_renaming`]: reading the nulls
+//!    from last to first, the `j`-th fresh constant appears only after the
+//!    `(j−1)`-th), so only those valuations are streamed.
+//! 2. **Polarity** (WCWA, OWA). Let `N` be the union of the pass's
+//!    [`negative_relations`]. For an extension world `W = v(D) ∪ E`, let `E′`
+//!    keep the facts of `E` that belong to `N` or use a value outside
+//!    `adom(v(D))`. Then `W′ = v(D) ∪ E′` is in the stream (`E′ ⊆ E`, so it is
+//!    within the size cap), and `adom(W′) = adom(W)`, so every quantifier
+//!    ranges over the same domain in both. Over a fixed domain a formula is
+//!    monotone in each relation outside `N`, since every occurrence of one sits
+//!    under an even number of negations (induction on the formula). `W` adds to
+//!    `W′` only facts of such relations, so `Q(W′) ⊆ Q(W)`. The stream
+//!    therefore never adds a fact outside `N` whose values all lie in
+//!    `adom(v(D))`; a relation no query mentions is outside `N`. The two rules
+//!    compose: π preserves `N`-membership and `adom`.
+//! 3. **Powerset renaming** (powerset CWA, minimal powerset CWA). Rule 1 does
+//!    not apply per image, since a union needs independent fresh constants in
+//!    each image. A union of at most `w = union_width` images is instead one
+//!    valuation of `w` null-disjoint copies of `D` (a repeated image fills the
+//!    width), with every copy's image minimal for the minimal variant. The
+//!    budget holds `w · n` fresh constants, so rule 1 applies to the copies'
+//!    valuations as a whole. A union world equal to an emitted one up to a
+//!    permutation of `F` is then skipped, by the same genericity argument. Its
+//!    key renames the constants of `F` to nulls in order of first appearance;
+//!    worlds hold no nulls, so equal keys mean equal worlds up to such a
+//!    permutation.
+//!
+//! [`Semantics::worlds`] itself stays unpruned: it is the reference that
+//! `enumerate_worlds`, the monotonicity and core checks and the differential
+//! tests read.
+//!
 //! [`CertainEngine::dispatch`]: crate::engine::CertainEngine::dispatch
 //! [`CertainEngine::compare`]: crate::engine::CertainEngine::compare
 //! [`CertainEngine::certain_answers`]: crate::engine::CertainEngine::certain_answers
 //! [`CertainEngine::evaluate_all`]: crate::engine::CertainEngine::evaluate_all
+//! [`Valuations::up_to_renaming`]: nev_hom::valuation::Valuations::up_to_renaming
+//! [`negative_relations`]: nev_logic::Formula::negative_relations
 
 use std::collections::BTreeSet;
 
@@ -50,8 +126,9 @@ pub struct OracleOutcome {
 /// query's answers are intersected world by world, a query whose intersection
 /// empties drops out, and the pass stops once every query has. The stream runs
 /// over `base` extended with the union of the queries' constants, so with one
-/// query it is exactly that query's own enumeration. Returns one outcome per
-/// query, in order.
+/// query it is exactly that query's own enumeration, pruned for the union of
+/// the queries' negative relations (see the module docs). Returns one outcome
+/// per query, in order.
 pub fn world_pass(
     base: &WorldBounds,
     d: &Instance,
@@ -61,7 +138,11 @@ pub fn world_pass(
     let bounds = base.extended_with(queries.iter().flat_map(|q| q.constants().iter().cloned()));
     let allowed: Vec<BTreeSet<Constant>> = queries.iter().map(|q| q.allowed_constants(d)).collect();
     let mut folds: Vec<Fold<'_>> = allowed.iter().map(Fold::new).collect();
-    let mut worlds = semantics.worlds(d, &bounds);
+    let negative: BTreeSet<String> = queries
+        .iter()
+        .flat_map(|q| q.query().formula().negative_relations())
+        .collect();
+    let mut worlds = semantics.pruned_worlds(d, &bounds, &negative);
     let mut visited = 0usize;
     for world in worlds.by_ref() {
         visited += 1;

@@ -21,11 +21,11 @@
 //!   Proposition 10.1;
 //! * [`Semantics::enumerate_worlds`] — a **bounded** enumeration of worlds over a
 //!   finite constant budget, the ground-truth oracle for certain answers. The budget
-//!   and the approximation guarantees are documented in `DESIGN.md §6`: exact for the
-//!   CWA family, a sound over-approximation of certain answers for OWA (and for WCWA /
-//!   powerset widths beyond the configured caps).
+//!   and the approximation guarantees are documented in the [`crate::oracle`]
+//!   module: exact for the CWA family, a sound over-approximation of certain answers
+//!   for OWA (and for WCWA / powerset widths beyond the configured caps).
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::ControlFlow;
 
 use nev_hom::minimal::is_minimal_image;
@@ -33,10 +33,10 @@ use nev_hom::search::{
     all_homomorphisms, has_db_homomorphism, has_onto_db_homomorphism,
     has_strong_onto_db_homomorphism, HomConfig,
 };
-use nev_hom::valuation::enumerate_valuations;
+use nev_hom::valuation::Valuations;
 use nev_hom::ValueMap;
 use nev_incomplete::instance::fresh_constants;
-use nev_incomplete::{Constant, Instance, Tuple, Value};
+use nev_incomplete::{Constant, Instance, NullId, Tuple, Value};
 
 /// The six semantics of incompleteness studied in the paper.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -133,79 +133,103 @@ impl Semantics {
     /// Returns a lazily-driven iterator over the bounded possible worlds of `d`
     /// under this semantics — the streaming primitive behind
     /// [`Semantics::for_each_world`], [`Semantics::enumerate_worlds`] and the
-    /// `engine` module's evaluation paths.
+    /// monotonicity and core checks.
     ///
-    /// The valuation list (`|budget|^#nulls` entries) is still materialised up
-    /// front, as it always was; what is lazy is everything downstream: world
-    /// **instances** are built on demand (one valuation image, one extension batch,
-    /// one union combination at a time), so early-exit consumers — a Boolean
-    /// certain-answer check that found a counter-world, an intersection that became
-    /// empty — skip the instance construction and query evaluation for every world
-    /// after their exit point. Worlds may be repeated; use
-    /// [`Semantics::enumerate_worlds`] for a deduplicated list.
+    /// Valuations are streamed one at a time over the full `|budget|^#nulls`
+    /// space, and world **instances** are built on demand (one valuation image,
+    /// one extension, one union combination at a time), so early-exit
+    /// consumers skip both generating and evaluating every world after their exit
+    /// point. Only the powerset semantics collect their deduplicated valuation
+    /// images before the first union. Worlds may be repeated; use
+    /// [`Semantics::enumerate_worlds`] for a deduplicated list. This stream is
+    /// unpruned: it is the reference the oracle's pruned stream is pinned to.
     pub fn worlds<'a>(self, d: &'a Instance, bounds: &WorldBounds) -> Worlds<'a> {
-        let budget = bounds.budget_for(d, self);
-        let valuations = enumerate_valuations(d, &budget);
-        let state = match self {
-            Semantics::Cwa => WorldsState::Valuations {
-                valuations: valuations.into_iter(),
-                minimal: false,
+        self.stream(d, bounds, None)
+    }
+
+    /// The oracle's pruned world stream: the same [`Worlds`] iterator, dropping
+    /// worlds whose contribution to a certain-answer intersection another
+    /// emitted world already covers, for queries whose negative relations
+    /// ([`nev_logic::Formula::negative_relations`]) are all in `negative`.
+    /// The rules and their proofs are in the [`crate::oracle`] module docs.
+    pub(crate) fn pruned_worlds<'a>(
+        self,
+        d: &'a Instance,
+        bounds: &WorldBounds,
+        negative: &BTreeSet<String>,
+    ) -> Worlds<'a> {
+        self.stream(d, bounds, Some(negative))
+    }
+
+    fn stream<'a>(
+        self,
+        d: &'a Instance,
+        bounds: &WorldBounds,
+        negative: Option<&BTreeSet<String>>,
+    ) -> Worlds<'a> {
+        let (mut budget, fresh) = bounds.budget_parts(d, self);
+        budget.extend(fresh.iter().cloned());
+        let valuations_of = |instance: &Instance| match negative {
+            Some(_) => Valuations::up_to_renaming(instance, &budget, &fresh),
+            None => Valuations::new(instance, &budget),
+        };
+        let valuations = valuations_of(d);
+        let width = bounds.union_width.max(1);
+        let state = match (self, negative) {
+            (Semantics::Cwa | Semantics::MinimalCwa, _) => WorldsState::Valuations {
+                valuations,
+                minimal: self == Semantics::MinimalCwa,
                 seen: BTreeSet::new(),
             },
-            Semantics::MinimalCwa => WorldsState::Valuations {
-                valuations: valuations.into_iter(),
-                minimal: true,
-                seen: BTreeSet::new(),
-            },
-            Semantics::Wcwa => WorldsState::Extensions {
-                valuations: valuations.into_iter(),
+            (Semantics::Wcwa, _) => WorldsState::Extensions {
+                valuations,
                 extension_domain: BTreeSet::new(),
                 grow_domain: false,
                 max_extra: bounds.wcwa_max_extra_tuples,
-                pending: Vec::new().into_iter(),
+                negative: negative.cloned(),
+                current: None,
             },
-            Semantics::Owa => {
-                let fresh: Vec<Constant> = {
-                    let mut avoid = budget.clone();
-                    avoid.extend(bounds.extra_constants.iter().cloned());
-                    fresh_constants(bounds.owa_fresh_values, &avoid)
-                };
+            (Semantics::Owa, _) => {
+                let owa_fresh = fresh_constants(bounds.owa_fresh_values, &budget);
                 let mut extension_domain: BTreeSet<Value> =
                     budget.iter().cloned().map(Value::Const).collect();
-                extension_domain.extend(fresh.into_iter().map(Value::Const));
+                extension_domain.extend(owa_fresh.into_iter().map(Value::Const));
                 WorldsState::Extensions {
-                    valuations: valuations.into_iter(),
+                    valuations,
                     extension_domain,
                     grow_domain: true,
                     max_extra: bounds.owa_max_extra_tuples,
-                    pending: Vec::new().into_iter(),
+                    negative: negative.cloned(),
+                    current: None,
                 }
             }
-            Semantics::PowersetCwa | Semantics::MinimalPowersetCwa => {
+            (Semantics::PowersetCwa | Semantics::MinimalPowersetCwa, None) => {
                 // Deduplicate valuation images first, then (for the minimal variant)
                 // keep only the minimal ones.
-                let unique_images: Vec<Instance> = {
-                    let mut seen = BTreeSet::new();
-                    valuations
-                        .iter()
-                        .map(|v| v.apply_instance(d))
-                        .filter(|w| seen.insert(w.clone()))
-                        .collect()
-                };
-                let images: Vec<Instance> = if self == Semantics::MinimalPowersetCwa {
-                    unique_images
-                        .into_iter()
-                        .filter(|w| is_minimal_image(d, w))
-                        .collect()
-                } else {
-                    unique_images
-                };
+                let mut seen = BTreeSet::new();
+                let images: Vec<Instance> = valuations
+                    .map(|v| v.apply_instance(d))
+                    .filter(|w| seen.insert(w.clone()))
+                    .filter(|w| self == Semantics::PowersetCwa || is_minimal_image(d, w))
+                    .collect();
                 // Unions of at most `union_width` images (non-empty selections).
-                let width = bounds.union_width.max(1);
-                let combos = combinations_up_to(images.len(), width);
                 WorldsState::Unions {
+                    combos: Subsets::non_empty(images.len(), width),
                     images,
-                    combos: combos.into_iter(),
+                }
+            }
+            (Semantics::PowersetCwa | Semantics::MinimalPowersetCwa, Some(_)) => {
+                // A union of at most `width` images is one valuation of `width`
+                // null-disjoint copies of `d` (repeated images fill the width),
+                // so the copies' restricted-growth valuations reach every union
+                // up to renaming the fresh constants.
+                let copies = disjoint_copies(d, width);
+                WorldsState::Copies {
+                    valuations: valuations_of(&union_of(d, &copies)),
+                    copies,
+                    minimal: (self == Semantics::MinimalPowersetCwa).then(BTreeMap::new),
+                    fresh,
+                    seen: BTreeSet::new(),
                 }
             }
         };
@@ -247,12 +271,14 @@ impl Semantics {
 /// An iterator over the bounded possible worlds of an instance, created by
 /// [`Semantics::worlds`].
 ///
-/// World materialisation is incremental (the valuation list itself is prebuilt —
-/// see [`Semantics::worlds`]): the CWA family applies one valuation per step, the
-/// OWA/WCWA extension semantics materialise the extension subsets of one valuation
-/// image at a time, and the powerset semantics prebuild the deduplicated images and
-/// combination indices but construct one union instance per step. The iterator
-/// stops after [`WorldBounds::max_worlds`] items (see [`Worlds::truncated`]).
+/// Generation is incremental: the CWA family applies one streamed valuation per
+/// step, the OWA/WCWA extension semantics add one subset of the current valuation
+/// image's candidate facts per step, and the powerset semantics prebuild the
+/// deduplicated images but construct one union instance per step (the pruned
+/// stream builds each union from one valuation of disjoint copies instead). The
+/// iterator stops after [`WorldBounds::max_worlds`] items (see
+/// [`Worlds::truncated`]). [`Semantics::worlds`] and the oracle's pruned stream
+/// are two entries into it.
 pub struct Worlds<'a> {
     d: &'a Instance,
     emitted: usize,
@@ -268,26 +294,41 @@ enum WorldsState {
     /// CWA and minimal CWA: one world per valuation (deduplicated and filtered for
     /// minimality in the minimal variant).
     Valuations {
-        valuations: std::vec::IntoIter<ValueMap>,
+        valuations: Valuations,
         minimal: bool,
         seen: BTreeSet<Instance>,
     },
     /// WCWA and OWA: every valuation image plus all bounded fact extensions over the
     /// image's active domain (WCWA) or the enlarged constant budget (OWA).
     Extensions {
-        valuations: std::vec::IntoIter<ValueMap>,
+        valuations: Valuations,
         /// Extra values extension tuples may use beyond the image's active domain.
         extension_domain: BTreeSet<Value>,
         /// OWA grows the domain with the budget; WCWA keeps `adom(v(D))`.
         grow_domain: bool,
         max_extra: usize,
-        /// Extension worlds of the current valuation image, materialised per image.
-        pending: std::vec::IntoIter<Instance>,
+        /// Pruned stream only: the relations some query mentions negatively.
+        /// Facts of any other relation over `adom(v(D))` are never added.
+        negative: Option<BTreeSet<String>>,
+        /// The current valuation image's extensions still to emit.
+        current: Option<ImageExtensions>,
     },
     /// Powerset semantics: unions of at most `union_width` valuation images.
     Unions {
         images: Vec<Instance>,
-        combos: std::vec::IntoIter<Vec<usize>>,
+        combos: Subsets,
+    },
+    /// The pruned powerset stream: one union per restricted-growth valuation of
+    /// `union_width` null-disjoint copies of the instance, skipping unions
+    /// equal to an emitted one up to renaming the fresh constants.
+    Copies {
+        valuations: Valuations,
+        copies: Vec<Instance>,
+        /// Minimal variant only: whether each image seen so far is minimal.
+        minimal: Option<BTreeMap<Instance, bool>>,
+        fresh: BTreeSet<Constant>,
+        /// The keys ([`rename_fresh`]) of the unions emitted so far.
+        seen: BTreeSet<Instance>,
     },
 }
 
@@ -324,32 +365,71 @@ impl Worlds<'_> {
                 extension_domain,
                 grow_domain,
                 max_extra,
-                pending,
+                negative,
+                current,
             } => loop {
-                if let Some(world) = pending.next() {
-                    return Some(world);
+                if let Some(extensions) = current {
+                    if let Some(subset) = extensions.subsets.next() {
+                        let mut world = extensions.base.clone();
+                        for &i in &subset {
+                            let (relation, tuple) = &extensions.candidates[i];
+                            world
+                                .add_tuple(relation, tuple.clone())
+                                .expect("arity-consistent extension");
+                        }
+                        return Some(world);
+                    }
                 }
                 let v = valuations.next()?;
                 let base = v.apply_instance(d);
-                let mut domain: BTreeSet<Value> = base.adom();
+                let adom: BTreeSet<Value> = base.adom();
+                let mut domain = adom.clone();
                 if *grow_domain {
                     domain.extend(extension_domain.iter().cloned());
                 }
-                let candidates = missing_tuples_over(&base, &domain);
-                let worlds: Vec<Instance> = subsets_up_to(&candidates, *max_extra)
-                    .into_iter()
-                    .map(|extra| add_facts(&base, &extra))
-                    .collect();
-                *pending = worlds.into_iter();
+                let mut candidates = missing_tuples_over(&base, &domain);
+                if let Some(negative) = negative {
+                    // A fact that keeps the domain and only feeds positive
+                    // occurrences can only grow the answers: never add it.
+                    candidates.retain(|(relation, tuple)| {
+                        negative.contains(relation)
+                            || tuple.values().iter().any(|v| !adom.contains(v))
+                    });
+                }
+                *current = Some(ImageExtensions {
+                    subsets: Subsets::new(candidates.len(), *max_extra),
+                    base,
+                    candidates,
+                });
             },
             WorldsState::Unions { images, combos } => {
                 let combo = combos.next()?;
-                let mut world = Instance::empty_of_schema(&d.schema());
-                for idx in &combo {
-                    world = world.union(&images[*idx]).expect("same schema");
-                }
-                Some(world)
+                Some(union_of(d, combo.iter().map(|&i| &images[i])))
             }
+            WorldsState::Copies {
+                valuations,
+                copies,
+                minimal,
+                fresh,
+                seen,
+            } => loop {
+                let v = valuations.next()?;
+                let images: Vec<Instance> = copies.iter().map(|c| v.apply_instance(c)).collect();
+                if let Some(known) = minimal {
+                    let all_minimal = images.iter().all(|image| {
+                        *known
+                            .entry(image.clone())
+                            .or_insert_with(|| is_minimal_image(d, image))
+                    });
+                    if !all_minimal {
+                        continue;
+                    }
+                }
+                let world = union_of(d, &images);
+                if seen.insert(rename_fresh(&world, fresh)) {
+                    return Some(world);
+                }
+            },
         }
     }
 }
@@ -433,7 +513,8 @@ impl std::str::FromStr for Semantics {
     }
 }
 
-/// Bounds controlling the possible-world enumeration (see `DESIGN.md §6`).
+/// Bounds controlling the possible-world enumeration (see the [`crate::oracle`]
+/// module for what they make exact).
 #[derive(Clone, Debug)]
 pub struct WorldBounds {
     /// Constants mentioned by the query under consideration; they enter the valuation
@@ -489,21 +570,26 @@ impl WorldBounds {
         bounds
     }
 
-    /// The valuation budget for an instance under a given semantics: its constants,
-    /// the extra (query) constants, and one fresh constant per null — per unioned
-    /// valuation for the powerset semantics, so that unions of `union_width`
-    /// independent valuations are representable.
-    pub fn budget_for(&self, d: &Instance, semantics: Semantics) -> BTreeSet<Constant> {
-        let mut budget = d.constants();
-        budget.extend(self.extra_constants.iter().cloned());
+    /// The valuation budget for an instance under a given semantics, in two
+    /// parts: the fixed constants, `Const(D)` and the extra (query) constants;
+    /// and one fresh constant per null — per unioned valuation for the powerset
+    /// semantics, so that unions of `union_width` independent valuations are
+    /// representable. The fresh ones are constants neither `d` nor a query
+    /// mentions, which a generic query cannot tell apart.
+    pub fn budget_parts(
+        &self,
+        d: &Instance,
+        semantics: Semantics,
+    ) -> (BTreeSet<Constant>, BTreeSet<Constant>) {
+        let mut fixed = d.constants();
+        fixed.extend(self.extra_constants.iter().cloned());
         let multiplier = if semantics.is_powerset() {
             self.union_width.max(1)
         } else {
             1
         };
-        let fresh = fresh_constants(d.nulls().len() * multiplier, &budget);
-        budget.extend(fresh);
-        budget
+        let fresh = fresh_constants(d.nulls().len() * multiplier, &fixed);
+        (fixed, fresh.into_iter().collect())
     }
 }
 
@@ -530,6 +616,43 @@ pub(crate) fn covered_by_hom_images(d: &Instance, world: &Instance, minimal: boo
         union = union.union(img).expect("same schema");
     }
     union.same_facts(world)
+}
+
+/// The union of instances over `d`'s schema.
+fn union_of<'i>(d: &Instance, parts: impl IntoIterator<Item = &'i Instance>) -> Instance {
+    parts
+        .into_iter()
+        .try_fold(Instance::empty_of_schema(&d.schema()), |union, part| {
+            union.union(part)
+        })
+        .expect("same schema")
+}
+
+/// `width` copies of `d` whose nulls are pairwise disjoint; the first is `d`.
+fn disjoint_copies(d: &Instance, width: usize) -> Vec<Instance> {
+    let stride = d.nulls().last().map_or(0, |n| n.0 + 1);
+    (0..width as u32)
+        .map(|k| {
+            d.map_values(|v| match v {
+                Value::Null(n) => Value::Null(NullId(n.0 + k * stride)),
+                other => other.clone(),
+            })
+        })
+        .collect()
+}
+
+/// `world` with its `fresh` constants renamed to nulls in order of first
+/// appearance. Worlds hold no nulls, so two worlds share this key exactly when a
+/// permutation of the fresh constants maps one onto the other.
+fn rename_fresh(world: &Instance, fresh: &BTreeSet<Constant>) -> Instance {
+    let mut order: BTreeMap<Constant, u32> = BTreeMap::new();
+    world.map_values(|v| match v {
+        Value::Const(c) if fresh.contains(c) => {
+            let next = order.len() as u32;
+            Value::Null(NullId(*order.entry(c.clone()).or_insert(next)))
+        }
+        other => other.clone(),
+    })
 }
 
 /// All tuples of the given arity over the listed domain values.
@@ -568,40 +691,72 @@ fn missing_tuples_over(base: &Instance, domain: &BTreeSet<Value>) -> Vec<(String
     out
 }
 
-fn add_facts(base: &Instance, extra: &[(String, Tuple)]) -> Instance {
-    let mut out = base.clone();
-    for (rel, tuple) in extra {
-        out.add_tuple(rel, tuple.clone())
-            .expect("arity-consistent extension");
-    }
-    out
+/// One valuation image and the extension worlds over it still to emit.
+struct ImageExtensions {
+    base: Instance,
+    /// The facts an extension may add.
+    candidates: Vec<(String, Tuple)>,
+    /// The subsets of `candidates` still to add.
+    subsets: Subsets,
 }
 
-/// All subsets of `items` of size at most `max_size` (including the empty subset),
-/// materialised as vectors of clones.
-fn subsets_up_to<T: Clone>(items: &[T], max_size: usize) -> Vec<Vec<T>> {
-    let mut out = vec![Vec::new()];
-    for item in items {
-        let mut extended = Vec::new();
-        for subset in &out {
-            if subset.len() < max_size {
-                let mut bigger = subset.clone();
-                bigger.push(item.clone());
-                extended.push(bigger);
-            }
+/// The subsets of `{0, …, n−1}` with at most `max` elements, as ascending
+/// index lists in increasing order of their bitmask: `∅, {0}, {1}, {0, 1},
+/// {2}, …`, skipping every mask with too many bits.
+struct Subsets {
+    n: usize,
+    max: usize,
+    next: Option<Vec<usize>>,
+}
+
+impl Subsets {
+    fn new(n: usize, max: usize) -> Self {
+        Subsets {
+            n,
+            max,
+            next: Some(Vec::new()),
         }
-        out.extend(extended);
     }
-    out
+
+    /// The same stream without its leading empty set.
+    fn non_empty(n: usize, max: usize) -> Self {
+        let mut subsets = Subsets::new(n, max);
+        subsets.next();
+        subsets
+    }
+
+    /// Adds `2^bit` to the mask of `subset`, which has no bit below `bit`
+    /// set, and returns the bit the carry lands on.
+    fn carry(subset: &mut Vec<usize>, bit: usize) -> usize {
+        let run = subset
+            .iter()
+            .zip(bit..)
+            .take_while(|(set, expected)| **set == *expected)
+            .count();
+        subset.drain(..run);
+        subset.insert(0, bit + run);
+        bit + run
+    }
 }
 
-/// All non-empty index combinations of `{0, …, n-1}` of size at most `max_size`.
-fn combinations_up_to(n: usize, max_size: usize) -> Vec<Vec<usize>> {
-    let indices: Vec<usize> = (0..n).collect();
-    subsets_up_to(&indices, max_size)
-        .into_iter()
-        .filter(|s| !s.is_empty())
-        .collect()
+impl Iterator for Subsets {
+    type Item = Vec<usize>;
+
+    fn next(&mut self) -> Option<Vec<usize>> {
+        let current = self.next.take()?;
+        // Mask + 1; while that has too many bits, adding its lowest bit skips
+        // every mask in between, all of which have at least as many.
+        let mut subset = current.clone();
+        let mut top = Subsets::carry(&mut subset, 0);
+        while subset.len() > self.max && top < self.n {
+            let lowest = subset[0];
+            top = Subsets::carry(&mut subset, lowest);
+        }
+        if top < self.n {
+            self.next = Some(subset);
+        }
+        Some(current)
+    }
 }
 
 #[cfg(test)]
@@ -766,6 +921,32 @@ mod tests {
         };
         let worlds = Semantics::Cwa.enumerate_worlds(&d, &bounds);
         assert!(worlds.len() <= 5);
+    }
+
+    #[test]
+    fn subsets_stream_in_mask_order_within_the_size_cap() {
+        // The eager definition: extend every kept subset by each item in turn.
+        fn eager(n: usize, max: usize) -> Vec<Vec<usize>> {
+            let mut out = vec![Vec::new()];
+            for item in 0..n {
+                let bigger: Vec<Vec<usize>> = out
+                    .iter()
+                    .filter(|s| s.len() < max)
+                    .map(|s| s.iter().copied().chain([item]).collect())
+                    .collect();
+                out.extend(bigger);
+            }
+            out
+        }
+        for n in 0..7 {
+            for max in 0..5 {
+                assert_eq!(Subsets::new(n, max).collect::<Vec<_>>(), eager(n, max));
+                assert_eq!(
+                    Subsets::non_empty(n, max).collect::<Vec<_>>(),
+                    eager(n, max)[1..].to_vec()
+                );
+            }
+        }
     }
 
     #[test]

@@ -322,8 +322,15 @@ fn sorted_intersection(a: &[String], b: &[String]) -> Vec<String> {
 /// **not** inserted between the members of a join group — the group stays flat
 /// for the cost-based reorderer — but are pushed onto the group's leaves, into
 /// union inputs, below existing projections, and used to trim pad columns.
+/// A push is counted where it changes the plan: where a projection is placed
+/// on a leaf, an existing one is replaced by another, or pad columns are
+/// trimmed — never where the walk merely passes a projection through.
 fn push_projections(node: PlanNode, needed: &[String], report: &mut RuleReport) -> PlanNode {
     match node {
+        PlanNode::Project { input, keep } if needed == keep.as_slice() && is_leaf(&input) => {
+            // Already pushed onto its leaf: rebuilding it would change nothing.
+            PlanNode::Project { input, keep }
+        }
         PlanNode::Project { input, keep } => {
             if needed != keep.as_slice() {
                 report.projections_pushed += 1;
@@ -348,9 +355,6 @@ fn push_projections(node: PlanNode, needed: &[String], report: &mut RuleReport) 
                         let shared = sorted_intersection(&schemas[i], other);
                         keep = merge_schemas(&keep, &shared);
                     }
-                }
-                if keep.len() < schemas[i].len() {
-                    report.projections_pushed += 1;
                 }
                 let pushed = push_projections(leaf, &keep, report);
                 group_schema = merge_schemas(&group_schema, &keep);
@@ -379,21 +383,12 @@ fn push_projections(node: PlanNode, needed: &[String], report: &mut RuleReport) 
                 &left_needed,
             )
         }
-        PlanNode::Union { inputs } => {
-            let shrank = inputs
-                .first()
-                .map(|i| i.schema().len() > needed.len())
-                .unwrap_or(false);
-            if shrank {
-                report.projections_pushed += 1;
-            }
-            PlanNode::Union {
-                inputs: inputs
-                    .into_iter()
-                    .map(|i| push_projections(i, needed, report))
-                    .collect(),
-            }
-        }
+        PlanNode::Union { inputs } => PlanNode::Union {
+            inputs: inputs
+                .into_iter()
+                .map(|i| push_projections(i, needed, report))
+                .collect(),
+        },
         PlanNode::DomainPad { input, vars } => {
             let input_schema = input.schema();
             let mut vars_needed: Vec<String> = vars
@@ -466,6 +461,17 @@ fn push_projections(node: PlanNode, needed: &[String], report: &mut RuleReport) 
             wrap(leaf, needed, &schema)
         }
     }
+}
+
+/// A node without inputs: the catch-all arm of [`push_projections`].
+fn is_leaf(node: &PlanNode) -> bool {
+    matches!(
+        node,
+        PlanNode::Scan { .. }
+            | PlanNode::Unit
+            | PlanNode::AdomConst { .. }
+            | PlanNode::AdomEq { .. }
+    )
 }
 
 /// Projects `node` (of schema `schema`) down to `needed` when they differ.

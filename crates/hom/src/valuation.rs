@@ -7,8 +7,8 @@
 //!
 //! The possible-world sets are infinite because `Const` is; the enumeration functions
 //! here take an explicit, finite *constant budget* — the genericity argument for why a
-//! bounded budget suffices as a certain-answer oracle is spelled out in `DESIGN.md §6`
-//! and in the `nev-core::certain` module.
+//! bounded budget suffices as a certain-answer oracle is spelled out in the
+//! `nev_core::oracle` module documentation.
 
 use std::collections::BTreeSet;
 
@@ -41,36 +41,110 @@ pub fn apply_valuation(map: &ValueMap, d: &Instance) -> Instance {
 ///
 /// The number of valuations is `|budget|^|Null(D)|`; callers control the blow-up by
 /// keeping instances and budgets small (this is the ground-truth oracle, not the
-/// naïve evaluator).
+/// naïve evaluator). [`Valuations::new`] streams the same list in the same order.
 pub fn enumerate_valuations(d: &Instance, budget: &BTreeSet<Constant>) -> Vec<ValueMap> {
-    let nulls: Vec<NullId> = d.nulls().into_iter().collect();
-    if budget.is_empty() && !nulls.is_empty() {
-        return Vec::new();
+    Valuations::new(d, budget).collect()
+}
+
+/// A lazy stream of the valuations of an instance's nulls into a constant budget,
+/// one [`ValueMap`] per step.
+///
+/// The stream is a mixed-radix counter over the nulls in `Null(D)` order, the first
+/// null turning fastest and each digit walking the budget in its `Ord` order.
+/// [`Valuations::up_to_renaming`] additionally names a set of *interchangeable*
+/// budget constants and keeps one valuation per orbit of their permutations.
+#[derive(Clone, Debug)]
+pub struct Valuations {
+    nulls: Vec<NullId>,
+    constants: Vec<Constant>,
+    /// Per budget position: the constant's rank among the interchangeable ones.
+    ranks: Vec<Option<usize>>,
+    /// The digits of the next valuation; `None` once the stream is exhausted.
+    digits: Option<Vec<usize>>,
+}
+
+impl Valuations {
+    /// Every valuation of the nulls of `d` into `budget`: `|budget|^|Null(D)|` of
+    /// them, or none when `d` has nulls and the budget is empty.
+    pub fn new(d: &Instance, budget: &BTreeSet<Constant>) -> Self {
+        Valuations::up_to_renaming(d, budget, &BTreeSet::new())
     }
-    let constants: Vec<Constant> = budget.iter().cloned().collect();
-    let mut out = Vec::new();
-    let mut current: Vec<usize> = vec![0; nulls.len()];
-    loop {
+
+    /// The valuations of the nulls of `d` into `budget` in *restricted-growth*
+    /// form for the `interchangeable` budget constants: reading the nulls from
+    /// the last to the first, the `j`-th interchangeable constant (in `Ord`
+    /// order) is used only once the `(j−1)`-th already is. Every valuation into
+    /// `budget` is the image of exactly one of these under a permutation of the
+    /// interchangeable constants, so a query that cannot tell those constants
+    /// apart sees every world of the full stream. Two nulls over two other
+    /// constants and two interchangeable ones give 10 valuations, not 16.
+    pub fn up_to_renaming(
+        d: &Instance,
+        budget: &BTreeSet<Constant>,
+        interchangeable: &BTreeSet<Constant>,
+    ) -> Self {
+        let nulls: Vec<NullId> = d.nulls().into_iter().collect();
+        let constants: Vec<Constant> = budget.iter().cloned().collect();
+        let mut next_rank = 0;
+        let ranks = constants
+            .iter()
+            .map(|c| {
+                interchangeable.contains(c).then(|| {
+                    next_rank += 1;
+                    next_rank - 1
+                })
+            })
+            .collect();
+        let empty = constants.is_empty() && !nulls.is_empty();
+        Valuations {
+            digits: (!empty).then(|| vec![0; nulls.len()]),
+            nulls,
+            constants,
+            ranks,
+        }
+    }
+
+    /// May the null at `pos` take budget position `idx`, given the digits of the
+    /// nulls after it? Budget position 0 always may: it holds either a constant
+    /// that is not interchangeable or the first interchangeable one.
+    fn allowed(&self, digits: &[usize], pos: usize, idx: usize) -> bool {
+        let Some(rank) = self.ranks[idx] else {
+            return true;
+        };
+        let used = digits[pos + 1..]
+            .iter()
+            .filter_map(|&later| self.ranks[later])
+            .max();
+        rank <= used.map_or(0, |r| r + 1)
+    }
+}
+
+impl Iterator for Valuations {
+    type Item = ValueMap;
+
+    fn next(&mut self) -> Option<ValueMap> {
+        let mut digits = self.digits.take()?;
         let map = ValueMap::from_pairs(
-            nulls
+            self.nulls
                 .iter()
-                .zip(&current)
-                .map(|(n, idx)| (Value::Null(*n), Value::Const(constants[*idx].clone()))),
+                .zip(&digits)
+                .map(|(n, &idx)| (Value::Null(*n), Value::Const(self.constants[idx].clone()))),
         );
-        out.push(map);
-        // Advance the mixed-radix counter.
-        let mut pos = 0;
-        loop {
-            if pos == nulls.len() {
-                return out;
-            }
-            current[pos] += 1;
-            if current[pos] < constants.len() {
+        // Advance the mixed-radix counter to the next allowed digit string: bump
+        // the lowest digit that has an allowed successor and zero those below it
+        // (zero is always allowed). A digit's constraint reads only the digits
+        // above it, which this step leaves unchanged.
+        for pos in 0..digits.len() {
+            let successor = (digits[pos] + 1..self.constants.len())
+                .find(|&idx| self.allowed(&digits, pos, idx));
+            if let Some(idx) = successor {
+                digits[pos] = idx;
+                digits[..pos].iter_mut().for_each(|digit| *digit = 0);
+                self.digits = Some(digits);
                 break;
             }
-            current[pos] = 0;
-            pos += 1;
         }
+        Some(map)
     }
 }
 
@@ -153,6 +227,59 @@ mod tests {
         assert_eq!(enumerate_valuations(&complete, &BTreeSet::new()).len(), 1);
         // Nulls but empty budget: no valuations.
         assert!(enumerate_valuations(&d, &BTreeSet::new()).is_empty());
+    }
+
+    #[test]
+    fn restricted_growth_keeps_one_valuation_per_renaming_orbit() {
+        let d = inst! { "R" => [[x(1), x(2)]] };
+        let fresh = [Constant::str("f0"), Constant::str("f1")];
+        let budget: BTreeSet<Constant> = [Constant::int(1), Constant::int(2)]
+            .into_iter()
+            .chain(fresh.iter().cloned())
+            .collect();
+        let interchangeable: BTreeSet<Constant> = fresh.iter().cloned().collect();
+        let pruned: Vec<ValueMap> =
+            Valuations::up_to_renaming(&d, &budget, &interchangeable).collect();
+        assert_eq!(pruned.len(), 10, "2 nulls over 2 fixed + 2 fresh constants");
+        assert_eq!(Valuations::new(&d, &budget).count(), 16);
+        // The pruned stream is a subsequence of the full one, and swapping the two
+        // fresh constants maps every full valuation onto a kept one.
+        let full = enumerate_valuations(&d, &budget);
+        let mut rest = full.iter();
+        assert!(pruned.iter().all(|v| rest.any(|w| w == v)));
+        let swap = |v: &Value| match v {
+            Value::Const(c) if *c == fresh[0] => Value::Const(fresh[1].clone()),
+            Value::Const(c) if *c == fresh[1] => Value::Const(fresh[0].clone()),
+            other => other.clone(),
+        };
+        for v in &full {
+            let image = v.apply_instance(&d);
+            assert!(
+                pruned.iter().any(|p| {
+                    let kept = p.apply_instance(&d);
+                    kept == image || kept == image.map_values(swap)
+                }),
+                "{image}"
+            );
+        }
+        // Three nulls over three fresh constants: the Bell number B(3) = 5.
+        let three = inst! { "R" => [[x(1), x(2), x(3)]] };
+        let all_fresh: BTreeSet<Constant> =
+            ["f0", "f1", "f2"].into_iter().map(Constant::str).collect();
+        assert_eq!(
+            Valuations::up_to_renaming(&three, &all_fresh, &all_fresh).count(),
+            5
+        );
+        // Edge cases match the full stream.
+        let complete = inst! { "R" => [[c(1)]] };
+        assert_eq!(
+            Valuations::up_to_renaming(&complete, &budget, &interchangeable).count(),
+            1
+        );
+        assert_eq!(
+            Valuations::up_to_renaming(&d, &BTreeSet::new(), &BTreeSet::new()).count(),
+            0
+        );
     }
 
     #[test]

@@ -294,6 +294,41 @@ impl Formula {
         out
     }
 
+    /// The relations with an occurrence under an odd number of negations, an
+    /// implication's premise counting as one. A relation outside this set —
+    /// including one the formula never mentions — occurs only positively, so
+    /// over a fixed quantifier domain adding its facts can only grow the
+    /// formula's answers.
+    pub fn negative_relations(&self) -> BTreeSet<String> {
+        let mut out = BTreeSet::new();
+        self.collect_negative(false, &mut out);
+        out
+    }
+
+    fn collect_negative(&self, negated: bool, out: &mut BTreeSet<String>) {
+        match self {
+            Formula::True | Formula::False | Formula::Eq(_, _) => {}
+            Formula::Atom { relation, .. } => {
+                if negated {
+                    out.insert(relation.clone());
+                }
+            }
+            Formula::Not(inner) => inner.collect_negative(!negated, out),
+            Formula::And(parts) | Formula::Or(parts) => {
+                for p in parts {
+                    p.collect_negative(negated, out);
+                }
+            }
+            Formula::Implies(a, b) => {
+                a.collect_negative(!negated, out);
+                b.collect_negative(negated, out);
+            }
+            Formula::Exists(_, body) | Formula::Forall(_, body) => {
+                body.collect_negative(negated, out)
+            }
+        }
+    }
+
     /// Visits every subformula (pre-order).
     pub fn visit<F: FnMut(&Formula)>(&self, visitor: &mut F) {
         visitor(self);
@@ -472,6 +507,36 @@ mod tests {
                 Formula::atom("S", [Term::var("z"), Term::var("y")]),
             ]),
         )
+    }
+
+    #[test]
+    fn negative_relations_count_negations_and_premises() {
+        let negative = |text: &str| -> Vec<String> {
+            crate::parse_formula(text)
+                .expect("valid formula")
+                .negative_relations()
+                .into_iter()
+                .collect()
+        };
+        // Positive occurrences only; a relation never mentioned is not negative.
+        assert!(negative("exists u v . R(u, v) & S(u)").is_empty());
+        assert_eq!(negative("!(exists u . S(u))"), ["S"]);
+        // Double negation is positive again.
+        assert!(negative("!(!(exists u . S(u)))").is_empty());
+        // An implication's premise is one negation, its conclusion none.
+        assert_eq!(negative("forall u v . (R(u, v) -> S(v))"), ["R"]);
+        assert_eq!(negative("!(forall u v . (R(u, v) -> S(v)))"), ["S"]);
+        // Nesting: the inner premise sits under two negations, so `S(v6)` there
+        // is positive, but the outer premise already made S negative.
+        assert_eq!(
+            negative("forall v5 . (S(v5) -> (forall v6 . (S(v6) -> S(v6))))"),
+            ["S"]
+        );
+        // A premise inside a premise is positive again.
+        assert_eq!(negative("(R(1, 1) -> S(1)) -> T(1)"), ["S"]);
+        // Mentioned under both polarities: negative.
+        assert_eq!(negative("S(1) & !S(2)"), ["S"]);
+        assert!(negative("1 = 2 | true").is_empty());
     }
 
     #[test]

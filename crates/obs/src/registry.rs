@@ -38,8 +38,6 @@ pub enum Counter {
     Explains,
     /// Requests rejected with an `ERR` response.
     Errors,
-    /// Worlds enumerated by the oracle runs the evaluations drew on.
-    Worlds,
     /// Oracle runs cut short by early-exit cancellation.
     OracleCancelled,
     /// Symbolic answers certified by the Kleene/naïve sandwich.
@@ -56,7 +54,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters.
-    pub const COUNT: usize = 11;
+    pub const COUNT: usize = 10;
 
     /// Every counter, in declaration order (indexable by [`Counter::index`]).
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -65,7 +63,6 @@ impl Counter {
         Counter::Prepares,
         Counter::Explains,
         Counter::Errors,
-        Counter::Worlds,
         Counter::OracleCancelled,
         Counter::SandwichExact,
         Counter::Truncated,
@@ -89,7 +86,6 @@ impl Counter {
             Counter::Prepares => "prepares",
             Counter::Explains => "explains",
             Counter::Errors => "errors",
-            Counter::Worlds => "worlds",
             Counter::OracleCancelled => "oracle_cancelled",
             Counter::SandwichExact => "sandwich_exact",
             Counter::Truncated => "truncated",
@@ -99,9 +95,9 @@ impl Counter {
     }
 }
 
-/// One point-in-time copy of a registry's monotone telemetry: the counters
-/// and the per-plan request-latency histograms, stamped with the uptime it
-/// was taken at. It is also what the [`TimeSeries`] ring keeps, so window
+/// One point-in-time copy of a registry's monotone telemetry: the counters,
+/// the per-plan request-latency histograms and the worlds-per-oracle-request
+/// histogram, stamped with the uptime it was taken at. It is also what the [`TimeSeries`] ring keeps, so window
 /// arithmetic is a subtraction of two snapshots.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsSnapshot {
@@ -111,6 +107,9 @@ pub struct MetricsSnapshot {
     pub counters: [u64; Counter::COUNT],
     /// Per-dispatch-kind request-latency snapshots.
     pub plans: Vec<(&'static str, HistogramSnapshot)>,
+    /// Worlds enumerated per oracle request; its sum is every world the
+    /// oracle runs visited.
+    pub worlds: HistogramSnapshot,
 }
 
 impl MetricsSnapshot {
@@ -167,6 +166,7 @@ pub struct MetricsRegistry {
     counters: [AtomicU64; Counter::COUNT],
     stage: Vec<Histogram>,
     plans: Vec<(&'static str, Histogram)>,
+    worlds: Histogram,
     slow: Mutex<Vec<SlowQuery>>,
     slow_capacity: usize,
     series: TimeSeries,
@@ -185,6 +185,7 @@ impl MetricsRegistry {
                 .iter()
                 .map(|&label| (label, Histogram::new()))
                 .collect(),
+            worlds: Histogram::new(),
             slow: Mutex::new(Vec::new()),
             slow_capacity,
             series: TimeSeries::new(),
@@ -227,12 +228,17 @@ impl MetricsRegistry {
         }
     }
 
+    /// Records the worlds one oracle request enumerated.
+    pub fn observe_worlds(&self, worlds: u64) {
+        self.worlds.record(worlds);
+    }
+
     /// Snapshot of one stage histogram.
     pub fn stage_snapshot(&self, stage: Stage) -> HistogramSnapshot {
         self.stage[stage.index()].snapshot()
     }
 
-    /// The counters and per-plan histograms as they stand now.
+    /// The counters and the per-plan and worlds histograms as they stand now.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
             at_us: self.uptime_us(),
@@ -243,6 +249,7 @@ impl MetricsRegistry {
                 .iter()
                 .map(|(label, hist)| (*label, hist.snapshot()))
                 .collect(),
+            worlds: self.worlds.snapshot(),
         }
     }
 
@@ -294,8 +301,8 @@ impl MetricsRegistry {
     }
 
     /// Renders the full exposition of `snap`: uptime and caller gauges,
-    /// caller counters (suffixed `_total`), the per-plan request-latency and
-    /// per-stage latency histograms, the trailing-window `nev_window_*`
+    /// caller counters (suffixed `_total`), the per-plan request-latency,
+    /// worlds-per-oracle-request and per-stage latency histograms, the trailing-window `nev_window_*`
     /// gauges ending at `snap`, the slow-query log as comment lines, and the
     /// `# EOF` terminator. Empty histograms are elided.
     pub fn expose(
@@ -328,6 +335,11 @@ impl MetricsRegistry {
                     );
                 }
             }
+        }
+        if snap.worlds.count > 0 {
+            let _ = writeln!(out, "# TYPE nev_oracle_worlds histogram");
+            snap.worlds
+                .render_prometheus("nev_oracle_worlds", "", &mut out);
         }
         let stages: Vec<(Stage, HistogramSnapshot)> = Stage::ALL
             .iter()
@@ -531,11 +543,12 @@ mod tests {
         let registry = MetricsRegistry::new(&["compiled", "oracle"], 0);
         registry.bump(Counter::Requests);
         registry.bump(Counter::Requests);
-        registry.add(Counter::Worlds, 7);
+        registry.observe_worlds(7);
+        registry.observe_worlds(0);
         registry.observe_plan("oracle", 40);
         let snap = registry.snapshot();
         assert_eq!(snap.counter(Counter::Requests), 2);
-        assert_eq!(snap.counter(Counter::Worlds), 7);
+        assert_eq!((snap.worlds.count, snap.worlds.sum), (2, 7));
         assert_eq!(snap.counter(Counter::Errors), 0);
         assert_eq!(snap.plan_count("oracle"), 1);
         assert_eq!(snap.plan_count("compiled"), 0);

@@ -27,6 +27,9 @@ pub enum Stage {
     Classify,
     /// Plan-cache lookup in the serving layer (children replay on a miss).
     CacheProbe,
+    /// Parsing the query text into the plan cache's canonical key, paid by
+    /// every lookup, hit or miss.
+    Parse,
     /// Compilation + `nev-opt` plan optimisation into the executable form.
     Optimize,
     /// The `nev-analyze` static pass: normalization, re-classification and
@@ -48,12 +51,13 @@ pub enum Stage {
 
 impl Stage {
     /// Number of stages in the taxonomy.
-    pub const COUNT: usize = 10;
+    pub const COUNT: usize = 11;
 
     /// Every stage, in declaration order (indexable by [`Stage::index`]).
     pub const ALL: [Stage; Stage::COUNT] = [
         Stage::Classify,
         Stage::CacheProbe,
+        Stage::Parse,
         Stage::Optimize,
         Stage::Normalize,
         Stage::Exec,
@@ -77,6 +81,7 @@ impl Stage {
         match self {
             Stage::Classify => "classify",
             Stage::CacheProbe => "cache_probe",
+            Stage::Parse => "parse",
             Stage::Optimize => "optimize",
             Stage::Normalize => "normalize",
             Stage::Exec => "exec",

@@ -275,6 +275,7 @@ mod tests {
             at_us,
             counters,
             plans: vec![("compiled", hist.snapshot())],
+            ..MetricsSnapshot::default()
         }
     }
 

@@ -27,6 +27,7 @@ use nev_core::engine::{EngineError, PreparedQuery};
 use nev_core::summary::{expectation, Expectation};
 use nev_core::Semantics;
 use nev_logic::{parse_query, Query};
+use nev_obs::Timer;
 
 /// A cache lookup: the shared prepared query plus the Figure 1 cell guarantee for
 /// the requested semantics (the instance-independent part of plan dispatch).
@@ -38,6 +39,9 @@ pub struct CachedPlan {
     pub semantics: Semantics,
     /// `expectation(semantics, fragment)` — what Figure 1 guarantees for the cell.
     pub cell: Expectation,
+    /// Microseconds this lookup spent parsing the text into its canonical key,
+    /// which a hit pays as well as a miss.
+    pub parse_us: u64,
 }
 
 /// One key's prepared query, filled by whichever lookup prepares it first.
@@ -171,11 +175,12 @@ impl PlanCache {
         text: &str,
         semantics: Semantics,
     ) -> Result<(CachedPlan, bool), EngineError> {
-        let (prepared, hit) = self.prepared(text)?;
+        let (prepared, hit, parse_us) = self.prepared(text)?;
         let plan = CachedPlan {
             cell: expectation(semantics, prepared.fragment()),
             prepared,
             semantics,
+            parse_us,
         };
         Ok((plan, hit))
     }
@@ -183,13 +188,17 @@ impl PlanCache {
     /// Warms the cache for `text` (the `PREPARE` command) and returns the shared
     /// prepared query; it counts as one hit or one miss, like any lookup.
     pub fn prepare_all(&self, text: &str) -> Result<Arc<PreparedQuery>, EngineError> {
-        self.prepared(text).map(|(prepared, _hit)| prepared)
+        self.prepared(text)
+            .map(|(prepared, _hit, _parse_us)| prepared)
     }
 
-    /// The shared prepared query for `text` and whether another lookup had
-    /// prepared it. Preparation runs outside the cache lock, once per slot.
-    fn prepared(&self, text: &str) -> Result<(Arc<PreparedQuery>, bool), EngineError> {
+    /// The shared prepared query for `text`, whether another lookup had
+    /// prepared it, and the microseconds its `canonical` parse took.
+    /// Preparation runs outside the cache lock, once per slot.
+    fn prepared(&self, text: &str) -> Result<(Arc<PreparedQuery>, bool, u64), EngineError> {
+        let parse = Timer::start();
         let (key, query) = canonical(text)?;
+        let parse_us = parse.elapsed_us();
         let slot = self.slot(key);
         let mut prepared_here = false;
         let prepared = Arc::clone(slot.get_or_init(|| {
@@ -203,7 +212,7 @@ impl PlanCache {
         };
         // relaxed: hit/miss tallies are telemetry only.
         counter.fetch_add(1, Ordering::Relaxed);
-        Ok((prepared, !prepared_here))
+        Ok((prepared, !prepared_here, parse_us))
     }
 
     /// The slot for `key`, inserted (evicting least-recently-used entries past

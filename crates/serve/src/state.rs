@@ -259,15 +259,19 @@ impl ServeState {
         let (plan, hit) = self
             .cache
             .get_or_prepare_with_status(query_text, semantics)?;
-        if let Some(recorder) = options.trace.filter(|_| !hit) {
-            // A miss paid the full preparation inside the probe span; replay
-            // its classify, compile and analyze phases as children, one leaf
-            // each whatever the clock read. Hits skip this — their preparation
+        if let Some(recorder) = options.trace {
+            // Every lookup parsed the text into its cache key. A miss also
+            // paid the full preparation inside the probe span; replay its
+            // classify, compile and analyze phases as children, one leaf each
+            // whatever the clock read. Hits skip those — their preparation
             // happened on some earlier request.
-            let prep = plan.prepared.prep_timings();
-            recorder.leaf(Stage::Classify, prep.classify_us);
-            recorder.leaf(Stage::Optimize, prep.compile_us);
-            recorder.leaf(Stage::Normalize, prep.analyze_us);
+            recorder.leaf(Stage::Parse, plan.parse_us);
+            if !hit {
+                let prep = plan.prepared.prep_timings();
+                recorder.leaf(Stage::Classify, prep.classify_us);
+                recorder.leaf(Stage::Optimize, prep.compile_us);
+                recorder.leaf(Stage::Normalize, prep.analyze_us);
+            }
         }
         drop(probe);
         let evaluation = self
@@ -468,7 +472,7 @@ impl ServeState {
     }
 
     /// Records one answered evaluating request — shared by the solo and
-    /// batch paths: the tallies that are not plan kinds, the worlds its
+    /// batch paths: the tallies that are not plan kinds, the worlds an oracle
     /// evaluation drew on, and last its latency under its plan label. The
     /// per-plan histogram counts *are* the `evals` and dispatch counters, so
     /// a request shows in them only once everything else about it has been
@@ -493,7 +497,9 @@ impl ServeState {
         if evaluation.truncated {
             metrics.bump(Counter::Truncated);
         }
-        metrics.add(Counter::Worlds, evaluation.worlds_enumerated as u64);
+        if evaluation.plan.kind() == PlanKind::Oracle {
+            metrics.observe_worlds(evaluation.worlds_enumerated as u64);
+        }
         metrics.observe_plan(evaluation.plan.label(), latency_us);
     }
 
@@ -576,8 +582,9 @@ impl ServeState {
     /// The counters `STATS` and `METRICS` report, in wire order, read off
     /// one snapshot: the registry's tallies, the dispatch counters derived
     /// from its per-plan histogram counts (so `evals` is always the sum of
-    /// `certified`, `normalized_upgrades`, `symbolic` and `oracle`), and the
-    /// plan cache's own hit/miss/eviction counts.
+    /// `certified`, `normalized_upgrades`, `symbolic` and `oracle`), `worlds`
+    /// as the sum of the worlds-per-oracle-request histogram, and the plan
+    /// cache's own hit/miss/eviction counts.
     fn counters(&self, snap: &MetricsSnapshot) -> [(&'static str, u64); 20] {
         let counter = |c: Counter| (c.name(), snap.counter(c));
         let plan = |kind: PlanKind| snap.plan_count(kind.label());
@@ -594,7 +601,7 @@ impl ServeState {
             ),
             ("compiled", plan(PlanKind::Compiled)),
             ("oracle", plan(PlanKind::Oracle)),
-            counter(Counter::Worlds),
+            ("worlds", snap.worlds.sum),
             counter(Counter::OracleCancelled),
             ("symbolic", plan(PlanKind::Symbolic)),
             counter(Counter::SandwichExact),
@@ -669,7 +676,8 @@ impl ServeState {
     }
 
     /// The full `METRICS` exposition of one snapshot: every `STATS` counter
-    /// and gauge, the per-plan request-latency and per-stage histograms, the
+    /// and gauge, the per-plan request-latency, worlds-per-oracle-request and
+    /// per-stage histograms, the
     /// trailing-window `nev_window_*` gauges, and the slow-query log —
     /// Prometheus-style text ending with a `# EOF` line (see
     /// [`nev_obs::validate_exposition`]).
@@ -898,6 +906,23 @@ mod tests {
     }
 
     #[test]
+    fn explain_counts_only_rules_that_change_the_plan() {
+        let state = state();
+        assert_eq!(
+            state.handle_line("LOAD d R(1,?1);S(?1)"),
+            "OK loaded d facts=2"
+        );
+        for text in [
+            "exists u . S(u)",
+            "!(exists u . S(u))",
+            "Q(x) :- exists y . R(x, y)",
+        ] {
+            let line = state.handle_line(&format!("EXPLAIN d cwa {text}"));
+            assert!(line.contains(" rules=0 "), "{text}: {line}");
+        }
+    }
+
+    #[test]
     fn eval_batch_amortises_and_preserves_request_order() {
         let state = state();
         state.load("d0", d0());
@@ -1099,6 +1124,8 @@ mod tests {
         let recorded = [Stage::Classify, Stage::Optimize, Stage::Normalize]
             .map(|stage| state.metrics().stage_snapshot(stage).count);
         assert_eq!(recorded, [misses; 3]);
+        // Every probe, hit or miss, parsed its text.
+        assert_eq!(state.metrics().stage_snapshot(Stage::Parse).count, 6);
     }
 
     #[test]
@@ -1447,6 +1474,29 @@ mod tests {
         assert!(slow[0].query.contains('D'), "{:?}", slow[0]);
         let exposition = state.render_metrics();
         assert!(exposition.contains("# slow_query "), "{exposition}");
+    }
+
+    #[test]
+    fn worlds_histogram_sums_to_the_stats_worlds() {
+        let state = state();
+        state.load("d0", d0());
+        for text in ["exists u . !D(u, u)", "forall u . exists v . D(u, v)"] {
+            state.handle_line(&format!("EVAL d0 owa {text}"));
+        }
+        state.handle_line("EVAL d0 cwa exists u v . D(u, v)"); // no oracle
+        let worlds = stat(&state, "worlds");
+        assert!(worlds > 0);
+        let exposition = state.render_metrics();
+        let sample = |name: &str| -> u64 {
+            exposition
+                .lines()
+                .find_map(|l| l.strip_prefix(&format!("{name} ")))
+                .and_then(|v| v.parse().ok())
+                .unwrap_or_else(|| panic!("{name} in {exposition}"))
+        };
+        assert_eq!(sample("nev_oracle_worlds_sum"), worlds);
+        assert_eq!(sample("nev_oracle_worlds_count"), stat(&state, "oracle"));
+        assert_eq!(sample("nev_worlds_total"), worlds);
     }
 
     #[test]

@@ -192,6 +192,22 @@ fn zero_rule_plans_stay_byte_identical_to_the_logical_lowering() {
 }
 
 #[test]
+fn projections_already_on_their_leaves_fire_no_rule() {
+    // The pushdown passes each of these projections through unchanged, so it
+    // must not count a push: `rules=0` and the two plans are identical.
+    for text in [
+        "exists u . S(u)",
+        "!(exists u . S(u))",
+        "Q(x) :- exists y . R(x, y)",
+    ] {
+        let q = nev_logic::parse_query(text).expect("valid");
+        let plan = CompiledQuery::compile(&q).expect("compiles");
+        assert_eq!(plan.rules_fired(), 0, "{text}: {:?}", plan.rules());
+        assert_eq!(plan.plan(), plan.logical_plan(), "{text}");
+    }
+}
+
+#[test]
 fn rules_fire_on_the_negation_workload_and_answers_agree() {
     let d = negation_workload(DEFAULT_SEED, 40);
     let q = negation_query();
