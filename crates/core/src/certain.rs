@@ -42,9 +42,10 @@ use nev_logic::Query;
 use crate::semantics::WorldBounds;
 
 /// Bounds pre-populated with the constants mentioned by a query, so that the world
-/// enumeration is generic relative to them.
+/// enumeration is generic relative to them: the bounds of the monotonicity checks
+/// in [`crate::monotone`].
 ///
-/// The cached equivalent, for a query that is prepared once, is
+/// The oracle takes its bounds from the cached equivalent,
 /// [`crate::engine::PreparedQuery::bounds`]; both delegate to
 /// [`WorldBounds::extended_with`], so the derivation cannot diverge.
 pub fn bounds_for_query(query: &Query, base: &WorldBounds) -> WorldBounds {

@@ -12,12 +12,12 @@
 //!   into one dispatch function — queries are prepared (classified) once,
 //!   answered by certified naïve evaluation when the paper guarantees it, by the
 //!   PTIME symbolic ladder when it settles the answer, and by the bounded
-//!   possible-world oracle otherwise, with batched single-pass evaluation;
+//!   possible-world oracle otherwise;
 //! * [`snapshot`] — an immutable instance with its lazily derived state (the
 //!   interned form and the core bit), computed at most once and shared by every
 //!   evaluation of that instance;
-//! * [`oracle`] — the bounded world oracle: one sequential pass shared by a
-//!   slice of queries;
+//! * [`oracle`] — the bounded world oracle: one sequential pass of one query
+//!   over a pruned world stream;
 //! * [`semantics`] — the six concrete semantics of incompleteness (OWA, CWA, WCWA,
 //!   powerset CWA, minimal CWA, minimal powerset CWA), exact possible-world
 //!   membership tests, and lazy bounded possible-world enumeration (§2.3, §4.3, §7,
@@ -63,8 +63,8 @@ pub mod summary;
 pub mod updates;
 
 pub use engine::{
-    symbolic_profile, BatchEvaluation, CertainEngine, Certificate, DispatchOptions, EngineError,
-    EvalPlan, Evaluation, PlanKind, PrepTimings, PreparedQuery, SymbolicCertificate, SymbolicMode,
+    symbolic_profile, CertainEngine, Certificate, DispatchOptions, EngineError, EvalPlan,
+    Evaluation, PlanKind, PrepTimings, PreparedQuery, SymbolicCertificate, SymbolicMode,
     SymbolicTechnique,
 };
 pub use semantics::{ParseSemanticsError, Semantics, WorldBounds, Worlds};

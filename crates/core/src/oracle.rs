@@ -1,12 +1,11 @@
 //! The bounded world oracle: intersect a query's answers over the streamed
 //! possible worlds, exiting early once the intersection is empty.
 //!
-//! [`world_pass`] is one **sequential** pass over a pruned world stream shared
-//! by a slice of queries, folding the per-world step
-//! [`PreparedQuery::answers_in_world`]. With one query it is the oracle behind
+//! [`world_pass`] is one **sequential** pass of one query over a pruned world
+//! stream, folding the per-world step [`PreparedQuery::answers_in_world`]
+//! into one running intersection. It is the oracle behind
 //! [`CertainEngine::dispatch`], [`CertainEngine::compare`] and
-//! [`CertainEngine::certain_answers`]; with many it is the shared pass of
-//! [`CertainEngine::evaluate_all`]. Worlds are visited in stream order, so
+//! [`CertainEngine::certain_answers`]. Worlds are visited in stream order, so
 //! the verdict *and* the worlds counted are the same on every run.
 //!
 //! Over an empty enumeration (a world cap of zero) a Boolean query is
@@ -44,22 +43,21 @@
 //! The pass runs over a pruned version of [`Semantics::worlds`]' stream.
 //! Every world it visits is a world of the full stream, and a world `W` of
 //! the full stream is left out only when a world `W′` the pruned stream keeps
-//! *covers* it: `Q(W′) ∩ Aᵏ ⊆ Q(W) ∩ Aᵏ` for every query of the pass. Then
-//! the intersection is unchanged, and so is every verdict of an uncapped
-//! pass; under a world cap the pruned pass is truncated less often.
-//! Let `F` be the fresh constants of the budget: those outside `Const(D)` and
-//! the constants of every query of the pass.
+//! *covers* it: `Q(W′) ∩ Aᵏ ⊆ Q(W) ∩ Aᵏ`. Then the intersection is
+//! unchanged, and so is the verdict of an uncapped pass; under a world cap
+//! the pruned pass is truncated less often. Let `F` be the fresh constants of
+//! the budget: those outside `Const(D)` and `Const(Q)`.
 //!
 //! 1. **Restricted growth** (CWA, minimal CWA, WCWA, OWA). Permutations of `F`
-//!    fix every query's `A`, so by the genericity argument above a world and
-//!    its image under one contribute the same factor. The streams are closed
-//!    under them: π∘v is again a valuation into the budget, and π preserves
+//!    fix `A`, so by the genericity argument above a world and its image
+//!    under one contribute the same factor. The streams are closed under
+//!    them: π∘v is again a valuation into the budget, and π preserves
 //!    `adom(v(D))`, the OWA extension domain (its extra values lie outside the
 //!    budget) and minimality. Each valuation has exactly one image π∘v in
 //!    restricted-growth form ([`Valuations::up_to_renaming`]: reading the nulls
 //!    from last to first, the `j`-th fresh constant appears only after the
 //!    `(j−1)`-th), so only those valuations are streamed.
-//! 2. **Polarity** (WCWA, OWA). Let `N` be the union of the pass's
+//! 2. **Polarity** (WCWA, OWA). Let `N` be the query's
 //!    [`negative_relations`]. For an extension world `W = v(D) ∪ E`, let `E′`
 //!    keep the facts of `E` that belong to `N` or use a value outside
 //!    `adom(v(D))`. Then `W′ = v(D) ∪ E′` is in the stream (`E′ ⊆ E`, so it is
@@ -69,8 +67,8 @@
 //!    under an even number of negations (induction on the formula). `W` adds to
 //!    `W′` only facts of such relations, so `Q(W′) ⊆ Q(W)`. The stream
 //!    therefore never adds a fact outside `N` whose values all lie in
-//!    `adom(v(D))`; a relation no query mentions is outside `N`. The two rules
-//!    compose: π preserves `N`-membership and `adom`.
+//!    `adom(v(D))`; a relation the query does not mention is outside `N`.
+//!    The two rules compose: π preserves `N`-membership and `adom`.
 //! 3. **Powerset renaming** (powerset CWA, minimal powerset CWA). Rule 1 does
 //!    not apply per image, since a union needs independent fresh constants in
 //!    each image. A union of at most `w = union_width` images is instead one
@@ -90,14 +88,13 @@
 //! [`CertainEngine::dispatch`]: crate::engine::CertainEngine::dispatch
 //! [`CertainEngine::compare`]: crate::engine::CertainEngine::compare
 //! [`CertainEngine::certain_answers`]: crate::engine::CertainEngine::certain_answers
-//! [`CertainEngine::evaluate_all`]: crate::engine::CertainEngine::evaluate_all
 //! [`Valuations::up_to_renaming`]: nev_hom::valuation::Valuations::up_to_renaming
 //! [`negative_relations`]: nev_logic::Formula::negative_relations
 
 use std::collections::BTreeSet;
 
 use nev_exec::ExecStats;
-use nev_incomplete::{Constant, Instance, Tuple};
+use nev_incomplete::{Instance, Tuple};
 
 use crate::engine::{boolean_answers, PreparedQuery};
 use crate::semantics::{Semantics, WorldBounds};
@@ -108,8 +105,7 @@ pub struct OracleOutcome {
     /// The certain answers over the bounded enumeration (Boolean queries use the
     /// `{()} / ∅` encoding).
     pub certain: BTreeSet<Tuple>,
-    /// Worlds actually evaluated. A shared pass reports the worlds the whole
-    /// pass visited.
+    /// Worlds actually evaluated.
     pub worlds_considered: usize,
     /// Whether the intersection went empty and cut the stream short.
     pub cancelled: bool,
@@ -122,96 +118,48 @@ pub struct OracleOutcome {
     pub exec: ExecStats,
 }
 
-/// One sequential pass over the worlds of `d`, shared by `queries`: each
-/// query's answers are intersected world by world, a query whose intersection
-/// empties drops out, and the pass stops once every query has. The stream runs
-/// over `base` extended with the union of the queries' constants, so with one
-/// query it is exactly that query's own enumeration, pruned for the union of
-/// the queries' negative relations (see the module docs). Returns one outcome
-/// per query, in order.
+/// One sequential pass over the worlds of `d` for `query`: its answers are
+/// intersected world by world, and the pass stops once the intersection is
+/// empty. The stream runs over `base` extended with the query's constants
+/// ([`PreparedQuery::bounds`]), pruned for the query's negative relations
+/// (see the module docs).
 pub fn world_pass(
     base: &WorldBounds,
     d: &Instance,
     semantics: Semantics,
-    queries: &[&PreparedQuery],
-) -> Vec<OracleOutcome> {
-    let bounds = base.extended_with(queries.iter().flat_map(|q| q.constants().iter().cloned()));
-    let allowed: Vec<BTreeSet<Constant>> = queries.iter().map(|q| q.allowed_constants(d)).collect();
-    let mut folds: Vec<Fold<'_>> = allowed.iter().map(Fold::new).collect();
-    let negative: BTreeSet<String> = queries
-        .iter()
-        .flat_map(|q| q.query().formula().negative_relations())
-        .collect();
+    query: &PreparedQuery,
+) -> OracleOutcome {
+    let bounds = query.bounds(base);
+    let allowed = query.allowed_constants(d);
+    let negative = query.query().formula().negative_relations();
     let mut worlds = semantics.pruned_worlds(d, &bounds, &negative);
+    let mut exec = ExecStats::new();
+    // `None` until the first world.
+    let mut acc: Option<BTreeSet<Tuple>> = None;
     let mut visited = 0usize;
     for world in worlds.by_ref() {
         visited += 1;
-        for (query, fold) in queries.iter().zip(&mut folds) {
-            if !fold.emptied() {
-                fold.add(query, &world);
-            }
-        }
-        if folds.iter().all(Fold::emptied) {
+        let answers = query.answers_in_world(&world, &allowed, &mut exec);
+        let next = match acc {
+            None => answers,
+            Some(prev) => prev.intersection(&answers).cloned().collect(),
+        };
+        let emptied = next.is_empty();
+        acc = Some(next);
+        if emptied {
             break;
         }
     }
-    let stream_truncated = worlds.truncated();
-    queries
-        .iter()
-        .zip(folds)
-        .map(|(query, fold)| fold.outcome(query, visited, stream_truncated))
-        .collect()
-}
-
-/// One query's running intersection over the worlds seen so far.
-struct Fold<'a> {
-    allowed: &'a BTreeSet<Constant>,
-    /// `None` until the first world.
-    acc: Option<BTreeSet<Tuple>>,
-    exec: ExecStats,
-}
-
-impl<'a> Fold<'a> {
-    fn new(allowed: &'a BTreeSet<Constant>) -> Self {
-        Fold {
-            allowed,
-            acc: None,
-            exec: ExecStats::new(),
-        }
-    }
-
-    fn emptied(&self) -> bool {
-        self.acc.as_ref().is_some_and(BTreeSet::is_empty)
-    }
-
-    /// Intersects the query's answers in one more world.
-    fn add(&mut self, query: &PreparedQuery, world: &Instance) {
-        let answers = query.answers_in_world(world, self.allowed, &mut self.exec);
-        self.acc = Some(match self.acc.take() {
-            None => answers,
-            Some(prev) => prev.intersection(&answers).cloned().collect(),
-        });
-    }
-
-    /// The verdict. With no world seen, a Boolean query is vacuously certain
-    /// and a k-ary intersection is empty; an emptied intersection is
-    /// definitive, anything else leans on the whole (possibly capped) stream.
-    fn outcome(
-        self,
-        query: &PreparedQuery,
-        worlds_considered: usize,
-        stream_truncated: bool,
-    ) -> OracleOutcome {
-        let cancelled = self.emptied();
-        OracleOutcome {
-            certain: self
-                .acc
-                .unwrap_or_else(|| boolean_answers(query.is_boolean())),
-            worlds_considered,
-            cancelled,
-            truncated: !cancelled && stream_truncated,
-            exec: self.exec,
-        }
+    // With no world seen, a Boolean query is vacuously certain and a k-ary
+    // intersection is empty; an emptied intersection is definitive, anything
+    // else leans on the whole (possibly capped) stream.
+    let cancelled = acc.as_ref().is_some_and(BTreeSet::is_empty);
+    OracleOutcome {
+        certain: acc.unwrap_or_else(|| boolean_answers(query.is_boolean())),
+        worlds_considered: visited,
+        cancelled,
+        truncated: !cancelled && worlds.truncated(),
+        exec,
     }
 }
 
@@ -222,25 +170,13 @@ mod tests {
     use nev_incomplete::builder::{c, x};
     use nev_incomplete::inst;
 
-    /// One query's solo pass under `engine`'s bounds.
-    fn solo(
-        engine: &CertainEngine,
-        d: &Instance,
-        semantics: Semantics,
-        query: &PreparedQuery,
-    ) -> OracleOutcome {
-        world_pass(engine.bounds(), d, semantics, &[query])
-            .pop()
-            .expect("one outcome per query")
-    }
-
     #[test]
     fn zero_worlds_is_vacuously_certain_for_boolean_queries() {
         // A complete instance under CWA has exactly one world; trivially certain.
         let d = inst! { "R" => [[c(1)]] };
         let engine = CertainEngine::new();
         let query = engine.prepare("exists u . R(u)").unwrap();
-        let out = solo(&engine, &d, Semantics::Cwa, &query);
+        let out = world_pass(engine.bounds(), &d, Semantics::Cwa, &query);
         assert_eq!(out.certain.len(), 1);
         assert_eq!(out.worlds_considered, 1);
         // An empty enumeration (max_worlds = 0): vacuously true for Boolean
@@ -252,7 +188,7 @@ mod tests {
         let boolean = engine.prepare("exists u . R(u)").unwrap();
         let kary = engine.prepare("Q(u) :- R(u)").unwrap();
         for (query, expected) in [(&boolean, 1), (&kary, 0)] {
-            let out = solo(&engine, &d, Semantics::Cwa, query);
+            let out = world_pass(engine.bounds(), &d, Semantics::Cwa, query);
             assert_eq!(out.certain.len(), expected, "{query}");
             assert_eq!(out.worlds_considered, 0);
             assert!(out.truncated, "{query}");
@@ -267,29 +203,8 @@ mod tests {
             ..WorldBounds::default()
         });
         let query = engine.prepare("exists u v w . R(u, v, w)").unwrap();
-        let out = solo(&engine, &d, Semantics::Cwa, &query);
+        let out = world_pass(engine.bounds(), &d, Semantics::Cwa, &query);
         assert!(out.worlds_considered <= 5);
         assert_eq!(out.certain.len(), 1, "every truncated world satisfies ∃R");
-    }
-
-    #[test]
-    fn a_shared_pass_matches_each_solo_pass() {
-        let d0 = inst! { "D" => [[x(1), x(2)], [x(2), x(1)]] };
-        let engine = CertainEngine::new();
-        let queries: Vec<PreparedQuery> = [
-            "forall u . exists v . D(u, v)",
-            "exists u . !D(u, u)",
-            "Q(u) :- exists v . D(u, v)",
-        ]
-        .iter()
-        .map(|text| engine.prepare(text).expect("valid query"))
-        .collect();
-        let refs: Vec<&PreparedQuery> = queries.iter().collect();
-        let shared = world_pass(engine.bounds(), &d0, Semantics::Owa, &refs);
-        for (query, outcome) in queries.iter().zip(&shared) {
-            let solo = engine.compare(&d0, Semantics::Owa, query);
-            assert_eq!(outcome.certain, solo.certain, "{query}");
-            assert_eq!(outcome.truncated, solo.truncated, "{query}");
-        }
     }
 }

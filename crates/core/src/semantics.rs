@@ -558,9 +558,9 @@ impl WorldBounds {
     }
 
     /// A copy of these bounds with additional query constants in the budget — the
-    /// single primitive behind [`crate::certain::bounds_for_query`] and
-    /// `PreparedQuery::bounds`, so the derivation cannot diverge between the legacy
-    /// and engine paths.
+    /// single primitive behind `PreparedQuery::bounds` (the oracle's bounds) and
+    /// [`crate::certain::bounds_for_query`] (the monotonicity checks of
+    /// [`crate::monotone`]), so the two derivations cannot diverge.
     pub fn extended_with<I>(&self, constants: I) -> WorldBounds
     where
         I: IntoIterator<Item = Constant>,

@@ -18,7 +18,7 @@
 //! use nev_incomplete::inst;
 //!
 //! let d = inst! { "D" => [[x(1), x(2)], [x(2), x(1)]] };
-//! // A snapshot over a borrowed instance, e.g. for one batch.
+//! // A snapshot over a borrowed instance, e.g. for one call.
 //! let snapshot = Snapshot::new(&d);
 //! assert!(!snapshot.is_core_known());
 //! assert!(snapshot.is_core());
@@ -32,6 +32,7 @@ use std::sync::{Arc, OnceLock};
 use nev_exec::InternedInstance;
 use nev_hom::is_core;
 use nev_incomplete::Instance;
+use nev_obs::{Stage, TraceRecorder};
 
 /// An instance plus its lazily derived, shared state (see the module docs).
 ///
@@ -69,6 +70,26 @@ impl<D: Borrow<Instance>> Snapshot<D> {
     /// Whether the instance is a core, decided on first use.
     pub fn is_core(&self) -> bool {
         *self.core.get_or_init(|| is_core(self.instance()))
+    }
+
+    /// [`Snapshot::interned`], recording a [`Stage::Intern`] span on
+    /// `recorder` when this call builds the form.
+    pub(crate) fn interned_traced(&self, recorder: &TraceRecorder) -> &InternedInstance {
+        if !self.is_interned() {
+            let _span = recorder.span(Stage::Intern);
+            self.interned();
+        }
+        self.interned()
+    }
+
+    /// [`Snapshot::is_core`], recording a [`Stage::CoreCheck`] span on
+    /// `recorder` when this call decides the bit.
+    pub(crate) fn is_core_traced(&self, recorder: &TraceRecorder) -> bool {
+        if !self.is_core_known() {
+            let _span = recorder.span(Stage::CoreCheck);
+            self.is_core();
+        }
+        self.is_core()
     }
 
     /// Returns `true` iff the interned form has been built.

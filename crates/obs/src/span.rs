@@ -47,11 +47,17 @@ pub enum Stage {
     OracleWorlds,
     /// The symbolic sandwich approximation pass (`nev-symbolic`).
     Symbolic,
+    /// Interning a snapshot for the compiled executor (`nev-exec`), paid by
+    /// the first compiled pass over it.
+    Intern,
+    /// The snapshot's core check (`nev-hom`), paid by the first request that
+    /// needs its core bit.
+    CoreCheck,
 }
 
 impl Stage {
     /// Number of stages in the taxonomy.
-    pub const COUNT: usize = 11;
+    pub const COUNT: usize = 13;
 
     /// Every stage, in declaration order (indexable by [`Stage::index`]).
     pub const ALL: [Stage; Stage::COUNT] = [
@@ -66,6 +72,8 @@ impl Stage {
         Stage::JoinProbe,
         Stage::OracleWorlds,
         Stage::Symbolic,
+        Stage::Intern,
+        Stage::CoreCheck,
     ];
 
     /// Position in [`Stage::ALL`].
@@ -90,6 +98,8 @@ impl Stage {
             Stage::JoinProbe => "join_probe",
             Stage::OracleWorlds => "oracle_worlds",
             Stage::Symbolic => "symbolic",
+            Stage::Intern => "intern",
+            Stage::CoreCheck => "core_check",
         }
     }
 }

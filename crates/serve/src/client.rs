@@ -107,10 +107,9 @@ pub struct WorkloadRequest {
 
 /// A seeded service workload: named instances plus a request stream over them.
 ///
-/// Queries are generated **without constants** so batched evaluation provably
-/// coincides with solo evaluation (the engine's merged-bounds caveat) and mix the
-/// guaranteed fragments (certified, cheap) with Pos/FO under OWA and CWA (oracle
-/// bound — the traffic the world oracle answers).
+/// Queries are generated **without constants** and mix the guaranteed fragments
+/// (certified, cheap) with Pos/FO under OWA and CWA (oracle bound — the traffic
+/// the world oracle answers).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Workload {
     /// Named instances to `LOAD`.

@@ -16,7 +16,7 @@
 //!   └──► state    (ServeState: LOAD/PREPARE/EVAL/EXPLAIN/TRACE/PROFILE/
 //!         │        STATS/TOP/METRICS handlers rendering the engine's one
 //!         │        Figure 1 dispatch and one nev-obs MetricsRegistry
-//!         │        snapshot, grouped batch evaluation over evaluate_all)
+//!         │        snapshot)
 //!         ├──► catalog  (named Arc<Instance> snapshots, copy-on-write swaps)
 //!         ├──► cache    (LRU of Arc<PreparedQuery> holding the nev-opt
 //!         │              optimised plan, keyed on the canonical rendering,
@@ -47,8 +47,8 @@
 //! Timing never changes a served byte or a result: traces and executor
 //! timings compare equal to every other value of their type.
 //!
-//! Every request — certified naïve pass, symbolic ladder, oracle world pass,
-//! batch group — runs sequentially on the thread serving its connection, so
+//! Every request — certified naïve pass, symbolic ladder, oracle world pass —
+//! runs sequentially on the thread serving its connection, so
 //! `nevd` starts one thread per connection and no other. The crate still
 //! re-exports `nev-runtime`'s [`WorkerPool`] and [`env_workers`] for the
 //! `figure1` binary, which fans its cells out on that pool.
@@ -84,8 +84,7 @@ pub use client::{run_load, self_check, workload, Client, LoadReport};
 pub use nev_runtime::{env_workers, WorkerPool};
 pub use server::{Server, ServerHandle};
 pub use state::{
-    EvalRequest, EvalResponse, PlanKind, ServeConfig, ServeError, ServeState, PLAN_LABELS,
-    SLOW_LOG_CAPACITY,
+    EvalResponse, PlanKind, ServeConfig, ServeError, ServeState, PLAN_LABELS, SLOW_LOG_CAPACITY,
 };
 
 #[cfg(test)]

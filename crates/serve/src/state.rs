@@ -10,22 +10,14 @@
 //!
 //! Figure 1 dispatch is the engine's ([`CertainEngine::dispatch`]); the handlers
 //! resolve the snapshot and the cached plan, call it, and render its
-//! [`Evaluation`]. Two evaluation paths exist:
+//! [`Evaluation`]: a cell the symbolic ladder leaves open runs the engine's
+//! **sequential world pass**, with early exit.
 //!
-//! * [`ServeState::eval`] — one request: a cell the symbolic ladder leaves open
-//!   runs the engine's **sequential world pass**, with early exit;
-//! * [`ServeState::eval_batch`] — many requests: requests are grouped by (instance,
-//!   semantics), each group's distinct queries are folded into **one shared world
-//!   pass** (`CertainEngine::evaluate_all`), and the groups run one after another.
-//!   Repeated queries hit the plan cache and duplicate (query, instance,
-//!   semantics) triples are answered by a single evaluation.
-//!
-//! Both paths record each answered request through one function into the
+//! Every evaluating request is recorded through one function into the
 //! state's one telemetry store, the [`MetricsRegistry`]; `STATS`, `TOP` and
 //! `METRICS` each render one [`MetricsSnapshot`] of it.
 
 use std::collections::BTreeSet;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -33,7 +25,7 @@ pub use nev_core::engine::PlanKind;
 use nev_core::engine::{
     CertainEngine, DispatchOptions, EngineError, Evaluation, PreparedQuery, SymbolicTechnique,
 };
-use nev_core::{Semantics, Snapshot, WorldBounds};
+use nev_core::{Semantics, WorldBounds};
 use nev_incomplete::{Instance, Tuple};
 use nev_obs::{
     Counter, MetricsRegistry, MetricsSnapshot, SlowQuery, Stage, Timer, Trace, TraceRecorder,
@@ -128,17 +120,6 @@ fn parse_semantics(spelling: String) -> Result<Semantics, ServeError> {
     spelling
         .parse()
         .map_err(|_| ServeError::UnknownSemantics(spelling))
-}
-
-/// One `EVAL` request, as consumed by [`ServeState::eval_batch`].
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct EvalRequest {
-    /// Catalog name of the instance.
-    pub instance: String,
-    /// Semantics to evaluate under.
-    pub semantics: Semantics,
-    /// Query text.
-    pub query: String,
 }
 
 /// One `EVAL` answer.
@@ -471,8 +452,7 @@ impl ServeState {
         })
     }
 
-    /// Records one answered evaluating request — shared by the solo and
-    /// batch paths: the tallies that are not plan kinds, the worlds an oracle
+    /// Records one answered evaluating request: the tallies that are not plan kinds, the worlds an oracle
     /// evaluation drew on, and last its latency under its plan label. The
     /// per-plan histogram counts *are* the `evals` and dispatch counters, so
     /// a request shows in them only once everything else about it has been
@@ -501,82 +481,6 @@ impl ServeState {
             metrics.observe_worlds(evaluation.worlds_enumerated as u64);
         }
         metrics.observe_plan(evaluation.plan.label(), latency_us);
-    }
-
-    /// Answers a batch of `EVAL` requests, amortising across them:
-    ///
-    /// * the plan cache prepares each distinct query text once;
-    /// * requests are grouped by (instance, semantics) and each group's distinct
-    ///   queries share **one** bounded world pass (`CertainEngine::evaluate_all`);
-    /// * groups run one after another on the calling thread.
-    ///
-    /// Responses come back in request order, and each answered request is
-    /// recorded like a solo one, with its group's pass time as its latency.
-    /// Note the engine's documented batching caveat: the shared pass runs under
-    /// the union of the group's query constants, so a request's answer coincides
-    /// with its solo [`ServeState::eval`] answer whenever the grouped queries
-    /// mention the same constants (in particular, no constants at all) or the
-    /// world cap does not truncate.
-    pub fn eval_batch(&self, requests: &[EvalRequest]) -> Vec<Result<EvalResponse, ServeError>> {
-        // Resolve instances + plans up front: each request becomes a (group,
-        // query-in-group) slot, each group one (instance, semantics) pair with
-        // its distinct queries.
-        let mut groups: Vec<(Arc<Snapshot>, Semantics, Vec<Arc<PreparedQuery>>)> = Vec::new();
-        let mut group_index: HashMap<(String, Semantics), usize> = HashMap::new();
-        let mut query_index: HashMap<(usize, String), usize> = HashMap::new();
-        let slots: Vec<Result<(usize, usize), ServeError>> = requests
-            .iter()
-            .map(|request| {
-                let snapshot = self
-                    .catalog
-                    .entry(&request.instance)
-                    .ok_or_else(|| ServeError::UnknownInstance(request.instance.clone()))?;
-                let plan = self
-                    .cache
-                    .get_or_prepare(&request.query, request.semantics)?;
-                let key = (request.instance.clone(), request.semantics);
-                let gi = *group_index.entry(key).or_insert_with(|| {
-                    groups.push((snapshot, request.semantics, Vec::new()));
-                    groups.len() - 1
-                });
-                // Dedup on the same canonical rendering the cache keys on, so
-                // spelling variants collapse to one evaluation too. The Arc from
-                // the cache is batched as-is: evaluate_all takes queries by
-                // Borrow, so no plan is deep-cloned.
-                let queries = &mut groups[gi].2;
-                let key = (gi, plan.prepared.query().to_string());
-                let qi = *query_index.entry(key).or_insert_with(|| {
-                    queries.push(plan.prepared);
-                    queries.len() - 1
-                });
-                Ok((gi, qi))
-            })
-            .collect();
-
-        // One shared world pass per group.
-        let passes: Vec<(Vec<Evaluation>, u64)> = groups
-            .iter()
-            .map(|(snapshot, semantics, queries)| {
-                let timer = Timer::start();
-                let batch = self.engine.evaluate_all(snapshot, *semantics, queries);
-                (batch.results, timer.elapsed_us())
-            })
-            .collect();
-
-        slots
-            .into_iter()
-            .map(|slot| match slot {
-                Ok((gi, qi)) => {
-                    let evaluation = &passes[gi].0[qi];
-                    self.record(&groups[gi].2[qi], evaluation, passes[gi].1);
-                    Ok(EvalResponse::of(evaluation.clone()))
-                }
-                Err(e) => {
-                    self.metrics.bump(Counter::Errors);
-                    Err(e)
-                }
-            })
-            .collect()
     }
 
     /// The counters `STATS` and `METRICS` report, in wire order, read off
@@ -923,49 +827,6 @@ mod tests {
     }
 
     #[test]
-    fn eval_batch_amortises_and_preserves_request_order() {
-        let state = state();
-        state.load("d0", d0());
-        state.load("loops", inst! { "D" => [[x(1), x(1)], [x(1), x(2)]] });
-        let texts = [
-            "exists u v . D(u, v) & D(v, u)",
-            "forall u . exists v . D(u, v)",
-            "exists u . !D(u, u)",
-        ];
-        // 18 requests: 3 queries × 2 instances × OWA/CWA, plus 6 duplicates.
-        let mut requests = Vec::new();
-        for name in ["d0", "loops"] {
-            for semantics in [Semantics::Owa, Semantics::Cwa] {
-                for text in texts {
-                    requests.push(EvalRequest {
-                        instance: name.into(),
-                        semantics,
-                        query: text.into(),
-                    });
-                }
-            }
-        }
-        requests.extend(requests.clone().into_iter().take(6));
-        let responses = state.eval_batch(&requests);
-        assert_eq!(responses.len(), requests.len());
-        // Every response matches the solo path (no constants ⇒ batching is exact),
-        // and duplicates are byte-identical to their originals.
-        for (request, response) in requests.iter().zip(&responses) {
-            let response = response.as_ref().expect("batch request served");
-            let solo = state
-                .eval(&request.instance, request.semantics, &request.query)
-                .expect("solo request served");
-            assert_eq!(response.certain, solo.certain, "{request:?}");
-            assert_eq!(response.plan, solo.plan, "{request:?}");
-        }
-        for (dup, original) in responses[18..].iter().zip(&responses[..6]) {
-            assert_eq!(dup.as_ref().unwrap(), original.as_ref().unwrap());
-        }
-        // The distinct texts were prepared once each (per semantics row they hit).
-        assert!(state.cache().misses() <= (texts.len() * 2) as u64);
-    }
-
-    #[test]
     fn evals_and_batches_share_the_catalog_entrys_derived_state() {
         let state = state();
         state.load("d0", d0());
@@ -974,38 +835,60 @@ mod tests {
             !entry.is_interned() && !entry.is_core_known(),
             "LOAD derives nothing"
         );
-        // A 4-query minimal-CWA batch on a core: every query is a certified
+        // Four minimal-CWA EVALs on a core: every query is a certified
         // WorksOverCores cell, answered from the entry's one core bit and one
         // interned form.
-        let requests: Vec<EvalRequest> = [
+        let texts = [
             "forall u . exists v . D(u, v)",
             "forall u . exists v . D(u, v) & D(v, u)",
             "forall u v . D(u, v) -> exists w . D(v, w)",
             "forall u v . D(u, v) -> D(v, u)",
-        ]
-        .iter()
-        .map(|text| EvalRequest {
-            instance: "d0".into(),
-            semantics: Semantics::MinimalCwa,
-            query: (*text).into(),
-        })
-        .collect();
-        for response in state.eval_batch(&requests) {
-            assert_eq!(response.expect("served").plan, PlanKind::Compiled);
+        ];
+        let mut first = None;
+        for text in texts {
+            let response = state
+                .eval("d0", Semantics::MinimalCwa, text)
+                .expect("served");
+            assert_eq!(response.plan, PlanKind::Compiled, "{text}");
+            assert!(entry.is_interned() && entry.is_core_known());
+            // Later requests on the same version reuse both.
+            let interned: *const _ = entry.interned();
+            assert!(std::ptr::eq(*first.get_or_insert(interned), interned));
         }
-        assert!(entry.is_interned() && entry.is_core_known());
-        let interned: *const _ = entry.interned();
-        // Solo requests on the same version reuse both.
-        let solo = &requests[2];
-        let response = state
-            .eval("d0", solo.semantics, &solo.query)
-            .expect("served");
-        assert_eq!(response.plan, PlanKind::Compiled);
-        assert!(std::ptr::eq(interned, entry.interned()));
         // A re-LOAD starts the new version from nothing.
         state.load("d0", d0());
         let fresh = state.catalog().entry("d0").expect("reloaded");
         assert!(!fresh.is_interned() && !fresh.is_core_known());
+    }
+
+    #[test]
+    fn interning_and_the_core_check_show_in_the_trace_that_pays_for_them() {
+        let state = state();
+        let load = "LOAD d0 D(?1,?2);D(?2,?1)";
+        let trace = "TRACE d0 minimal-cwa forall u . exists v . D(u, v)";
+        assert_eq!(state.handle_line(load), "OK loaded d0 facts=2");
+        // The first request on a version interns it and decides its core
+        // bit; the second finds both and shows neither.
+        let first = state.handle_line(trace);
+        assert!(first.contains("intern:"), "{first}");
+        assert!(first.contains("core_check:"), "{first}");
+        let second = state.handle_line(trace);
+        assert!(!second.contains("intern:"), "{second}");
+        assert!(!second.contains("core_check:"), "{second}");
+        // A re-LOAD starts a new version, which pays for both again.
+        state.handle_line(load);
+        let third = state.handle_line(trace);
+        assert!(third.contains("intern:"), "{third}");
+        assert!(third.contains("core_check:"), "{third}");
+        let metrics = state.handle_line("METRICS");
+        assert!(
+            metrics.contains("nev_stage_latency_us_count{stage=\"intern\"} 2\n"),
+            "{metrics}"
+        );
+        assert!(
+            metrics.contains("nev_stage_latency_us_count{stage=\"core_check\"} 2\n"),
+            "{metrics}"
+        );
     }
 
     #[test]
@@ -1218,37 +1101,6 @@ mod tests {
         let line = state.handle_line("EVAL nulls wcwa exists u . R(u) & !S(u)");
         assert_eq!(line, "OK plan=oracle certain={()} truncated=true");
         assert_eq!(stat(&state, "truncated"), 1);
-        // The same verdict through the batch path carries the same flag.
-        let responses = state.eval_batch(&[EvalRequest {
-            instance: "nulls".into(),
-            semantics: Semantics::Wcwa,
-            query: "exists u . R(u) & !S(u)".into(),
-        }]);
-        let response = responses[0].as_ref().expect("served");
-        assert!(response.truncated);
-        assert_eq!(response.render(), "plan=oracle certain={()} truncated=true");
-        assert_eq!(stat(&state, "truncated"), 2);
-    }
-
-    #[test]
-    fn eval_batch_reports_per_request_errors_in_place() {
-        let state = state();
-        state.load("d0", d0());
-        let requests = [
-            EvalRequest {
-                instance: "missing".into(),
-                semantics: Semantics::Owa,
-                query: "exists u . D(u, u)".into(),
-            },
-            EvalRequest {
-                instance: "d0".into(),
-                semantics: Semantics::Owa,
-                query: "exists u . D(u, u)".into(),
-            },
-        ];
-        let responses = state.eval_batch(&requests);
-        assert!(matches!(responses[0], Err(ServeError::UnknownInstance(_))));
-        assert!(responses[1].is_ok());
     }
 
     #[test]

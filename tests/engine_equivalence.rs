@@ -6,16 +6,14 @@
 //!   fast path never changes a result, it only skips work;
 //! * certified naïve plans are chosen **only** for cells Figure 1 guarantees
 //!   (`Works` unconditionally, `WorksOverCores` after verifying the instance is a
-//!   core), and every issued certificate passes its own `check()`;
-//! * `evaluate_all` enumerates an instance's worlds at most once and reproduces the
-//!   per-query oracle answers under the shared (merged-constants) bounds.
+//!   core), and every issued certificate passes its own `check()`.
 
 use proptest::prelude::*;
 
 use nev_bench::workloads::cell_workload;
 use nev_core::engine::{CertainEngine, PreparedQuery};
 use nev_core::summary::{expectation, Expectation, FRAGMENTS};
-use nev_core::{Semantics, Snapshot, WorldBounds};
+use nev_core::{Semantics, WorldBounds};
 use nev_hom::{core_of, is_core};
 
 fn bounds() -> WorldBounds {
@@ -129,67 +127,6 @@ proptest! {
             if planned.plan.is_certified() {
                 prop_assert_eq!(planned.worlds_enumerated, 0);
                 prop_assert!(oracle.agrees(), "{} × {}", semantics, query.fragment());
-            }
-        }
-    }
-
-    /// Batched evaluation performs at most one world pass per instance and
-    /// reproduces the per-query answers under the same merged bounds.
-    #[test]
-    fn evaluate_all_is_single_pass_and_answer_preserving(seed in 0u64..1_000) {
-        for semantics in [Semantics::Owa, Semantics::Cwa, Semantics::PowersetCwa] {
-            // One shared instance, one query per fragment.
-            let (instance, _) = cell_workload(nev_logic::Fragment::Positive, seed ^ 0xabcd, 1)
-                .pop()
-                .expect("one instance");
-            let queries: Vec<PreparedQuery> = FRAGMENTS
-                .into_iter()
-                .map(|fragment| {
-                    let (_, query) = cell_workload(fragment, seed.wrapping_add(fragment as u64), 1)
-                        .pop()
-                        .expect("one query");
-                    PreparedQuery::new(query)
-                })
-                .collect();
-
-            let engine = CertainEngine::with_bounds(bounds());
-            let batch = engine.evaluate_all(&Snapshot::new(&instance), semantics, &queries);
-            prop_assert!(batch.enumeration_passes <= 1, "{semantics}");
-            prop_assert_eq!(batch.results.len(), queries.len());
-
-            // Reference: per-query evaluation under the merged constant budget the
-            // batch used for its shared pass — the constants of the queries that
-            // actually needed enumeration (certified queries never contribute).
-            let mut merged = bounds();
-            for query in queries
-                .iter()
-                .filter(|q| !engine.plan(&instance, semantics, q).is_certified())
-            {
-                merged.extra_constants.extend(query.constants().iter().cloned());
-            }
-            let reference = CertainEngine::with_bounds(merged);
-            let mut reference_worlds = 0usize;
-            for (query, result) in queries.iter().zip(&batch.results) {
-                let solo = if result.plan.is_certified() {
-                    reference.evaluate(&instance, semantics, query)
-                } else {
-                    reference.compare(&instance, semantics, query)
-                };
-                reference_worlds += solo.worlds_enumerated;
-                prop_assert_eq!(
-                    &result.certain,
-                    &solo.certain,
-                    "{} × {} on\n{}",
-                    semantics,
-                    query.fragment(),
-                    instance
-                );
-            }
-            // The single shared pass never visits more worlds than the sequential
-            // per-query passes it replaces.
-            prop_assert!(batch.worlds_enumerated <= reference_worlds, "{semantics}");
-            if batch.enumeration_passes == 0 {
-                prop_assert_eq!(batch.worlds_enumerated, 0);
             }
         }
     }

@@ -6,13 +6,13 @@
 //! Every test here pins its verdicts to a reference fold that intersects
 //! `PreparedQuery::answers_in_world` over the unpruned `Semantics::worlds`
 //! stream: on a seeded random corpus (all six semantics, every fragment,
-//! sentences and unary queries with constants), on shared multi-query passes,
-//! and on the four `oracle_mix` snapshot shapes with all 24 of its texts.
+//! sentences and unary queries with constants) and on the four `oracle_mix`
+//! snapshot shapes with all 24 of its texts.
 
 use std::collections::BTreeSet;
 
 use nev_core::engine::PreparedQuery;
-use nev_core::oracle::{world_pass, OracleOutcome};
+use nev_core::oracle::world_pass;
 use nev_core::summary::FRAGMENTS;
 use nev_core::{Semantics, WorldBounds};
 use nev_exec::ExecStats;
@@ -32,50 +32,40 @@ fn bounds(max_worlds: usize) -> WorldBounds {
     }
 }
 
-/// The reference verdicts: each query's answers intersected over the unpruned
+/// The reference verdict: the query's answers intersected over the unpruned
 /// stream of the same bounds `world_pass` uses, as `(certain, truncated)`.
 fn reference(
     base: &WorldBounds,
     d: &Instance,
     semantics: Semantics,
-    queries: &[&PreparedQuery],
-) -> Vec<(BTreeSet<Tuple>, bool)> {
-    let bounds = base.extended_with(queries.iter().flat_map(|q| q.constants().iter().cloned()));
-    let allowed: Vec<_> = queries.iter().map(|q| q.allowed_constants(d)).collect();
-    let mut acc: Vec<Option<BTreeSet<Tuple>>> = vec![None; queries.len()];
+    query: &PreparedQuery,
+) -> (BTreeSet<Tuple>, bool) {
+    let bounds = query.bounds(base);
+    let allowed = query.allowed_constants(d);
+    let mut acc: Option<BTreeSet<Tuple>> = None;
     let mut exec = ExecStats::new();
     let mut worlds = semantics.worlds(d, &bounds);
     for world in worlds.by_ref() {
-        for ((query, allowed), acc) in queries.iter().zip(&allowed).zip(&mut acc) {
-            let answers = query.answers_in_world(&world, allowed, &mut exec);
-            *acc = Some(match acc.take() {
-                None => answers,
-                Some(prev) => prev.intersection(&answers).cloned().collect(),
-            });
-        }
-        if acc
-            .iter()
-            .all(|a| a.as_ref().is_some_and(BTreeSet::is_empty))
-        {
+        let answers = query.answers_in_world(&world, &allowed, &mut exec);
+        let next = match acc {
+            None => answers,
+            Some(prev) => prev.intersection(&answers).cloned().collect(),
+        };
+        let emptied = next.is_empty();
+        acc = Some(next);
+        if emptied {
             break;
         }
     }
-    let truncated = worlds.truncated();
-    queries
-        .iter()
-        .zip(acc)
-        .map(|(query, acc)| {
-            let emptied = acc.as_ref().is_some_and(BTreeSet::is_empty);
-            let certain = acc.unwrap_or_else(|| {
-                if query.is_boolean() {
-                    [Tuple::new(Vec::new())].into_iter().collect()
-                } else {
-                    BTreeSet::new()
-                }
-            });
-            (certain, !emptied && truncated)
-        })
-        .collect()
+    let emptied = acc.as_ref().is_some_and(BTreeSet::is_empty);
+    let certain = acc.unwrap_or_else(|| {
+        if query.is_boolean() {
+            [Tuple::new(Vec::new())].into_iter().collect()
+        } else {
+            BTreeSet::new()
+        }
+    });
+    (certain, !emptied && worlds.truncated())
 }
 
 fn schema() -> Schema {
@@ -119,17 +109,6 @@ fn corpus(instances: usize) -> Vec<(Instance, PreparedQuery)> {
     out
 }
 
-fn solo(
-    bounds: &WorldBounds,
-    d: &Instance,
-    semantics: Semantics,
-    q: &PreparedQuery,
-) -> OracleOutcome {
-    world_pass(bounds, d, semantics, &[q])
-        .pop()
-        .expect("one outcome")
-}
-
 #[test]
 fn pruned_passes_match_the_reference_on_a_random_corpus() {
     let bounds = bounds(20_000);
@@ -137,8 +116,8 @@ fn pruned_passes_match_the_reference_on_a_random_corpus() {
     let corpus = corpus(20);
     for semantics in Semantics::ALL {
         for (d, query) in &corpus {
-            let (certain, truncated) = reference(&bounds, d, semantics, &[query]).remove(0);
-            let pruned = solo(&bounds, d, semantics, query);
+            let (certain, truncated) = reference(&bounds, d, semantics, query);
+            let pruned = world_pass(&bounds, d, semantics, query);
             pruned_worlds += pruned.worlds_considered;
             if truncated {
                 reference_truncated += 1;
@@ -164,14 +143,14 @@ fn a_small_world_cap_truncates_fewer_pruned_verdicts() {
     let (mut pruned_truncated, mut reference_truncated) = (0, 0);
     for semantics in Semantics::ALL {
         for (d, query) in &corpus(8) {
-            let (_, truncated) = reference(&capped, d, semantics, &[query]).remove(0);
+            let (_, truncated) = reference(&capped, d, semantics, query);
             reference_truncated += usize::from(truncated);
-            let pruned = solo(&capped, d, semantics, query);
+            let pruned = world_pass(&capped, d, semantics, query);
             if pruned.truncated {
                 pruned_truncated += 1;
             } else {
                 // An untruncated pruned verdict is the exact one.
-                let (certain, _) = reference(&exact, d, semantics, &[query]).remove(0);
+                let (certain, _) = reference(&exact, d, semantics, query);
                 assert_eq!(pruned.certain, certain, "{semantics} {query} on {d:?}");
             }
         }
@@ -181,39 +160,6 @@ fn a_small_world_cap_truncates_fewer_pruned_verdicts() {
         pruned_truncated < reference_truncated,
         "pruned {pruned_truncated} vs reference {reference_truncated} truncated verdicts"
     );
-}
-
-#[test]
-fn shared_passes_match_the_reference_per_query() {
-    let bounds = bounds(20_000);
-    let texts = [
-        "forall u . (S(u) -> exists v . R(u, v))",
-        "exists u . !R(u, u)",
-        "Q(u) :- S(u) & !R(u, 3)",
-        "Q(u) :- exists v . R(u, v) | S(1)",
-        "forall u v . (R(u, v) -> (R(v, u) | S(v)))",
-    ];
-    let queries: Vec<PreparedQuery> = texts
-        .iter()
-        .map(|t| PreparedQuery::parse(t).expect("valid query"))
-        .collect();
-    let refs: Vec<&PreparedQuery> = queries.iter().collect();
-    let instances = [
-        inst! { "R" => [[c(1), x(1)], [x(1), x(2)]], "S" => [[x(2)]] },
-        inst! { "R" => [[x(1), x(1)]], "S" => [[c(3)], [x(1)]] },
-    ];
-    for d in &instances {
-        for semantics in Semantics::ALL {
-            let pruned = world_pass(&bounds, d, semantics, &refs);
-            let expected = reference(&bounds, d, semantics, &refs);
-            for ((query, outcome), (certain, truncated)) in
-                queries.iter().zip(&pruned).zip(expected)
-            {
-                assert!(!truncated, "{semantics} {query}");
-                assert_eq!(outcome.certain, certain, "{semantics} {query} on {d:?}");
-            }
-        }
-    }
 }
 
 /// The four `oracle_mix` snapshot shapes, over the constants 1 and 2 (the
@@ -304,8 +250,8 @@ fn oracle_mix_keys_match_the_reference_with_fewer_worlds() {
     for d in &oracle_mix_shapes() {
         for (text, semantics) in ORACLE_MIX_TEXTS {
             let query = PreparedQuery::parse(text).expect("valid query");
-            let pruned = solo(&bounds, d, semantics, &query);
-            let (certain, truncated) = reference(&bounds, d, semantics, &[&query]).remove(0);
+            let pruned = world_pass(&bounds, d, semantics, &query);
+            let (certain, truncated) = reference(&bounds, d, semantics, &query);
             assert!(!truncated && !pruned.truncated, "{text}");
             assert_eq!(pruned.certain, certain, "{semantics} {text} on {d:?}");
             pruned_total += pruned.worlds_considered;
@@ -336,7 +282,7 @@ fn oracle_mix_keys_match_the_reference_with_fewer_worlds() {
     assert_eq!(semantics_worlds(d3, Semantics::PowersetCwa, &powerset), 62);
 }
 
-/// Worlds one solo pass visits under the default bounds.
+/// Worlds one pass visits under the default bounds.
 fn semantics_worlds(d: &Instance, semantics: Semantics, query: &PreparedQuery) -> usize {
-    solo(&WorldBounds::default(), d, semantics, query).worlds_considered
+    world_pass(&WorldBounds::default(), d, semantics, query).worlds_considered
 }

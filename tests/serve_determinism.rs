@@ -144,44 +144,6 @@ fn compiled_exec_responses_are_byte_identical_across_worker_counts() {
     );
 }
 
-/// Batched evaluation is deterministic too: the same batch under every
-/// (ignored) worker count answers with identical per-request responses.
-#[test]
-fn batched_responses_are_byte_identical_across_worker_counts() {
-    let generated = workload(7, 2, 18);
-    let requests: Vec<_> = generated
-        .requests
-        .iter()
-        .map(|r| naive_eval::serve::EvalRequest {
-            instance: r.instance.clone(),
-            semantics: r.semantics,
-            query: r.query.clone(),
-        })
-        .collect();
-    let mut transcripts: Vec<Vec<String>> = Vec::new();
-    for workers in WORKER_COUNTS {
-        let state = ServeState::new(ServeConfig {
-            workers,
-            bounds: bounds(),
-            ..ServeConfig::default()
-        });
-        for (name, instance) in &generated.instances {
-            state.load(name.clone(), instance.clone());
-        }
-        transcripts.push(
-            state
-                .eval_batch(&requests)
-                .into_iter()
-                .map(|r| {
-                    r.map(|ok| ok.render())
-                        .unwrap_or_else(|e| format!("ERR {e}"))
-                })
-                .collect(),
-        );
-    }
-    assert_all_identical(&transcripts);
-}
-
 /// Field-by-field agreement of two evaluations: plan (with its certificate,
 /// `core_checked` included), naïve and certain answers, worlds visited and
 /// truncation.

@@ -17,7 +17,7 @@ use naive_eval::core::{Semantics, Snapshot, WorldBounds, Worlds};
 use naive_eval::exec::{CompiledQuery, ExecStats, InternedInstance};
 use naive_eval::incomplete::{Instance, Relation, Schema, Tuple, Value};
 use naive_eval::obs::{MetricsRegistry, MetricsSnapshot};
-use naive_eval::serve::state::{EvalRequest, EvalResponse, ServeConfig, ServeState};
+use naive_eval::serve::state::{EvalResponse, ServeConfig, ServeState};
 use naive_eval::serve::{Catalog, LoadReport, PlanCache};
 
 fn require_send_sync<T: Send + Sync>() {}
@@ -63,7 +63,6 @@ fn service_layer_is_send_and_sync() {
     require_send_sync::<ServeConfig>();
     require_send_sync::<MetricsRegistry>();
     require_send_sync::<MetricsSnapshot>();
-    require_send_sync::<EvalRequest>();
     require_send_sync::<EvalResponse>();
     require_send_sync::<OracleOutcome>();
     require_send_sync::<LoadReport>();
