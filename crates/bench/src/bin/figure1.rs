@@ -14,26 +14,22 @@
 //! `--semantics` / `--fragment` restrict the table to one row / column; they accept
 //! both the Figure 1 names and ASCII spellings (`owa`, `powerset-cwa`, `epos`,
 //! `pos-g`, …) via the `FromStr` implementations on `Semantics` and `Fragment`.
-//! `--threads N` validates the cells in parallel on an `N`-worker `nev-runtime`
-//! pool; each cell is an independent deterministic task, so the table is
-//! byte-identical at every thread count. When the flag is absent, `NEV_WORKERS`
-//! supplies the default. `--timings`
-//! appends a per-cell wall-time column to the table; it is **off** by default
-//! precisely because timings vary run to run while the default table's bytes
-//! must not. `--analyze` appends the static analyser's `normalized` column —
-//! trials on which fragment widening upgraded the dispatch to a certified
-//! naïve pass on the query's normal form.
+//! `--threads N` validates the cells on `N` scoped threads (default `0`: on the
+//! main thread); each cell is an independent deterministic task, so the table
+//! is byte-identical at every thread count. `--timings` appends a per-cell
+//! wall-time column to the table; it is **off** by default precisely because
+//! timings vary run to run while the default table's bytes must not.
+//! `--analyze` appends the static analyser's `normalized` column — trials on
+//! which fragment widening upgraded the dispatch to a certified naïve pass on
+//! the query's normal form.
 //!
 //! The output is Markdown; `EXPERIMENTS.md` records a captured run.
 
-use std::sync::Arc;
-
 use nev_bench::examples::{render_examples_markdown, run_paper_examples};
-use nev_bench::figure1::{cell_pairs, render_markdown_with, run_cell, Figure1Config};
+use nev_bench::figure1::{render_markdown_with, run_cells, Figure1Config};
 use nev_core::Semantics;
 use nev_logic::Fragment;
 use nev_serve::cli::parse_flag_value;
-use nev_serve::{env_workers, WorkerPool};
 
 struct Options {
     config: Figure1Config,
@@ -62,7 +58,7 @@ fn parse_options() -> Options {
         run_examples: true,
         semantics: None,
         fragment: None,
-        threads: env_workers().unwrap_or(0),
+        threads: 0,
         timings: false,
         analyze: false,
     };
@@ -140,22 +136,14 @@ fn main() {
             scope, options.config.trials, options.config.seed, threads_note
         );
         // The filters are parsed enum values, so at least one cell always matches.
-        // Each cell is a self-contained deterministic task; with --threads the
-        // work-list fans out across a worker pool and reassembles in cell order,
-        // so the table bytes do not depend on the thread count.
-        let pairs = cell_pairs(options.semantics, options.fragment);
-        let outcomes = if options.threads > 0 {
-            let pool = WorkerPool::new(options.threads);
-            let config = Arc::new(options.config.clone());
-            pool.run(pairs, move |_, (semantics, fragment)| {
-                run_cell(semantics, fragment, &config)
-            })
-        } else {
-            pairs
-                .into_iter()
-                .map(|(semantics, fragment)| run_cell(semantics, fragment, &options.config))
-                .collect()
-        };
+        // The outcomes come back in cell order at any thread count, so the
+        // table bytes do not depend on --threads.
+        let outcomes = run_cells(
+            &options.config,
+            options.semantics,
+            options.fragment,
+            options.threads,
+        );
         print!(
             "{}",
             render_markdown_with(&outcomes, options.timings, options.analyze)

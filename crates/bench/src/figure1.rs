@@ -2,6 +2,9 @@
 //! against certain answers on randomized workloads (experiment E1 of `DESIGN.md`).
 
 use std::fmt::Write as _;
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::thread;
 
 use nev_core::cores::naive_is_sound_approximation;
 use nev_core::engine::{CertainEngine, PreparedQuery};
@@ -243,10 +246,9 @@ pub fn run_cell(semantics: Semantics, fragment: Fragment, config: &Figure1Config
 }
 
 /// The (semantics, fragment) cells matching the optional filters (`None` keeps
-/// every row resp. column), in Figure 1 order. This is the work-list the
-/// `figure1 --threads` flag distributes across a `nev-runtime` worker pool; each
-/// cell is an independent deterministic task, so the assembled table is identical
-/// at any worker count.
+/// every row resp. column), in Figure 1 order. This is the work-list
+/// [`run_cells`] hands out to its threads; each cell is an independent
+/// deterministic task, so the assembled table is identical at any thread count.
 pub fn cell_pairs(
     semantics_filter: Option<Semantics>,
     fragment_filter: Option<Fragment>,
@@ -267,21 +269,54 @@ pub fn cell_pairs(
 }
 
 /// Runs the cells of Figure 1 matching the optional semantics / fragment filters
-/// (`None` keeps every row resp. column).
+/// (`None` keeps every row resp. column), in [`cell_pairs`] order.
+///
+/// `threads = 0` runs every cell on the calling thread. `threads = N ≥ 1`
+/// spawns `min(N, cells)` scoped threads that take cells off one shared
+/// cursor; the outcomes come back in cell order, so the result does not depend
+/// on `threads`. A panicking cell re-raises its panic on the calling thread.
 pub fn run_cells(
     config: &Figure1Config,
     semantics_filter: Option<Semantics>,
     fragment_filter: Option<Fragment>,
+    threads: usize,
 ) -> Vec<CellOutcome> {
-    cell_pairs(semantics_filter, fragment_filter)
-        .into_iter()
-        .map(|(semantics, fragment)| run_cell(semantics, fragment, config))
-        .collect()
+    let pairs = cell_pairs(semantics_filter, fragment_filter);
+    let run =
+        |&(semantics, fragment): &(Semantics, Fragment)| run_cell(semantics, fragment, config);
+    if threads == 0 {
+        return pairs.iter().map(run).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let mut outcomes: Vec<(usize, CellOutcome)> = thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads.min(pairs.len()))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        // relaxed: the cursor only hands out distinct indices;
+                        // outcomes return through `join`, which synchronises.
+                        let index = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(pair) = pairs.get(index) else {
+                            return done;
+                        };
+                        done.push((index, run(pair)));
+                    }
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|worker| worker.join().unwrap_or_else(|panic| resume_unwind(panic)))
+            .collect()
+    });
+    outcomes.sort_unstable_by_key(|&(index, _)| index);
+    outcomes.into_iter().map(|(_, outcome)| outcome).collect()
 }
 
-/// Runs every cell of Figure 1.
+/// Runs every cell of Figure 1 on the calling thread.
 pub fn run_all_cells(config: &Figure1Config) -> Vec<CellOutcome> {
-    run_cells(config, None, None)
+    run_cells(config, None, None, 0)
 }
 
 /// Renders cell outcomes as a Markdown table (the regenerated Figure 1).
@@ -405,15 +440,17 @@ mod tests {
             trials: 1,
             ..Figure1Config::quick()
         };
-        let row = run_cells(&config, Some(Semantics::Owa), None);
+        let row = run_cells(&config, Some(Semantics::Owa), None, 0);
         assert_eq!(row.len(), FRAGMENTS.len());
         assert!(row.iter().all(|o| o.semantics == Semantics::Owa));
         let cell = run_cells(
             &config,
             Some(Semantics::Cwa),
             Some(Fragment::ExistentialPositive),
+            8,
         );
         assert_eq!(cell.len(), 1);
+        assert_eq!(cell[0].semantics, Semantics::Cwa);
         assert_eq!(cell[0].fragment, Fragment::ExistentialPositive);
     }
 

@@ -1590,7 +1590,7 @@ mod tests {
     }
 
     #[test]
-    fn a_batch_derives_the_instance_state_once_for_all_its_queries() {
+    fn dispatches_on_one_snapshot_derive_its_interned_form_and_core_bit_once() {
         // Four compiled Pos / Pos+∀G queries on a core under minimal CWA: each
         // certificate needs the core bit and each naïve pass the interned
         // form. Both come from the one snapshot every dispatch was given.
@@ -1793,7 +1793,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_and_solo_oracles_agree_on_an_empty_world_stream() {
+    fn an_empty_world_stream_is_vacuously_certain_and_truncated() {
         // A zero world cap leaves the oracle nothing to intersect: a Boolean
         // query is then vacuously certain, and the verdict is truncated.
         let engine = CertainEngine::with_bounds(WorldBounds {
@@ -1805,9 +1805,9 @@ mod tests {
             .prepare("exists u . R(u) & !D(u, u)")
             .expect("valid query");
         for semantics in [Semantics::Owa, Semantics::Wcwa, Semantics::Cwa] {
-            let solo = engine.evaluate(&d, semantics, &q);
-            assert_eq!(solo.plan, EvalPlan::BoundedEnumeration, "{semantics}");
-            assert!(solo.truncated && solo.is_certainly_true(), "{semantics}");
+            let eval = engine.evaluate(&d, semantics, &q);
+            assert_eq!(eval.plan, EvalPlan::BoundedEnumeration, "{semantics}");
+            assert!(eval.truncated && eval.is_certainly_true(), "{semantics}");
         }
     }
 

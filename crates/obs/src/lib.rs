@@ -7,7 +7,7 @@
 //!
 //! * [`hist`] — HDR-style latency [`Histogram`]s with power-of-two buckets.
 //!   Recording is one relaxed atomic increment per sample, so histograms can
-//!   sit on hot paths (the worker pool records every task) and be shared
+//!   sit on hot paths (every served request records its stages) and be shared
 //!   across threads without locks. Snapshots are plain values: mergeable,
 //!   comparable, and renderable as Prometheus `_bucket`/`_sum`/`_count`
 //!   series with p50/p95/p99/max readout.

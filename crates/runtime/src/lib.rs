@@ -1,21 +1,8 @@
-//! `nev-runtime` — the work-stealing worker pool of the `naive-eval` workspace.
+//! `nev-runtime` — an empty crate of the `naive-eval` workspace.
 //!
-//! A [`WorkerPool`] with caller-helps semantics and deterministic,
-//! order-preserving parallel maps. Its one user is the `figure1` harness,
-//! which fans its Figure 1 cells out on it (`--threads`), through the
-//! `nev_serve::{WorkerPool, env_workers}` re-exports. The engine and `nevd`
-//! run sequentially: a certified naïve pass, the symbolic ladder and the
-//! bounded world oracle all run on the calling thread.
-//!
-//! It lives below every other `nev-*` crate and depends on `std` only.
-
-pub mod pool;
-
-pub use pool::WorkerPool;
-
-/// The worker count configured through the `NEV_WORKERS` environment variable,
-/// if set to a parseable `usize`: the default of the `figure1` harness's
-/// `--threads`.
-pub fn env_workers() -> Option<usize> {
-    std::env::var("NEV_WORKERS").ok()?.trim().parse().ok()
-}
+//! It held the work-stealing worker pool that the `figure1` harness fanned its
+//! Figure 1 cells out on. That harness now runs its cells on
+//! `std::thread::scope`, and nothing else used the pool, so the pool is gone.
+//! The crate stays, with its manifest and every dependency edge on it, because
+//! the separately built `nevbench` package's `Cargo.lock` records it; the next
+//! change to the benchmark deletes it together with that lock entry.

@@ -65,10 +65,16 @@ struct Inner {
 /// use nev_core::Semantics;
 ///
 /// let cache = PlanCache::new(64);
-/// let a = cache.get_or_prepare("exists u .  R(u)", Semantics::Owa).unwrap();
+/// let (a, hit) = cache
+///     .get_or_prepare_with_status("exists u .  R(u)", Semantics::Owa)
+///     .unwrap();
+/// assert!(!hit);
 /// // Same query modulo spelling — whitespace AND punctuation spacing: a cache
 /// // hit sharing the same Arc.
-/// let b = cache.get_or_prepare("exists u.R(u)", Semantics::Owa).unwrap();
+/// let (b, hit) = cache
+///     .get_or_prepare_with_status("exists u.R(u)", Semantics::Owa)
+///     .unwrap();
+/// assert!(hit);
 /// assert!(std::sync::Arc::ptr_eq(&a.prepared, &b.prepared));
 /// assert_eq!(cache.hits(), 1);
 /// assert_eq!(cache.misses(), 1);
@@ -155,21 +161,11 @@ impl PlanCache {
     }
 
     /// Looks up the canonical `text`, preparing and inserting it on a miss, and
-    /// pairs it with `semantics`' Figure 1 cell. Parse errors are returned
-    /// verbatim, cache nothing and count nothing.
-    pub fn get_or_prepare(
-        &self,
-        text: &str,
-        semantics: Semantics,
-    ) -> Result<CachedPlan, EngineError> {
-        self.get_or_prepare_with_status(text, semantics)
-            .map(|(plan, _hit)| plan)
-    }
-
-    /// [`PlanCache::get_or_prepare`] reporting whether the lookup was a cache
-    /// hit (`true`) or prepared the query itself (`false`). The serve layer's
-    /// request tracing uses the flag to replay parse/classify/compile timings
-    /// only for requests that actually paid them.
+    /// pairs it with `semantics`' Figure 1 cell. The flag reports whether the
+    /// lookup was a cache hit (`true`) or prepared the query itself (`false`);
+    /// the serve layer's request tracing uses it to replay parse/classify/compile
+    /// timings only for requests that actually paid them. Parse errors are
+    /// returned verbatim, cache nothing and count nothing.
     pub fn get_or_prepare_with_status(
         &self,
         text: &str,
@@ -282,7 +278,9 @@ mod tests {
             "exists  u .  R(u)",
             "exists u . (R(u))",
         ] {
-            cache.get_or_prepare(text, Semantics::Owa).unwrap();
+            cache
+                .get_or_prepare_with_status(text, Semantics::Owa)
+                .unwrap();
         }
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.misses(), 1);
@@ -292,12 +290,13 @@ mod tests {
     #[test]
     fn hits_share_the_prepared_arc_across_semantics() {
         let cache = PlanCache::new(16);
-        let owa = cache
-            .get_or_prepare("forall u . exists v . D(u, v)", Semantics::Owa)
+        let (owa, _) = cache
+            .get_or_prepare_with_status("forall u . exists v . D(u, v)", Semantics::Owa)
             .unwrap();
-        let cwa = cache
-            .get_or_prepare("forall u .  exists v . D(u, v)", Semantics::Cwa)
+        let (cwa, hit) = cache
+            .get_or_prepare_with_status("forall u .  exists v . D(u, v)", Semantics::Cwa)
             .unwrap();
+        assert!(hit);
         // Different cells…
         assert_ne!(owa.cell, cwa.cell);
         assert_eq!(owa.prepared.fragment(), Fragment::Positive);
@@ -313,10 +312,11 @@ mod tests {
         let prepared = cache.prepare_all("exists u v . D(u, v)").unwrap();
         assert_eq!(cache.len(), 1);
         for semantics in Semantics::ALL {
-            let hit = cache
-                .get_or_prepare("exists u v . D(u, v)", semantics)
+            let (plan, hit) = cache
+                .get_or_prepare_with_status("exists u v . D(u, v)", semantics)
                 .unwrap();
-            assert!(Arc::ptr_eq(&hit.prepared, &prepared));
+            assert!(hit);
+            assert!(Arc::ptr_eq(&plan.prepared, &prepared));
         }
         assert_eq!(cache.hits(), Semantics::ALL.len() as u64);
     }
@@ -325,27 +325,27 @@ mod tests {
     fn lru_evicts_the_least_recently_used_entry() {
         let cache = PlanCache::new(2);
         cache
-            .get_or_prepare("exists u . A(u)", Semantics::Owa)
+            .get_or_prepare_with_status("exists u . A(u)", Semantics::Owa)
             .unwrap();
         cache
-            .get_or_prepare("exists u . B(u)", Semantics::Owa)
+            .get_or_prepare_with_status("exists u . B(u)", Semantics::Owa)
             .unwrap();
         // Touch A so B is the LRU victim.
         cache
-            .get_or_prepare("exists u . A(u)", Semantics::Owa)
+            .get_or_prepare_with_status("exists u . A(u)", Semantics::Owa)
             .unwrap();
         cache
-            .get_or_prepare("exists u . C(u)", Semantics::Owa)
+            .get_or_prepare_with_status("exists u . C(u)", Semantics::Owa)
             .unwrap();
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.evictions(), 1);
         // A survived, B did not.
         cache
-            .get_or_prepare("exists u . A(u)", Semantics::Owa)
+            .get_or_prepare_with_status("exists u . A(u)", Semantics::Owa)
             .unwrap();
         assert_eq!(cache.hits(), 2);
         cache
-            .get_or_prepare("exists u . B(u)", Semantics::Owa)
+            .get_or_prepare_with_status("exists u . B(u)", Semantics::Owa)
             .unwrap();
         assert_eq!(cache.misses(), 4, "B was re-prepared after eviction");
     }
@@ -354,10 +354,10 @@ mod tests {
     fn zero_capacity_disables_caching() {
         let cache = PlanCache::new(0);
         cache
-            .get_or_prepare("exists u . A(u)", Semantics::Owa)
+            .get_or_prepare_with_status("exists u . A(u)", Semantics::Owa)
             .unwrap();
         cache
-            .get_or_prepare("exists u . A(u)", Semantics::Owa)
+            .get_or_prepare_with_status("exists u . A(u)", Semantics::Owa)
             .unwrap();
         assert_eq!(cache.len(), 0);
         assert_eq!(cache.misses(), 2);
@@ -392,8 +392,9 @@ mod tests {
                 std::thread::spawn(move || {
                     barrier.wait();
                     cache
-                        .get_or_prepare("forall u . exists v . D(u, v)", Semantics::Owa)
+                        .get_or_prepare_with_status("forall u . exists v . D(u, v)", Semantics::Owa)
                         .unwrap()
+                        .0
                         .prepared
                 })
             })
@@ -409,7 +410,7 @@ mod tests {
     fn parse_errors_surface_and_cache_nothing() {
         let cache = PlanCache::new(8);
         assert!(cache
-            .get_or_prepare("exists u . R(u", Semantics::Owa)
+            .get_or_prepare_with_status("exists u . R(u", Semantics::Owa)
             .is_err());
         assert!(cache.prepare_all("exists u . R(u").is_err());
         assert!(cache.is_empty());

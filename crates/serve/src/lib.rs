@@ -49,9 +49,7 @@
 //!
 //! Every request — certified naïve pass, symbolic ladder, oracle world pass —
 //! runs sequentially on the thread serving its connection, so
-//! `nevd` starts one thread per connection and no other. The crate still
-//! re-exports `nev-runtime`'s [`WorkerPool`] and [`env_workers`] for the
-//! `figure1` binary, which fans its cells out on that pool.
+//! `nevd` starts one thread per connection and no other.
 //!
 //! Correctness invariants, each backed by a test suite:
 //!
@@ -81,7 +79,6 @@ pub mod wire;
 pub use cache::PlanCache;
 pub use catalog::Catalog;
 pub use client::{run_load, self_check, workload, Client, LoadReport};
-pub use nev_runtime::{env_workers, WorkerPool};
 pub use server::{Server, ServerHandle};
 pub use state::{
     EvalResponse, PlanKind, ServeConfig, ServeError, ServeState, PLAN_LABELS, SLOW_LOG_CAPACITY,

@@ -4,23 +4,21 @@
 //! sequential world pass ([`nev_core::oracle::world_pass`]), and `nevd` runs
 //! no worker pool.
 
-use std::sync::OnceLock;
-
 use nev_core::engine::{CertainEngine, PreparedQuery};
 use nev_core::oracle::{world_pass, OracleOutcome};
 use nev_core::Semantics;
 use nev_incomplete::Instance;
 
 use crate::state::ServeState;
-use crate::WorkerPool;
 
 /// Read by nevbench until its next benchmark PR; nothing reads it otherwise.
 pub const DEFAULT_CHUNK: usize = 32;
 
 /// Read by nevbench until its next benchmark PR: the sequential world pass
-/// under `engine`'s bounds. The pool and the chunk size are ignored.
+/// under `engine`'s bounds. The placeholder pool and the chunk size are
+/// ignored.
 pub fn parallel_certain_answers(
-    _pool: &WorkerPool,
+    _pool: &(),
     engine: &CertainEngine,
     d: &Instance,
     semantics: Semantics,
@@ -31,10 +29,9 @@ pub fn parallel_certain_answers(
 }
 
 impl ServeState {
-    /// Read by nevbench until its next benchmark PR: a pool with no worker
-    /// thread, for the argument [`parallel_certain_answers`] ignores.
-    pub fn pool(&self) -> &WorkerPool {
-        static POOL: OnceLock<WorkerPool> = OnceLock::new();
-        POOL.get_or_init(|| WorkerPool::new(0))
+    /// Read by nevbench until its next benchmark PR: a placeholder for the
+    /// argument [`parallel_certain_answers`] ignores.
+    pub fn pool(&self) -> &'static () {
+        &()
     }
 }

@@ -827,7 +827,7 @@ mod tests {
     }
 
     #[test]
-    fn evals_and_batches_share_the_catalog_entrys_derived_state() {
+    fn evals_on_one_catalog_version_share_its_derived_state() {
         let state = state();
         state.load("d0", d0());
         let entry = state.catalog().entry("d0").expect("loaded");

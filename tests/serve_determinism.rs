@@ -2,18 +2,15 @@
 //!
 //! Scheduling and replay must never change an answer. Two layers of proof:
 //!
-//! 1. **Figure 1 determinism** — routing cell validation through the worker pool
-//!    (the `figure1 --threads` path) renders a byte-identical Markdown table at
-//!    0, 1, 2 and 8 workers for the same seed;
+//! 1. **Figure 1 determinism** — validating the cells on scoped threads (the
+//!    `figure1 --threads` path) renders a byte-identical Markdown table at 0,
+//!    1, 2 and 8 threads for the same seed;
 //! 2. **service determinism** — the seeded load-generator workload produces
 //!    byte-identical response lines (certain-answer sets included) and the
 //!    same `worlds=` count when replayed on a fresh service, on the oracle and
-//!    the certified compiled paths alike. `ServeConfig::workers` is accepted
-//!    and ignored, so no value of it changes a served byte either.
+//!    the certified compiled paths alike.
 
-use std::sync::Arc;
-
-use naive_eval::bench::figure1::{cell_pairs, render_markdown, run_cell, Figure1Config};
+use naive_eval::bench::figure1::{render_markdown, run_cells, Figure1Config};
 use naive_eval::bench::workloads::cell_workload;
 use naive_eval::core::engine::{CertainEngine, DispatchOptions, Evaluation, PreparedQuery};
 use naive_eval::core::summary::Expectation;
@@ -22,22 +19,11 @@ use naive_eval::incomplete::builder::x;
 use naive_eval::incomplete::inst;
 use naive_eval::logic::Fragment;
 use naive_eval::serve::state::{ServeConfig, ServeState};
-use naive_eval::serve::{workload, WorkerPool};
+use naive_eval::serve::workload;
 
-// Zero workers is the caller-helps degenerate pool: genuinely sequential, so
-// every parallel rendering is checked against a no-thread baseline too.
-const WORKER_COUNTS: [usize; 4] = [0, 1, 2, 8];
-
-/// Every transcript must match the first (the workers=0 sequential baseline).
-fn assert_all_identical<T: PartialEq + std::fmt::Debug>(outputs: &[T]) {
-    for (i, output) in outputs.iter().enumerate().skip(1) {
-        assert_eq!(
-            &outputs[0], output,
-            "workers={} diverged from workers={}",
-            WORKER_COUNTS[i], WORKER_COUNTS[0]
-        );
-    }
-}
+// Zero threads runs every cell on the calling thread, so every threaded
+// rendering is checked against a no-thread baseline.
+const THREAD_COUNTS: [usize; 4] = [0, 1, 2, 8];
 
 fn bounds() -> WorldBounds {
     WorldBounds {
@@ -47,25 +33,56 @@ fn bounds() -> WorldBounds {
     }
 }
 
-/// Figure 1 through the pool: the rendered table must not depend on the worker
-/// count — scheduling decides who validates a cell, never what the cell reports.
+/// Figure 1 on scoped threads: the rendered table must not depend on the
+/// thread count — scheduling decides who validates a cell, never what the cell
+/// reports.
 #[test]
 fn figure1_tables_are_byte_identical_across_worker_counts() {
     let config = Figure1Config {
         trials: 2,
         ..Figure1Config::quick()
     };
-    let mut tables = Vec::new();
-    for workers in WORKER_COUNTS {
-        let pool = WorkerPool::new(workers);
-        let config = Arc::new(config.clone());
-        let outcomes = pool.run(cell_pairs(None, None), move |_, (semantics, fragment)| {
-            run_cell(semantics, fragment, &config)
-        });
-        tables.push(render_markdown(&outcomes));
+    let tables: Vec<String> = THREAD_COUNTS
+        .iter()
+        .map(|&threads| render_markdown(&run_cells(&config, None, None, threads)))
+        .collect();
+    for (threads, table) in THREAD_COUNTS.iter().zip(&tables).skip(1) {
+        assert_eq!(
+            &tables[0], table,
+            "threads={threads} diverged from threads=0"
+        );
     }
-    assert_all_identical(&tables);
     assert!(tables[0].contains("OWA"), "the table rendered");
+}
+
+/// Replays the seeded `workload(seed, 2, 18)` on a fresh service: its
+/// response lines, then the `worlds=` field of `STATS`.
+fn replay(seed: u64) -> Vec<String> {
+    let generated = workload(seed, 2, 18);
+    let state = ServeState::new(ServeConfig {
+        bounds: bounds(),
+        ..ServeConfig::default()
+    });
+    for (name, instance) in &generated.instances {
+        state.load(name.clone(), instance.clone());
+    }
+    let mut transcript: Vec<String> = generated
+        .requests
+        .iter()
+        .map(|request| {
+            state
+                .eval(&request.instance, request.semantics, &request.query)
+                .map(|r| r.render())
+                .unwrap_or_else(|e| format!("ERR {e}"))
+        })
+        .collect();
+    let stats = state.render_stats();
+    let worlds = stats
+        .split_whitespace()
+        .find(|kv| kv.starts_with("worlds="))
+        .expect("a worlds= field");
+    transcript.push(worlds.to_string());
+    transcript
 }
 
 /// The served workload end to end: replaying one request stream on a fresh
@@ -73,35 +90,8 @@ fn figure1_tables_are_byte_identical_across_worker_counts() {
 /// both) and count the same worlds.
 #[test]
 fn served_responses_are_byte_identical_across_replays() {
-    let generated = workload(20130622, 2, 18);
-    let replay = || {
-        let state = ServeState::new(ServeConfig {
-            bounds: bounds(),
-            ..ServeConfig::default()
-        });
-        for (name, instance) in &generated.instances {
-            state.load(name.clone(), instance.clone());
-        }
-        let mut transcript: Vec<String> = generated
-            .requests
-            .iter()
-            .map(|request| {
-                state
-                    .eval(&request.instance, request.semantics, &request.query)
-                    .map(|r| r.render())
-                    .unwrap_or_else(|e| format!("ERR {e}"))
-            })
-            .collect();
-        let stats = state.render_stats();
-        let worlds = stats
-            .split_whitespace()
-            .find(|kv| kv.starts_with("worlds="))
-            .expect("a worlds= field");
-        transcript.push(worlds.to_string());
-        transcript
-    };
-    let first = replay();
-    assert_eq!(first, replay());
+    let first = replay(20130622);
+    assert_eq!(first, replay(20130622));
     assert!(
         first.iter().any(|r| r.contains("plan=oracle")),
         "the workload exercised the oracle: {first:?}"
@@ -110,37 +100,15 @@ fn served_responses_are_byte_identical_across_replays() {
 }
 
 /// The certified exec path: the compiled executor runs on the thread serving
-/// the request, and the rendered certain-answer sets must be byte-identical
-/// whatever the (ignored) worker count says.
+/// the request, and replaying one request stream on a fresh service must
+/// render byte-identical certain-answer sets.
 #[test]
-fn compiled_exec_responses_are_byte_identical_across_worker_counts() {
-    let generated = workload(20130701, 2, 18);
-    let mut transcripts: Vec<Vec<String>> = Vec::new();
-    for workers in WORKER_COUNTS {
-        let state = ServeState::new(ServeConfig {
-            workers,
-            bounds: bounds(),
-            ..ServeConfig::default()
-        });
-        for (name, instance) in &generated.instances {
-            state.load(name.clone(), instance.clone());
-        }
-        let responses: Vec<String> = generated
-            .requests
-            .iter()
-            .map(|request| {
-                state
-                    .eval(&request.instance, request.semantics, &request.query)
-                    .map(|r| r.render())
-                    .unwrap_or_else(|e| format!("ERR {e}"))
-            })
-            .collect();
-        transcripts.push(responses);
-    }
-    assert_all_identical(&transcripts);
+fn compiled_exec_responses_are_byte_identical_across_replays() {
+    let first = replay(20130701);
+    assert_eq!(first, replay(20130701));
     assert!(
-        transcripts[0].iter().any(|r| r.contains("plan=compiled")),
-        "the workload exercised the certified exec path: {transcripts:?}"
+        first.iter().any(|r| r.contains("plan=compiled")),
+        "the workload exercised the certified exec path: {first:?}"
     );
 }
 
