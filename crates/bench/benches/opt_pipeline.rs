@@ -26,10 +26,7 @@ const SKEW_SMALL: usize = 4;
 const NEGATION_TUPLES: usize = 400;
 
 fn baseline_config() -> CompilerConfig {
-    CompilerConfig {
-        optimize: false,
-        ..CompilerConfig::default()
-    }
+    CompilerConfig { optimize: false }
 }
 
 fn bench_pair(c: &mut Criterion, group_name: &str, d: &Instance, q: &Query) {

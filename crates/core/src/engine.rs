@@ -78,7 +78,7 @@ use nev_logic::fragment::classify;
 use nev_logic::parser::ParseError;
 use nev_logic::query::QueryError;
 use nev_logic::{parse_query, Fragment, Query};
-use nev_obs::{Stage, Timer, Trace, TraceRecorder};
+use nev_obs::{Stage, Timer, TraceRecorder};
 use nev_symbolic::{complete_candidates, cwa_certain_answers, under_approximation, EvalProfile};
 
 use crate::oracle::{self, OracleOutcome};
@@ -94,11 +94,6 @@ pub enum EngineError {
     Parse(ParseError),
     /// The parsed formula was not a well-formed query (free-variable problems).
     Query(QueryError),
-    /// A Boolean-only entry point was called with a k-ary query.
-    NotBoolean {
-        /// The arity of the offending query.
-        arity: usize,
-    },
 }
 
 impl fmt::Display for EngineError {
@@ -106,9 +101,6 @@ impl fmt::Display for EngineError {
         match self {
             EngineError::Parse(e) => write!(f, "query parse error: {e}"),
             EngineError::Query(e) => write!(f, "ill-formed query: {e}"),
-            EngineError::NotBoolean { arity } => {
-                write!(f, "expected a Boolean query, got one of arity {arity}")
-            }
         }
     }
 }
@@ -118,7 +110,6 @@ impl std::error::Error for EngineError {
         match self {
             EngineError::Parse(e) => Some(e),
             EngineError::Query(e) => Some(e),
-            EngineError::NotBoolean { .. } => None,
         }
     }
 }
@@ -783,13 +774,6 @@ pub struct Evaluation {
     /// and the number of evaluations that fell back to the interpreter because
     /// the query has no compiled plan.
     pub exec: ExecStats,
-    /// The per-request stage timeline (exec pass, symbolic probe, world
-    /// enumeration, …), bounded by [`nev_obs::MAX_SPANS`]. Empty when the entry
-    /// point ran under [`TraceRecorder::disabled`] or recorded none. Like
-    /// [`nev_exec::ExecTimings`], traces never participate in equality — two
-    /// evaluations that computed the same answers compare equal whatever their
-    /// timelines — so the determinism suites hold with tracing on or off.
-    pub trace: Trace,
     /// The per-operator profile of the naïve pass, when
     /// [`DispatchOptions::profile`] asked for one and the plan runs the query
     /// as written on the compiled pipeline ([`EvalPlan::is_compiled`]).
@@ -813,7 +797,6 @@ impl Evaluation {
             worlds_enumerated: 0,
             truncated: false,
             exec,
-            trace: Trace::default(),
             profile: None,
         }
     }
@@ -898,8 +881,8 @@ impl DispatchOptions<'static> {
 /// let d0 = inst! { "D" => [[x(1), x(2)], [x(2), x(1)]] };
 /// let engine = CertainEngine::new();
 /// let q = engine.prepare("forall u . exists v . D(u, v)")?;
-/// assert_eq!(engine.certainly_true(&d0, Semantics::Cwa, &q)?, true);
-/// assert_eq!(engine.certainly_true(&d0, Semantics::Owa, &q)?, false);
+/// assert!(engine.evaluate(&d0, Semantics::Cwa, &q).is_certainly_true());
+/// assert!(!engine.evaluate(&d0, Semantics::Owa, &q).is_certainly_true());
 /// # Ok::<(), nev_core::engine::EngineError>(())
 /// ```
 #[derive(Clone, Debug, Default)]
@@ -1051,21 +1034,19 @@ impl CertainEngine {
     }
 
     /// Evaluates a query with plan dispatch (see [`CertainEngine::dispatch`]),
-    /// recording the stage timeline into [`Evaluation::trace`].
+    /// recording nothing.
     pub fn evaluate(
         &self,
         d: &Instance,
         semantics: Semantics,
         query: &PreparedQuery,
     ) -> Evaluation {
-        let recorder = TraceRecorder::new();
-        let options = DispatchOptions {
-            trace: Some(&recorder),
-            ..DispatchOptions::default()
-        };
-        let mut eval = self.dispatch(&Snapshot::new(d), semantics, query, &options);
-        eval.trace = recorder.finish();
-        eval
+        self.dispatch(
+            &Snapshot::new(d),
+            semantics,
+            query,
+            &DispatchOptions::default(),
+        )
     }
 
     /// The evaluation when the PTIME symbolic ladder certifies the certain
@@ -1182,22 +1163,6 @@ impl CertainEngine {
         })
     }
 
-    /// Decides a Boolean query with plan dispatch. Returns
-    /// [`EngineError::NotBoolean`] for k-ary queries instead of panicking.
-    pub fn certainly_true(
-        &self,
-        d: &Instance,
-        semantics: Semantics,
-        query: &PreparedQuery,
-    ) -> Result<bool, EngineError> {
-        if !query.is_boolean() {
-            return Err(EngineError::NotBoolean {
-                arity: query.arity(),
-            });
-        }
-        Ok(self.evaluate(d, semantics, query).is_certainly_true())
-    }
-
     /// The naïve answers `Q^C(D)` of one prepared query (Boolean queries use
     /// the `{()} / ∅` encoding) — one compiled pass, or one recorded
     /// interpreter fallback when the query has no plan.
@@ -1206,28 +1171,18 @@ impl CertainEngine {
         d: &Instance,
         query: &PreparedQuery,
     ) -> (BTreeSet<Tuple>, ExecStats) {
-        self.naive_answers_traced(d, query, &TraceRecorder::disabled())
-    }
-
-    /// [`CertainEngine::naive_answers`] wrapped in a [`Stage::Exec`] span on the
-    /// caller's recorder, with the executor's scan / join-build / join-probe
-    /// phase timings replayed as child spans. A no-op recorder (tracing
-    /// disabled) records nothing and adds no timing calls.
-    pub fn naive_answers_traced(
-        &self,
-        d: &Instance,
-        query: &PreparedQuery,
-        recorder: &TraceRecorder,
-    ) -> (BTreeSet<Tuple>, ExecStats) {
-        let (naive, exec, _) = self.naive_pass(&Snapshot::new(d), query, false, false, recorder);
+        let snapshot = Snapshot::new(d);
+        let (naive, exec, _) =
+            self.naive_pass(&snapshot, query, false, false, &TraceRecorder::disabled());
         (naive, exec)
     }
 
     /// The naïve answers of the query's `nev-analyze` *normal form* — the
     /// single pass behind a normalized [`Certificate`] — wrapped in a
-    /// [`Stage::Exec`] span like [`CertainEngine::naive_answers_traced`].
-    /// Every rewrite preserves naïve evaluation, so these are also the
-    /// original query's naïve answers.
+    /// [`Stage::Exec`] span on the caller's recorder, with the interning and
+    /// the executor's scan / join-build / join-probe phases as child spans
+    /// (none under [`TraceRecorder::disabled`]). Every rewrite preserves naïve
+    /// evaluation, so these are also the original query's naïve answers.
     pub fn normalized_naive_answers_traced(
         &self,
         d: &Instance,
@@ -1286,8 +1241,7 @@ impl CertainEngine {
     /// This is the validation entry point: the Figure 1 harness uses it to *check*
     /// the theorems that [`CertainEngine::evaluate`] *assumes*.
     pub fn compare(&self, d: &Instance, semantics: Semantics, query: &PreparedQuery) -> Evaluation {
-        let recorder = TraceRecorder::new();
-        let (naive, exec) = self.naive_answers_traced(d, query, &recorder);
+        let (naive, exec) = self.naive_answers(d, query);
         let mut eval = Evaluation::settled(
             semantics,
             EvalPlan::BoundedEnumeration,
@@ -1295,10 +1249,7 @@ impl CertainEngine {
             BTreeSet::new(),
             exec,
         );
-        let oracle_span = recorder.span(Stage::OracleWorlds);
         eval.resolve(oracle::world_pass(&self.bounds, d, semantics, query));
-        drop(oracle_span);
-        eval.trace = recorder.finish();
         eval
     }
 
@@ -1542,17 +1493,6 @@ mod tests {
     }
 
     #[test]
-    fn certainly_true_replaces_the_boolean_panic_with_an_error() {
-        let engine = CertainEngine::new();
-        let kary = engine.prepare("Q(u) :- R(u)").expect("valid query");
-        let err = engine
-            .certainly_true(&inst! { "R" => [[c(1)]] }, Semantics::Cwa, &kary)
-            .unwrap_err();
-        assert_eq!(err, EngineError::NotBoolean { arity: 1 });
-        assert!(err.to_string().contains("arity 1"));
-    }
-
-    #[test]
     fn prepared_queries_explain_both_plans() {
         let engine = CertainEngine::new();
         let q = engine
@@ -1569,13 +1509,8 @@ mod tests {
         // answers, rules_fired == 0.
         let query = parse_query("Q(u) :- exists v . R(u, v) & (S(u) | !T(v))").expect("valid");
         let optimised = PreparedQuery::new(query.clone());
-        let baseline = PreparedQuery::with_compiler_config(
-            query,
-            &CompilerConfig {
-                optimize: false,
-                ..CompilerConfig::default()
-            },
-        );
+        let baseline =
+            PreparedQuery::with_compiler_config(query, &CompilerConfig { optimize: false });
         let plan = optimised.compiled().expect("compiles");
         let raw = baseline.compiled().expect("compiles");
         assert!(plan.rules_fired() > 0);
@@ -1812,34 +1747,42 @@ mod tests {
     }
 
     #[test]
-    fn evaluate_records_a_stage_trace_when_enabled() {
+    fn dispatch_records_its_stages_on_the_callers_recorder() {
         let engine = CertainEngine::new();
         let q = engine
             .prepare("forall u . exists v . D(u, v)")
             .expect("valid query");
+        let traced = |semantics| {
+            let recorder = TraceRecorder::new();
+            let options = DispatchOptions {
+                trace: Some(&recorder),
+                ..DispatchOptions::default()
+            };
+            let eval = engine.dispatch(&Snapshot::new(d0()), semantics, &q, &options);
+            // The timeline is the caller's; the evaluation carries none and
+            // equals the untraced one.
+            assert_eq!(eval, engine.evaluate(&d0(), semantics, &q));
+            (eval, recorder.finish())
+        };
         // OWA × Pos is not guaranteed: exec pass, symbolic probe, then worlds.
-        let eval = engine.evaluate(&d0(), Semantics::Owa, &q);
-        let stages: Vec<Stage> = eval.trace.spans().iter().map(|s| s.stage).collect();
+        let (_, trace) = traced(Semantics::Owa);
+        let stages: Vec<Stage> = trace.spans().iter().map(|s| s.stage).collect();
         assert!(stages.contains(&Stage::Exec), "stages: {stages:?}");
         assert!(stages.contains(&Stage::Symbolic), "stages: {stages:?}");
         assert!(stages.contains(&Stage::OracleWorlds), "stages: {stages:?}");
         // Depth-0 stages partition the request wall-clock from below.
-        assert!(eval.trace.top_level_us() <= eval.trace.total_us());
-        assert_eq!(eval.trace.dropped(), 0);
+        assert!(trace.top_level_us() <= trace.total_us());
+        assert_eq!(trace.dropped(), 0);
         // The certified path records just the exec pass.
-        let eval = engine.evaluate(&d0(), Semantics::Cwa, &q);
+        let (eval, trace) = traced(Semantics::Cwa);
         assert_eq!(eval.worlds_enumerated, 0);
-        assert!(eval.trace.spans().iter().any(|s| s.stage == Stage::Exec));
-        assert!(!eval
-            .trace
-            .spans()
-            .iter()
-            .any(|s| s.stage == Stage::OracleWorlds));
+        assert!(trace.spans().iter().any(|s| s.stage == Stage::Exec));
+        assert!(!trace.spans().iter().any(|s| s.stage == Stage::OracleWorlds));
     }
 
     #[test]
     fn telemetry_never_perturbs_result_equality() {
-        // Traces and prep timings differ run to run; equality must not see them.
+        // Prep timings differ run to run; equality must not see them.
         let engine = CertainEngine::new();
         let q = engine
             .prepare("forall u . exists v . D(u, v)")
@@ -1848,10 +1791,6 @@ mod tests {
             q,
             PreparedQuery::parse("forall u . exists v . D(u, v)").expect("valid query")
         );
-        let a = engine.evaluate(&d0(), Semantics::Owa, &q);
-        let mut b = engine.evaluate(&d0(), Semantics::Owa, &q);
-        b.trace = Trace::default();
-        assert_eq!(a, b, "a stripped trace must not break equality");
         // Prep timings are observable but inert.
         let t = q.prep_timings();
         assert!(t.parse_us + t.classify_us + t.compile_us < u64::MAX);

@@ -26,7 +26,6 @@
 //!   for OWA (and for WCWA / powerset widths beyond the configured caps).
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::ops::ControlFlow;
 
 use nev_hom::minimal::is_minimal_image;
 use nev_hom::search::{
@@ -132,8 +131,7 @@ impl Semantics {
 
     /// Returns a lazily-driven iterator over the bounded possible worlds of `d`
     /// under this semantics — the streaming primitive behind
-    /// [`Semantics::for_each_world`], [`Semantics::enumerate_worlds`] and the
-    /// monotonicity and core checks.
+    /// [`Semantics::enumerate_worlds`] and the monotonicity and core checks.
     ///
     /// Valuations are streamed one at a time over the full `|budget|^#nulls`
     /// space, and world **instances** are built on demand (one valuation image,
@@ -190,7 +188,7 @@ impl Semantics {
                 current: None,
             },
             (Semantics::Owa, _) => {
-                let owa_fresh = fresh_constants(bounds.owa_fresh_values, &budget);
+                let owa_fresh = fresh_constants(OWA_FRESH_VALUES, &budget);
                 let mut extension_domain: BTreeSet<Value> =
                     budget.iter().cloned().map(Value::Const).collect();
                 extension_domain.extend(owa_fresh.into_iter().map(Value::Const));
@@ -240,30 +238,6 @@ impl Semantics {
             overflowed: false,
             finished: false,
             state,
-        }
-    }
-
-    /// Streams the bounded possible worlds of `d` to `visitor`, stopping early if the
-    /// visitor breaks. A thin closure-style wrapper around [`Semantics::worlds`];
-    /// worlds may be repeated. Returns `Break` iff the visitor broke or the
-    /// enumeration was truncated by [`WorldBounds::max_worlds`].
-    pub fn for_each_world<F>(
-        self,
-        d: &Instance,
-        bounds: &WorldBounds,
-        mut visitor: F,
-    ) -> ControlFlow<()>
-    where
-        F: FnMut(&Instance) -> ControlFlow<()>,
-    {
-        let mut worlds = self.worlds(d, bounds);
-        for w in &mut worlds {
-            visitor(&w)?;
-        }
-        if worlds.truncated() {
-            ControlFlow::Break(())
-        } else {
-            ControlFlow::Continue(())
         }
     }
 }
@@ -513,6 +487,9 @@ impl std::str::FromStr for Semantics {
     }
 }
 
+/// OWA: the number of extra fresh constants available to extension tuples.
+const OWA_FRESH_VALUES: usize = 1;
+
 /// Bounds controlling the possible-world enumeration (see the [`crate::oracle`]
 /// module for what they make exact).
 #[derive(Clone, Debug)]
@@ -522,8 +499,6 @@ pub struct WorldBounds {
     pub extra_constants: BTreeSet<Constant>,
     /// Powerset semantics: maximum number of valuation images unioned together.
     pub union_width: usize,
-    /// OWA: number of extra fresh constants available to extension tuples.
-    pub owa_fresh_values: usize,
     /// OWA: maximum number of extension tuples added on top of a valuation image.
     pub owa_max_extra_tuples: usize,
     /// WCWA: maximum number of extension tuples (within the active domain) added on
@@ -540,7 +515,6 @@ impl Default for WorldBounds {
         WorldBounds {
             extra_constants: BTreeSet::new(),
             union_width: 2,
-            owa_fresh_values: 1,
             owa_max_extra_tuples: 1,
             wcwa_max_extra_tuples: 3,
             max_worlds: 500_000,
@@ -549,14 +523,6 @@ impl Default for WorldBounds {
 }
 
 impl WorldBounds {
-    /// Bounds that additionally account for the constants mentioned by a query.
-    pub fn for_query_constants(constants: BTreeSet<Constant>) -> Self {
-        WorldBounds {
-            extra_constants: constants,
-            ..WorldBounds::default()
-        }
-    }
-
     /// A copy of these bounds with additional query constants in the budget — the
     /// single primitive behind `PreparedQuery::bounds` (the oracle's bounds) and
     /// [`crate::certain::bounds_for_query`] (the monotonicity checks of
@@ -966,27 +932,6 @@ mod tests {
         let d = d0();
         let incomplete = inst! { "D" => [[x(5), c(1)]] };
         Semantics::Cwa.contains_world(&d, &incomplete);
-    }
-
-    #[test]
-    fn worlds_iterator_matches_for_each_world() {
-        // The lazy iterator and the closure wrapper must stream identical worlds in
-        // identical order, for every semantics.
-        let d = inst! { "R" => [[c(1), x(1)]], "S" => [[x(1)]] };
-        let bounds = WorldBounds {
-            owa_max_extra_tuples: 1,
-            ..WorldBounds::default()
-        };
-        for sem in Semantics::ALL {
-            let via_iterator: Vec<Instance> = sem.worlds(&d, &bounds).collect();
-            let mut via_closure = Vec::new();
-            let _ = sem.for_each_world(&d, &bounds, |w| {
-                via_closure.push(w.clone());
-                ControlFlow::Continue(())
-            });
-            assert_eq!(via_iterator, via_closure, "{sem}");
-            assert!(!via_iterator.is_empty(), "{sem}");
-        }
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!   a body the guard does not bind joins the complement of only that body.
 //!
 //! The only shapes the compiler rejects are complements whose column count exceeds
-//! [`CompilerConfig::max_complement_columns`]: those would materialise `adom(D)^k`,
+//! [`MAX_COMPLEMENT_COLUMNS`]: those would materialise `adom(D)^k`,
 //! where the tree-walking interpreter's candidate-at-a-time strategy is the better
 //! plan. Rejection is how the engine decides to fall back — see
 //! `nev-core::engine`'s `ExecStats::fallbacks`.
@@ -34,14 +34,15 @@ use nev_logic::Query;
 
 use crate::algebra::{merge_schemas, PlanNode, ScanTerm};
 
-/// Cost guards of the compiler.
+/// Maximum number of columns an active-domain complement may have. A complement
+/// over `k` columns materialises up to `|adom|^k` rows, so wide complements are
+/// the one shape where the interpreter's candidate-at-a-time evaluation wins;
+/// queries needing one are rejected and routed to the interpreter.
+pub const MAX_COMPLEMENT_COLUMNS: usize = 3;
+
+/// How the compiler lowers a query.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct CompilerConfig {
-    /// Maximum number of columns an active-domain complement may have. A complement
-    /// over `k` columns materialises up to `|adom|^k` rows, so wide complements are
-    /// the one shape where the interpreter's candidate-at-a-time evaluation wins;
-    /// queries needing one are rejected and routed to the interpreter.
-    pub max_complement_columns: usize,
     /// Run the `nev-opt` rule stage ([`crate::optimize`]) over the lowered plan.
     /// Disabling it yields the literal syntactic lowering — the baseline the
     /// differential suite (`tests/opt_equivalence.rs`) and the `opt_pipeline`
@@ -51,10 +52,7 @@ pub struct CompilerConfig {
 
 impl Default for CompilerConfig {
     fn default() -> Self {
-        CompilerConfig {
-            max_complement_columns: 3,
-            optimize: true,
-        }
+        CompilerConfig { optimize: true }
     }
 }
 
@@ -62,11 +60,11 @@ impl Default for CompilerConfig {
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum CompileError {
     /// A negation (or a `∀` via `¬∃x̄ ν(ψ)`) requires an active-domain complement over
-    /// more columns than the configured limit.
+    /// more columns than the limit.
     ComplementTooWide {
         /// Columns the complement would have.
         columns: usize,
-        /// The configured [`CompilerConfig::max_complement_columns`].
+        /// The limit, [`MAX_COMPLEMENT_COLUMNS`].
         limit: usize,
     },
 }
@@ -170,7 +168,7 @@ fn pad_to(l: Lowered, target: &[String]) -> Lowered {
 
 /// Negation smart constructor: `{()} ▷ φ` for a Boolean `φ`, otherwise the
 /// active-domain complement, applying the cost guard.
-fn complement(l: Lowered, config: &CompilerConfig) -> Result<Lowered, CompileError> {
+fn complement(l: Lowered) -> Result<Lowered, CompileError> {
     if l.schema.is_empty() {
         return Ok(Lowered::new(
             PlanNode::AntiJoin {
@@ -180,10 +178,10 @@ fn complement(l: Lowered, config: &CompilerConfig) -> Result<Lowered, CompileErr
             Vec::new(),
         ));
     }
-    if l.schema.len() > config.max_complement_columns {
+    if l.schema.len() > MAX_COMPLEMENT_COLUMNS {
         return Err(CompileError::ComplementTooWide {
             columns: l.schema.len(),
-            limit: config.max_complement_columns,
+            limit: MAX_COMPLEMENT_COLUMNS,
         });
     }
     let schema = l.schema.clone();
@@ -195,7 +193,7 @@ fn complement(l: Lowered, config: &CompilerConfig) -> Result<Lowered, CompileErr
     ))
 }
 
-fn lower(f: &Formula, config: &CompilerConfig) -> Result<Lowered, CompileError> {
+fn lower(f: &Formula) -> Result<Lowered, CompileError> {
     match f {
         Formula::True => Ok(Lowered::new(PlanNode::Unit, Vec::new())),
         Formula::False => Ok(Lowered::new(
@@ -204,13 +202,13 @@ fn lower(f: &Formula, config: &CompilerConfig) -> Result<Lowered, CompileError> 
         )),
         Formula::Atom { relation, terms } => Ok(lower_atom(relation, terms)),
         Formula::Eq(a, b) => Ok(lower_eq(a, b)),
-        Formula::Not(inner) => complement(lower(inner, config)?, config),
-        Formula::And(parts) => lower_and(parts, config),
-        Formula::Or(parts) => lower_or(parts, config),
-        Formula::Exists(vars, body) => lower_exists(vars, body, config),
+        Formula::Not(inner) => complement(lower(inner)?),
+        Formula::And(parts) => lower_and(parts),
+        Formula::Or(parts) => lower_or(parts),
+        Formula::Exists(vars, body) => lower_exists(vars, body),
         // `→` and `∀` are definable; delegate to the nev-logic rewrites (compile()
         // already eliminates them up front, this keeps `lower` total).
-        Formula::Implies(_, _) | Formula::Forall(_, _) => lower(&to_executable_core(f), config),
+        Formula::Implies(_, _) | Formula::Forall(_, _) => lower(&to_executable_core(f)),
     }
 }
 
@@ -273,7 +271,7 @@ fn lower_eq(a: &Term, b: &Term) -> Lowered {
     }
 }
 
-fn lower_and(parts: &[Formula], config: &CompilerConfig) -> Result<Lowered, CompileError> {
+fn lower_and(parts: &[Formula]) -> Result<Lowered, CompileError> {
     // Join the positive conjuncts first, then apply each negated conjunct as an
     // anti-join when its variables are already bound (the common, cheap case) and
     // as a complement join otherwise.
@@ -282,11 +280,11 @@ fn lower_and(parts: &[Formula], config: &CompilerConfig) -> Result<Lowered, Comp
     for p in parts {
         match p {
             Formula::Not(inner) => negatives.push(inner.as_ref()),
-            positive => acc = join(acc, lower(positive, config)?),
+            positive => acc = join(acc, lower(positive)?),
         }
     }
     for inner in negatives {
-        let li = lower(inner, config)?;
+        let li = lower(inner)?;
         if is_subset(&li.schema, &acc.schema) {
             let schema = acc.schema.clone();
             acc = Lowered::new(
@@ -297,23 +295,20 @@ fn lower_and(parts: &[Formula], config: &CompilerConfig) -> Result<Lowered, Comp
                 schema,
             );
         } else {
-            acc = join(acc, complement(li, config)?);
+            acc = join(acc, complement(li)?);
         }
     }
     Ok(acc)
 }
 
-fn lower_or(parts: &[Formula], config: &CompilerConfig) -> Result<Lowered, CompileError> {
+fn lower_or(parts: &[Formula]) -> Result<Lowered, CompileError> {
     if parts.is_empty() {
         return Ok(Lowered::new(
             PlanNode::Empty { schema: Vec::new() },
             Vec::new(),
         ));
     }
-    let lowered: Vec<Lowered> = parts
-        .iter()
-        .map(|p| lower(p, config))
-        .collect::<Result<_, _>>()?;
+    let lowered: Vec<Lowered> = parts.iter().map(lower).collect::<Result<_, _>>()?;
     let target = lowered
         .iter()
         .fold(Vec::new(), |acc, l| merge_schemas(&acc, &l.schema));
@@ -329,12 +324,8 @@ fn lower_or(parts: &[Formula], config: &CompilerConfig) -> Result<Lowered, Compi
     ))
 }
 
-fn lower_exists(
-    vars: &[String],
-    body: &Formula,
-    config: &CompilerConfig,
-) -> Result<Lowered, CompileError> {
-    let lb = lower(body, config)?;
+fn lower_exists(vars: &[String], body: &Formula) -> Result<Lowered, CompileError> {
+    let lb = lower(body)?;
     if vars.is_empty() {
         return Ok(lb);
     }
@@ -394,7 +385,7 @@ impl CompiledQuery {
     /// unless disabled — runs the `nev-opt` rule stage over the result.
     pub fn compile_with(query: &Query, config: &CompilerConfig) -> Result<Self, CompileError> {
         let core = to_executable_core(query.formula());
-        let lowered = lower(&core, config)?;
+        let lowered = lower(&core)?;
         let mut sorted_answers: Vec<String> = query.answer_variables().to_vec();
         sorted_answers.sort();
         let padded = pad_to(lowered, &sorted_answers);
@@ -568,12 +559,6 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("4 columns"));
-        // A looser config accepts the same query.
-        let config = CompilerConfig {
-            max_complement_columns: 4,
-            ..CompilerConfig::default()
-        };
-        assert!(CompiledQuery::compile_with(&q, &config).is_ok());
     }
 
     #[test]

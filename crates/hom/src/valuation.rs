@@ -159,21 +159,6 @@ pub fn standard_budget(d: &Instance, extra: &BTreeSet<Constant>) -> BTreeSet<Con
     budget
 }
 
-/// Enumerates the CWA worlds `v(D)` of `d` over the standard budget extended by
-/// `extra` constants; deduplicates equal worlds.
-pub fn enumerate_cwa_worlds(d: &Instance, extra: &BTreeSet<Constant>) -> Vec<Instance> {
-    let budget = standard_budget(d, extra);
-    let mut seen = BTreeSet::new();
-    let mut out = Vec::new();
-    for v in enumerate_valuations(d, &budget) {
-        let world = v.apply_instance(d);
-        if seen.insert(world.clone()) {
-            out.push(world);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,7 +284,11 @@ mod tests {
     fn cwa_worlds_of_d0() {
         // D0 = {(⊥,⊥′),(⊥′,⊥)}: its CWA worlds are all {(c,c′),(c′,c)} with possibly c=c′.
         let d0 = inst! { "D" => [[x(1), x(2)], [x(2), x(1)]] };
-        let worlds = enumerate_cwa_worlds(&d0, &BTreeSet::new());
+        let budget = standard_budget(&d0, &BTreeSet::new());
+        let worlds: Vec<Instance> = enumerate_valuations(&d0, &budget)
+            .iter()
+            .map(|v| v.apply_instance(&d0))
+            .collect();
         assert!(!worlds.is_empty());
         for w in &worlds {
             assert!(w.is_complete());
@@ -315,15 +304,5 @@ mod tests {
         // Both shapes occur.
         assert!(worlds.iter().any(|w| w.fact_count() == 1));
         assert!(worlds.iter().any(|w| w.fact_count() == 2));
-    }
-
-    #[test]
-    fn enumerate_cwa_worlds_deduplicates() {
-        // Both nulls mapping to the same constants in different orders can produce the
-        // same world; the enumeration deduplicates exact duplicates.
-        let d = inst! { "R" => [[x(1)], [x(2)]] };
-        let worlds = enumerate_cwa_worlds(&d, &BTreeSet::new());
-        let unique: BTreeSet<_> = worlds.iter().cloned().collect();
-        assert_eq!(worlds.len(), unique.len());
     }
 }

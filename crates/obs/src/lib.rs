@@ -14,10 +14,9 @@
 //! * [`span`] — per-request stage timelines. A [`TraceRecorder`] hands out
 //!   RAII [`Span`] guards (`recorder.span(Stage::Exec)`), nesting tracked by
 //!   depth, bounded at [`MAX_SPANS`] records; [`TraceRecorder::finish`]
-//!   freezes it into a [`Trace`] that rides on evaluation results. `Trace`
-//!   compares equal to every other `Trace` by design: timing is telemetry,
-//!   never part of a result's value, so derived `Eq` on result types and
-//!   byte-identity determinism pins stay exact.
+//!   freezes it into a [`Trace`]. The caller that serves a request owns its
+//!   recorder and hands it to the code it times; no result value carries a
+//!   timeline, so timing never enters a result's equality.
 //! * [`registry`] — the serving layer's one telemetry store, the
 //!   [`MetricsRegistry`]: the independent [`Counter`] tallies, per-stage and
 //!   per-dispatch-kind histograms, a bounded top-K slow-query log, the
@@ -37,9 +36,11 @@
 //!
 //! Every [`Timer`] reads the clock and every [`TraceRecorder::new`] records;
 //! there is no process-wide switch. An entry point that wants no stage
-//! timeline says so at the call site with [`TraceRecorder::disabled`]. Timing
-//! never changes an answer or a served byte: [`Trace`] and the executor's
-//! timings compare equal to every other value of their type.
+//! timeline says so at the call site with [`TraceRecorder::disabled`] (or, in
+//! `nev-core`'s dispatch, by passing no recorder). Timing never changes an
+//! answer or a served byte: a [`Trace`] lives beside a result, never inside
+//! it, and the executor's timings compare equal to every other value of
+//! their type.
 //!
 //! ```
 //! use nev_obs::{Histogram, Stage, TraceRecorder};

@@ -267,9 +267,11 @@ impl MetricsRegistry {
         }
     }
 
-    /// Offers a request to the slow-query log; it is kept only while it ranks
-    /// among the top-K by latency.
-    pub fn record_slow(&self, entry: SlowQuery) {
+    /// Offers a request of latency `latency_us` to the slow-query log; it is
+    /// kept only while it ranks among the top-K by latency. `entry` builds
+    /// the log entry, whose latency is `latency_us`, and runs only when the
+    /// request ranks.
+    pub fn record_slow(&self, latency_us: u64, entry: impl FnOnce() -> SlowQuery) {
         if self.slow_capacity == 0 {
             return;
         }
@@ -277,10 +279,12 @@ impl MetricsRegistry {
         if slow.len() >= self.slow_capacity
             && slow
                 .last()
-                .is_some_and(|worst| worst.latency_us >= entry.latency_us)
+                .is_some_and(|worst| worst.latency_us >= latency_us)
         {
             return;
         }
+        let entry = entry();
+        debug_assert_eq!(entry.latency_us, latency_us);
         slow.push(entry);
         slow.sort_by_key(|kept| std::cmp::Reverse(kept.latency_us));
         slow.truncate(self.slow_capacity);
@@ -571,19 +575,25 @@ mod tests {
     #[test]
     fn slow_query_log_keeps_top_k_by_latency() {
         let registry = MetricsRegistry::new(&["oracle"], 2);
+        let mut built = Vec::new();
         for (latency, name) in [(50, "a"), (500, "b"), (5, "c"), (900, "d")] {
-            registry.record_slow(SlowQuery {
-                latency_us: latency,
-                query: format!("Q{name}"),
-                semantics: "owa".to_string(),
-                cell: "coNP".to_string(),
-                plan: "oracle".to_string(),
-                stages: vec![(Stage::OracleWorlds, latency)],
+            registry.record_slow(latency, || {
+                built.push(name);
+                SlowQuery {
+                    latency_us: latency,
+                    query: format!("Q{name}"),
+                    semantics: "owa".to_string(),
+                    cell: "coNP".to_string(),
+                    plan: "oracle".to_string(),
+                    stages: vec![(Stage::OracleWorlds, latency)],
+                }
             });
         }
         let slow = registry.slow_queries();
         let latencies: Vec<u64> = slow.iter().map(|s| s.latency_us).collect();
         assert_eq!(latencies, vec![900, 500]);
+        // An entry is built only when its request ranks: `c` never did.
+        assert_eq!(built, ["a", "b", "d"]);
         // The log renders as comment lines the validator accepts.
         let text = registry.expose(&registry.snapshot(), &[], &[]);
         validate_exposition(&lines(&text)).expect("slow log keeps grammar valid");
@@ -598,7 +608,7 @@ mod tests {
     #[test]
     fn window_gauges_precede_the_slow_log() {
         let registry = MetricsRegistry::new(&["oracle"], 2);
-        registry.record_slow(SlowQuery {
+        registry.record_slow(9, || SlowQuery {
             latency_us: 9,
             query: "Q".to_string(),
             semantics: "owa".to_string(),

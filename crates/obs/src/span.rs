@@ -5,7 +5,9 @@
 //! depth, and sub-phase timings measured elsewhere (e.g. the executor's
 //! scan/join split) replay as [`TraceRecorder::leaf`] children of whichever
 //! span is open. [`TraceRecorder::finish`] freezes everything into a
-//! [`Trace`], the value that rides on evaluation results.
+//! [`Trace`]. The recorder belongs to the caller that serves the request
+//! (`nev-serve` builds one per `EVAL`, `TRACE` and `PROFILE`); evaluation
+//! results carry no timeline.
 //!
 //! Order follows the work, not the clock: a span takes its place in the
 //! trace when it opens and a leaf when it is replayed, so every span precedes
@@ -125,26 +127,12 @@ pub struct SpanRecord {
 }
 
 /// A frozen per-request timeline.
-///
-/// `Trace` intentionally compares **equal to every other `Trace`**: it is
-/// telemetry carried on result types that derive `PartialEq`/`Eq`, and two
-/// evaluations that computed the same answers *are* equal no matter how long
-/// their stages took. Determinism pins (byte-identical answers across worker
-/// counts, with tracing on or off) rely on this.
 #[derive(Clone, Debug, Default)]
 pub struct Trace {
     spans: Vec<SpanRecord>,
     total_us: u64,
     dropped: u32,
 }
-
-impl PartialEq for Trace {
-    fn eq(&self, _other: &Trace) -> bool {
-        true // telemetry: never part of a result's value (see type docs)
-    }
-}
-
-impl Eq for Trace {}
 
 impl Trace {
     /// The recorded spans in pre-order: each span before its children,
@@ -442,16 +430,6 @@ mod tests {
         let trace = rec.finish();
         assert!(trace.is_empty());
         assert_eq!(trace.render(), "-");
-    }
-
-    #[test]
-    fn traces_always_compare_equal() {
-        let rec = TraceRecorder::new();
-        let _span = rec.span(Stage::Exec);
-        drop(_span);
-        let a = rec.finish();
-        let b = Trace::default();
-        assert_eq!(a, b, "telemetry never affects value equality");
     }
 
     #[test]

@@ -29,7 +29,8 @@
 //! workspace DAG. The state's one telemetry store is a
 //! [`nev_obs::MetricsRegistry`]: the independent [`nev_obs::Counter`]
 //! tallies, per-plan request-latency histograms, per-stage latency
-//! histograms fed by the [`nev_obs::TraceRecorder`] every `EVAL` runs under,
+//! histograms fed by the [`nev_obs::TraceRecorder`] every `EVAL`, `TRACE`
+//! and `PROFILE` runs under,
 //! a bounded top-K slow-query log, and a lazily-sampled
 //! [`nev_obs::TimeSeries`] ring. `STATS`, `TOP` and `METRICS` each render
 //! one [`nev_obs::MetricsSnapshot`] of it, and `evals` and the dispatch

@@ -261,20 +261,44 @@ impl ServeState {
         Ok((plan, evaluation))
     }
 
-    /// One evaluating request (`EVAL`, `TRACE`, `PROFILE`): the dispatch and
-    /// its [`ServeState::record`]. Returns the latency too.
+    /// Serves one evaluating request — `EVAL`, `TRACE` or `PROFILE` (which
+    /// also profiles the naïve pass) — the one way: a traced dispatch, its
+    /// [`ServeState::record`], the finished trace into the stage histograms,
+    /// and the request offered to the slow-query log. The handlers only
+    /// format what this returns.
     fn evaluate(
         &self,
         name: &str,
         semantics: Semantics,
         query_text: &str,
-        options: &DispatchOptions<'_>,
-    ) -> Result<(CachedPlan, Evaluation, u64), ServeError> {
+        profile: bool,
+    ) -> Result<(CachedPlan, Evaluation, Trace), ServeError> {
+        let recorder = TraceRecorder::new();
+        let options = DispatchOptions {
+            trace: Some(&recorder),
+            profile,
+            ..DispatchOptions::default()
+        };
         let total = Timer::start();
-        let (plan, evaluation) = self.dispatch(name, semantics, query_text, options)?;
+        let (plan, evaluation) = self.dispatch(name, semantics, query_text, &options)?;
         let latency = total.elapsed_us();
         self.record(&plan.prepared, &evaluation, latency);
-        Ok((plan, evaluation, latency))
+        let trace = recorder.finish();
+        self.metrics.observe_trace(&trace);
+        self.metrics.record_slow(latency, || SlowQuery {
+            latency_us: latency,
+            query: plan.prepared.query().to_string(),
+            semantics: semantics.to_string(),
+            cell: format!("{:?}", plan.cell),
+            plan: evaluation.plan.label().to_string(),
+            stages: trace
+                .spans()
+                .iter()
+                .filter(|s| s.depth == 0)
+                .map(|s| (s.stage, s.dur_us))
+                .collect(),
+        });
+        Ok((plan, evaluation, trace))
     }
 
     /// Answers one `EXPLAIN` request: the Figure 1 dispatch decision for the
@@ -380,42 +404,21 @@ impl ServeState {
     /// answer (the `TRACE` command). The trace covers the whole request — the
     /// plan-cache probe (with parse/classify/compile replayed as children on a
     /// miss), the engine's exec pass, the symbolic probe, and the oracle — and
-    /// is also what feeds the metrics registry: the per-plan latency histogram
-    /// records exactly once per successful request (its counts are the `evals`
-    /// and dispatch counters); the per-stage histograms and the slow-query log
-    /// absorb the finished trace.
+    /// is the one every evaluating request feeds to the stage histograms and
+    /// the slow-query log.
     pub fn eval_with_trace(
         &self,
         name: &str,
         semantics: Semantics,
         query_text: &str,
     ) -> Result<(EvalResponse, Trace), ServeError> {
-        let recorder = TraceRecorder::new();
-        let options = DispatchOptions {
-            trace: Some(&recorder),
-            ..DispatchOptions::default()
-        };
-        let (plan, evaluation, latency) = self.evaluate(name, semantics, query_text, &options)?;
-        let trace = recorder.finish();
-        self.metrics.observe_trace(&trace);
-        self.metrics.record_slow(SlowQuery {
-            latency_us: latency,
-            query: plan.prepared.query().to_string(),
-            semantics: semantics.to_string(),
-            cell: format!("{:?}", plan.cell),
-            plan: evaluation.plan.label().to_string(),
-            stages: trace
-                .spans()
-                .iter()
-                .filter(|s| s.depth == 0)
-                .map(|s| (s.stage, s.dur_us))
-                .collect(),
-        });
+        let (_, evaluation, trace) = self.evaluate(name, semantics, query_text, false)?;
         Ok((EvalResponse::of(evaluation), trace))
     }
 
     /// Answers one `PROFILE` request: a **real** evaluation (it counts in
-    /// `evals` and feeds the latency histograms, exactly like `TRACE`) that
+    /// `evals` and feeds the latency and stage histograms and the slow-query
+    /// log, exactly like `EVAL` and `TRACE`) that
     /// additionally returns the per-operator annotated plan when a certified
     /// naïve pass ran on a compiled plan (the query as written, or its normal
     /// form on a normalized dispatch) — inclusive wall time, output rows, and
@@ -429,11 +432,7 @@ impl ServeState {
         semantics: Semantics,
         query_text: &str,
     ) -> Result<String, ServeError> {
-        let options = DispatchOptions {
-            profile: true,
-            ..DispatchOptions::default()
-        };
-        let (plan, mut evaluation, _) = self.evaluate(name, semantics, query_text, &options)?;
+        let (plan, mut evaluation, _) = self.evaluate(name, semantics, query_text, true)?;
         let profile = evaluation.profile.take();
         let response = EvalResponse::of(evaluation);
         Ok(match profile {
@@ -1150,6 +1149,14 @@ mod tests {
         assert_eq!(stat(&state, "evals"), 1);
         assert_eq!(stat(&state, "compiled"), 1);
         assert_eq!(state.metrics().snapshot().latency().count, 1);
+        // It is traced and recorded like EVAL: one span per stage it ran
+        // (interning d0 included), and a slow-query log entry.
+        for stage in [Stage::CacheProbe, Stage::Exec, Stage::Intern] {
+            assert_eq!(state.metrics().stage_snapshot(stage).count, 1, "{stage}");
+        }
+        let slow = state.metrics().slow_queries();
+        assert_eq!(slow.len(), 1);
+        assert_eq!(slow[0].plan, "compiled");
         // The answer is byte-identical to EVAL's.
         let eval = state.handle_line("EVAL d0 cwa exists u v . D(u, v) & D(v, u)");
         assert_eq!(eval, "OK plan=compiled certain={()}");

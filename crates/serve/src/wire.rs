@@ -40,7 +40,9 @@
 //! dispatch the engine would pick, the replay-checked certificate status,
 //! per-answer-column null-safety, and the analyser's diagnostics.
 //! `PROFILE` evaluates like `EVAL` but answers with the per-operator annotated
-//! plan (wall time, output rows, estimated rows per node); `TOP` is the
+//! plan (wall time, output rows, estimated rows per node). `EVAL`, `TRACE` and
+//! `PROFILE` share one traced request path, so each feeds the same `METRICS`
+//! stage histograms and slow-query log. `TOP` is the
 //! one-line windowed throughput/latency summary behind the `nevtop` dashboard,
 //! and `METRICS RESET` zeroes the slow-query log and the windowed series
 //! while leaving every lifetime counter intact.

@@ -375,9 +375,10 @@ fn tracing_never_perturbs_served_answers() {
     };
     let on = TraceRecorder::new();
     let off = TraceRecorder::disabled();
-    let (answers_on, _) = engine.naive_answers_traced(&d0, &prepared, &on);
-    let (answers_off, _) = engine.naive_answers_traced(&d0, &prepared, &off);
+    let (answers_on, _) = engine.normalized_naive_answers_traced(&d0, &prepared, &on);
+    let (answers_off, _) = engine.normalized_naive_answers_traced(&d0, &prepared, &off);
     assert_eq!(answers_on, answers_off);
+    assert!(!on.finish().is_empty(), "a live recorder records the pass");
     assert!(off.finish().is_empty(), "disabled recorder records nothing");
     handle.shutdown();
 }

@@ -30,10 +30,7 @@ use nev_logic::{Fragment, Query};
 use std::collections::BTreeSet;
 
 fn unoptimized_config() -> CompilerConfig {
-    CompilerConfig {
-        optimize: false,
-        ..CompilerConfig::default()
-    }
+    CompilerConfig { optimize: false }
 }
 
 /// The three semantics the suite sweeps (one per homomorphism family of the
