@@ -65,6 +65,7 @@
 //! ```
 
 use std::borrow::Borrow;
+use std::cell::OnceCell;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -138,7 +139,7 @@ impl From<QueryError> for EngineError {
 /// assert!(q.is_boolean());
 /// # Ok::<(), nev_core::engine::EngineError>(())
 /// ```
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, Debug)]
 pub struct PreparedQuery {
     query: Query,
     fragment: Fragment,
@@ -150,17 +151,10 @@ pub struct PreparedQuery {
     prep: PrepTimings,
 }
 
-/// Wall-clock telemetry for the three preparation stages of a [`PreparedQuery`]:
-/// parse, classify and compile. `parse_us` is zero when the query was built from
-/// an already-parsed [`Query`] (no parse stage).
-///
-/// Telemetry never participates in equality: two `PreparedQuery`s that prepared
-/// the same query compare equal regardless of how long preparation took, so
-/// plan-cache lookups and the differential suites stay timing-independent.
+/// Wall-clock telemetry for the preparation stages of a [`PreparedQuery`]
+/// after the parse: classify, compile and analyze.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PrepTimings {
-    /// Microseconds spent in `parse_query` (zero for pre-parsed queries).
-    pub parse_us: u64,
     /// Microseconds spent classifying the formula into its Figure 1 fragment.
     pub classify_us: u64,
     /// Microseconds spent in the `nev-exec` compiler (including `nev-opt` rewrites).
@@ -170,14 +164,6 @@ pub struct PrepTimings {
     /// it differs.
     pub analyze_us: u64,
 }
-
-impl PartialEq for PrepTimings {
-    fn eq(&self, _other: &Self) -> bool {
-        true // telemetry is not part of a prepared query's identity
-    }
-}
-
-impl Eq for PrepTimings {}
 
 impl PreparedQuery {
     /// Prepares an already-built [`Query`]: classifies it into the smallest Figure 1
@@ -215,7 +201,6 @@ impl PreparedQuery {
             None
         };
         let prep = PrepTimings {
-            parse_us: 0,
             classify_us,
             compile_us,
             analyze_us: analyze_timer.elapsed_us(),
@@ -234,16 +219,11 @@ impl PreparedQuery {
 
     /// Parses and prepares a query from the text syntax of `nev-logic`.
     pub fn parse(text: &str) -> Result<Self, EngineError> {
-        let parse_timer = Timer::start();
-        let query = parse_query(text)?;
-        let parse_us = parse_timer.elapsed_us();
-        let mut prepared = PreparedQuery::new(query);
-        prepared.prep.parse_us = parse_us;
-        Ok(prepared)
+        Ok(PreparedQuery::new(parse_query(text)?))
     }
 
-    /// Wall-clock telemetry for the parse/classify/compile preparation stages.
-    /// Never part of equality.
+    /// Wall-clock telemetry for the classify/compile/analyze preparation
+    /// stages.
     pub fn prep_timings(&self) -> PrepTimings {
         self.prep
     }
@@ -774,10 +754,6 @@ pub struct Evaluation {
     /// and the number of evaluations that fell back to the interpreter because
     /// the query has no compiled plan.
     pub exec: ExecStats,
-    /// The per-operator profile of the naïve pass, when
-    /// [`DispatchOptions::profile`] asked for one and the plan runs the query
-    /// as written on the compiled pipeline ([`EvalPlan::is_compiled`]).
-    pub profile: Option<OpProfile>,
 }
 
 impl Evaluation {
@@ -797,7 +773,6 @@ impl Evaluation {
             worlds_enumerated: 0,
             truncated: false,
             exec,
-            profile: None,
         }
     }
 
@@ -841,15 +816,18 @@ impl Evaluation {
 }
 
 /// What one [`CertainEngine::dispatch`] records and how far it runs. The
-/// default records nothing, profiles nothing and runs to a verdict.
+/// default records nothing, profiles nothing and runs to a verdict. What is
+/// recorded goes to the caller's sinks, never into the [`Evaluation`], so a
+/// recorded dispatch returns the same value as an unrecorded one.
 #[derive(Clone, Copy, Default)]
 pub struct DispatchOptions<'a> {
     /// The recorder the stage spans go to (`None`: no timeline).
     pub trace: Option<&'a TraceRecorder>,
-    /// Profile the certified naïve pass per operator when it runs on a
-    /// compiled plan — the query as written or its normal form (the wire
-    /// `PROFILE` command).
-    pub profile: bool,
+    /// The slot the per-operator profile of the certified naïve pass goes to
+    /// (the wire `PROFILE` command). It is filled only when that pass runs on
+    /// a compiled plan — the query as written or its normal form — and left
+    /// empty otherwise (`None`: no profile).
+    pub profile: Option<&'a OnceCell<OpProfile>>,
     /// Stop before the oracle: an open symbolic ladder returns the
     /// [`EvalPlan::BoundedEnumeration`] plan with its naïve answers and no
     /// certain answers, having enumerated no world (`EXPLAIN`, `ANALYZE`,
@@ -862,7 +840,7 @@ impl DispatchOptions<'static> {
     /// Decide the plan, enumerating no world.
     pub const STOP_BEFORE_ORACLE: Self = DispatchOptions {
         trace: None,
-        profile: false,
+        profile: None,
         stop_before_oracle: true,
     };
 }
@@ -993,21 +971,19 @@ impl CertainEngine {
         let recorder = options.trace.unwrap_or(&disabled);
         if let Some(cert) = self.certify(snapshot, semantics, prepared, recorder) {
             let plan = EvalPlan::Naive(cert);
-            let (naive, exec, profile) = self.naive_pass(
+            let (naive, exec) = self.naive_pass(
                 snapshot,
                 prepared,
                 cert.normalized,
                 options.profile,
                 recorder,
             );
-            let mut eval = Evaluation::settled(semantics, plan, naive.clone(), naive, exec);
-            eval.profile = profile;
-            return eval;
+            return Evaluation::settled(semantics, plan, naive.clone(), naive, exec);
         }
         // The ladder starts from the naïve answers, so its span covers the
         // naïve pass too (recorded as a child exec span).
         let symbolic_span = recorder.span(Stage::Symbolic);
-        let (naive, exec, _) = self.naive_pass(snapshot, prepared, false, false, recorder);
+        let (naive, exec) = self.naive_pass(snapshot, prepared, false, None, recorder);
         let symbolic = self.symbolic_ladder(snapshot, semantics, prepared, &naive, recorder);
         drop(symbolic_span);
         if let Some((cert, certain)) = symbolic {
@@ -1172,9 +1148,7 @@ impl CertainEngine {
         query: &PreparedQuery,
     ) -> (BTreeSet<Tuple>, ExecStats) {
         let snapshot = Snapshot::new(d);
-        let (naive, exec, _) =
-            self.naive_pass(&snapshot, query, false, false, &TraceRecorder::disabled());
-        (naive, exec)
+        self.naive_pass(&snapshot, query, false, None, &TraceRecorder::disabled())
     }
 
     /// The naïve answers of the query's `nev-analyze` *normal form* — the
@@ -1189,13 +1163,13 @@ impl CertainEngine {
         query: &PreparedQuery,
         recorder: &TraceRecorder,
     ) -> (BTreeSet<Tuple>, ExecStats) {
-        let (naive, exec, _) = self.naive_pass(&Snapshot::new(d), query, true, false, recorder);
-        (naive, exec)
+        self.naive_pass(&Snapshot::new(d), query, true, None, recorder)
     }
 
     /// The one naïve pass: over the normal form when `normalized`, on its
-    /// compiled plan when it has one (optionally profiled) and the snapshot's
-    /// interned form, else one interpreter fallback. Interning the snapshot,
+    /// compiled plan when it has one and the snapshot's interned form, else
+    /// one interpreter fallback. A compiled pass given a `profile` slot fills
+    /// it (a filled slot keeps its first profile). Interning the snapshot,
     /// when this pass does it, and each executor phase that ran (scan, join
     /// build, join probe) are recorded as one leaf span each, however short.
     fn naive_pass<D: Borrow<Instance>>(
@@ -1203,21 +1177,21 @@ impl CertainEngine {
         snapshot: &Snapshot<D>,
         query: &PreparedQuery,
         normalized: bool,
-        profile: bool,
+        profile: Option<&OnceCell<OpProfile>>,
         recorder: &TraceRecorder,
-    ) -> (BTreeSet<Tuple>, ExecStats, Option<OpProfile>) {
+    ) -> (BTreeSet<Tuple>, ExecStats) {
         let span = recorder.span(Stage::Exec);
         let (compiled, formula) = query.pass(normalized);
         let Some(compiled) = compiled else {
             let naive = naive_eval_query(snapshot.instance(), formula);
-            return (naive, ExecStats::fallback(), None);
+            return (naive, ExecStats::fallback());
         };
         let interned = snapshot.interned_traced(recorder);
         let out = compiled.execute(
             interned,
             &RunOptions {
                 naive: true,
-                profile,
+                profile: profile.is_some(),
             },
         );
         let t = out.timings;
@@ -1231,7 +1205,10 @@ impl CertainEngine {
             }
         }
         drop(span);
-        (out.answers, out.stats, out.profile)
+        if let (Some(slot), Some(op_profile)) = (profile, out.profile) {
+            let _ = slot.set(op_profile);
+        }
+        (out.answers, out.stats)
     }
 
     /// Runs the ground-truth oracle unconditionally — naïve evaluation **and** the
@@ -1782,17 +1759,60 @@ mod tests {
 
     #[test]
     fn telemetry_never_perturbs_result_equality() {
-        // Prep timings differ run to run; equality must not see them.
+        // Two preparations of one text take different times; their
+        // evaluations, which hold only values, still compare equal.
         let engine = CertainEngine::new();
-        let q = engine
-            .prepare("forall u . exists v . D(u, v)")
-            .expect("valid query");
-        assert_eq!(
-            q,
-            PreparedQuery::parse("forall u . exists v . D(u, v)").expect("valid query")
-        );
+        let text = "forall u . exists v . D(u, v)";
+        let q = engine.prepare(text).expect("valid query");
+        let again = PreparedQuery::parse(text).expect("valid query");
+        for semantics in [Semantics::Cwa, Semantics::Owa] {
+            assert_eq!(
+                engine.evaluate(&d0(), semantics, &q),
+                engine.evaluate(&d0(), semantics, &again),
+                "{semantics}"
+            );
+        }
         // Prep timings are observable but inert.
         let t = q.prep_timings();
-        assert!(t.parse_us + t.classify_us + t.compile_us < u64::MAX);
+        assert!(t.classify_us + t.compile_us + t.analyze_us < u64::MAX);
+    }
+
+    #[test]
+    fn profiling_never_changes_the_evaluation() {
+        let engine = CertainEngine::new();
+        let profiled = |d: &Instance, semantics, text| {
+            let q = engine.prepare(text).expect("valid query");
+            let slot = OnceCell::new();
+            let options = DispatchOptions {
+                profile: Some(&slot),
+                ..DispatchOptions::default()
+            };
+            let eval = engine.dispatch(&Snapshot::new(d), semantics, &q, &options);
+            // The profile goes to the caller's slot; the evaluation equals
+            // the unprofiled one, field for field.
+            assert_eq!(eval, engine.evaluate(d, semantics, &q), "{text}");
+            (eval, slot.into_inner())
+        };
+        let join = inst! {
+            "R" => [[c(1), x(1)], [x(2), x(3)]],
+            "S" => [[x(1), c(4)], [x(3), c(5)]],
+        };
+        // A compiled join as written, and a normal form that compiles.
+        for (d, text, normalized) in [
+            (&join, "Q(x, y) :- exists z . R(x, z) & S(z, y)", false),
+            (&d0(), "!!exists u v . D(u, v)", true),
+        ] {
+            let (eval, profile) = profiled(d, Semantics::Owa, text);
+            let cert = eval.plan.certificate().expect("certified");
+            assert_eq!(cert.normalized, normalized, "{text}");
+            let profile = profile.expect("a compiled certified pass fills the slot");
+            assert!(!profile.ops.is_empty(), "{text}");
+            assert_eq!(profile.intermediate_rows(), eval.exec.intermediate_rows);
+        }
+        // An interpreter fallback has no operator pipeline to profile.
+        let d = inst! { "R" => [[c(1), c(1)]] };
+        let (eval, profile) = profiled(&d, Semantics::Wcwa, "forall u v w t . R(u, v) & R(w, t)");
+        assert!(eval.plan.is_certified() && !eval.plan.is_compiled());
+        assert!(profile.is_none());
     }
 }

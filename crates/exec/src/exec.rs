@@ -39,14 +39,15 @@ use crate::optimize::greedy_join_order;
 use crate::profile::{op_label, OpProfile, OpSample};
 use crate::stats::{ExecStats, ExecTimings};
 
-/// The result of executing a compiled query on one instance.
-#[derive(Clone, PartialEq, Eq, Debug)]
+/// What executing a compiled query on one instance hands back: the answers
+/// and counters, plus this pass's telemetry.
+#[derive(Clone, Debug)]
 pub struct ExecOutput {
     /// The answer tuples (Boolean queries use the `{()} / ∅` encoding).
     pub answers: BTreeSet<Tuple>,
     /// Execution counters for this pass.
     pub stats: ExecStats,
-    /// Phase timings for this pass (always-equal telemetry).
+    /// Phase timings for this pass.
     pub timings: ExecTimings,
     /// The per-operator profile, when [`RunOptions::profile`] asked for one.
     pub profile: Option<OpProfile>,
@@ -922,13 +923,9 @@ mod tests {
         // The phase counts do not depend on the clock: two scans, one join.
         let t = out.timings;
         assert_eq!((t.scans, t.join_builds, t.join_probes), (2, 1, 1));
-        // A scan and a hash join ran: their phases were measured. (µs clocks
-        // can legitimately read 0 on a fast pass, so nothing is asserted
-        // about the values here.)
-        let _ = out.timings.total_us();
-        // Timings never affect output equality — the run-to-run equality
-        // pins across the workspace rely on this.
+        // µs clocks can legitimately read 0 on a fast pass, so nothing is
+        // asserted about the timer values; the answers and counters repeat.
         let again = compiled.execute(&InternedInstance::new(&d), &RunOptions::naive());
-        assert_eq!(out, again);
+        assert_eq!((out.answers, out.stats), (again.answers, again.stats));
     }
 }

@@ -41,9 +41,8 @@ pub struct OpSample {
 
 /// The per-operator profile of one plan execution: [`OpSample`]s in pre-order.
 ///
-/// A profile is wall-clock telemetry: like [`crate::ExecTimings`], two
-/// profiles always compare equal, so a profiled result equals an unprofiled
-/// one wherever both carry a profile.
+/// A profile is wall-clock telemetry and has no equality. It is handed to the
+/// caller beside the answers, never inside a result value.
 #[derive(Clone, Debug, Default)]
 pub struct OpProfile {
     /// The recorded samples, pre-order over the executed operator tree.
@@ -52,14 +51,6 @@ pub struct OpProfile {
     /// instance plus running the plan. Bounds [`OpProfile::root_wall_us`].
     pub exec_us: u64,
 }
-
-impl PartialEq for OpProfile {
-    fn eq(&self, _other: &OpProfile) -> bool {
-        true // telemetry: never part of a result's value (see type docs)
-    }
-}
-
-impl Eq for OpProfile {}
 
 impl OpProfile {
     /// Inclusive wall time of the plan root (0 for an empty profile).

@@ -67,16 +67,14 @@ impl ExecStats {
     }
 }
 
-/// Wall-clock timings of one (or several, merged) compiled-execution passes,
-/// in microseconds, split along the executor's phase boundaries.
+/// Wall-clock timings of one compiled-execution pass, in microseconds, split
+/// along the executor's phase boundaries.
 ///
-/// Unlike [`ExecStats`], whose counters are a pure function of the data (and
-/// therefore pinned byte-identical from run to run by the determinism suite),
-/// timings vary run to run — so `ExecTimings` deliberately compares
-/// **equal to every other `ExecTimings`**. Result types can keep deriving
-/// `PartialEq`/`Eq` and every existing telemetry-parity assertion stays exact.
-/// The phase counts are kept beside the `_us` fields, so a phase that ran is
-/// known to have run even when its timer read zero.
+/// Unlike [`ExecStats`], whose counters are a pure function of the data,
+/// timings vary run to run, so they are telemetry and have no equality: the
+/// one reader, the engine's naïve pass, turns them into trace leaves. The
+/// phase counts are kept beside the `_us` fields, so a phase that ran is known
+/// to have run even when its timer read zero.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ExecTimings {
     /// Time in relation scans.
@@ -91,31 +89,6 @@ pub struct ExecTimings {
     pub join_builds: u64,
     /// Hash-join probe passes executed.
     pub join_probes: u64,
-}
-
-impl PartialEq for ExecTimings {
-    fn eq(&self, _other: &ExecTimings) -> bool {
-        true // telemetry: never part of a result's value (see type docs)
-    }
-}
-
-impl Eq for ExecTimings {}
-
-impl ExecTimings {
-    /// Adds another timing block into this one.
-    pub fn merge(&mut self, other: &ExecTimings) {
-        self.scan_us += other.scan_us;
-        self.join_build_us += other.join_build_us;
-        self.join_probe_us += other.join_probe_us;
-        self.scans += other.scans;
-        self.join_builds += other.join_builds;
-        self.join_probes += other.join_probes;
-    }
-
-    /// Total measured execution time across the phases, microseconds.
-    pub fn total_us(&self) -> u64 {
-        self.scan_us + self.join_build_us + self.join_probe_us
-    }
 }
 
 impl fmt::Display for ExecStats {
@@ -164,29 +137,6 @@ mod tests {
         assert_eq!(a.estimated_rows, 8);
         assert!(!a.is_empty());
         assert!(ExecStats::new().is_empty());
-    }
-
-    #[test]
-    fn timings_merge_but_never_differ_under_eq() {
-        let mut a = ExecTimings {
-            scan_us: 5,
-            join_build_us: 7,
-            join_probe_us: 11,
-            scans: 2,
-            ..ExecTimings::default()
-        };
-        a.merge(&ExecTimings {
-            scan_us: 1,
-            join_build_us: 2,
-            join_probe_us: 3,
-            scans: 1,
-            join_builds: 1,
-            join_probes: 1,
-        });
-        assert_eq!(a.total_us(), 29);
-        assert_eq!((a.scans, a.join_builds, a.join_probes), (3, 1, 1));
-        // Telemetry equality is always true: timings never split results.
-        assert_eq!(a, ExecTimings::default());
     }
 
     #[test]

@@ -39,8 +39,7 @@
 //! timeline says so at the call site with [`TraceRecorder::disabled`] (or, in
 //! `nev-core`'s dispatch, by passing no recorder). Timing never changes an
 //! answer or a served byte: a [`Trace`] lives beside a result, never inside
-//! it, and the executor's timings compare equal to every other value of
-//! their type.
+//! it, and so do the executor's timings and operator profiles.
 //!
 //! ```
 //! use nev_obs::{Histogram, Stage, TraceRecorder};

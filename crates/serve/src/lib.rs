@@ -45,8 +45,9 @@
 //! one line for `nevtop`; `METRICS RESET` re-baselines the windows and
 //! empties the slow log without touching lifetime counters; and `STATS`
 //! carries an `uptime_us=`/`p50_us=`/`p95_us=`/`p99_us=` digest.
-//! Timing never changes a served byte or a result: traces and executor
-//! timings compare equal to every other value of their type.
+//! Timing never changes a served byte or a result: traces, executor timings
+//! and operator profiles go to sinks the caller owns, never into an
+//! `Evaluation`.
 //!
 //! Every request — certified naïve pass, symbolic ladder, oracle world pass —
 //! runs sequentially on the thread serving its connection, so

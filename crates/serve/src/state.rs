@@ -17,6 +17,7 @@
 //! state's one telemetry store, the [`MetricsRegistry`]; `STATS`, `TOP` and
 //! `METRICS` each render one [`MetricsSnapshot`] of it.
 
+use std::cell::OnceCell;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
@@ -26,6 +27,7 @@ use nev_core::engine::{
     CertainEngine, DispatchOptions, EngineError, Evaluation, PreparedQuery, SymbolicTechnique,
 };
 use nev_core::{Semantics, WorldBounds};
+use nev_exec::OpProfile;
 use nev_incomplete::{Instance, Tuple};
 use nev_obs::{
     Counter, MetricsRegistry, MetricsSnapshot, SlowQuery, Stage, Timer, Trace, TraceRecorder,
@@ -262,16 +264,16 @@ impl ServeState {
     }
 
     /// Serves one evaluating request — `EVAL`, `TRACE` or `PROFILE` (which
-    /// also profiles the naïve pass) — the one way: a traced dispatch, its
-    /// [`ServeState::record`], the finished trace into the stage histograms,
-    /// and the request offered to the slow-query log. The handlers only
-    /// format what this returns.
+    /// also hands a `profile` slot to the naïve pass) — the one way: a traced
+    /// dispatch, its [`ServeState::record`], the finished trace into the stage
+    /// histograms, and the request offered to the slow-query log. The
+    /// handlers only format what this returns.
     fn evaluate(
         &self,
         name: &str,
         semantics: Semantics,
         query_text: &str,
-        profile: bool,
+        profile: Option<&OnceCell<OpProfile>>,
     ) -> Result<(CachedPlan, Evaluation, Trace), ServeError> {
         let recorder = TraceRecorder::new();
         let options = DispatchOptions {
@@ -412,19 +414,19 @@ impl ServeState {
         semantics: Semantics,
         query_text: &str,
     ) -> Result<(EvalResponse, Trace), ServeError> {
-        let (_, evaluation, trace) = self.evaluate(name, semantics, query_text, false)?;
+        let (_, evaluation, trace) = self.evaluate(name, semantics, query_text, None)?;
         Ok((EvalResponse::of(evaluation), trace))
     }
 
     /// Answers one `PROFILE` request: a **real** evaluation (it counts in
     /// `evals` and feeds the latency and stage histograms and the slow-query
-    /// log, exactly like `EVAL` and `TRACE`) that
-    /// additionally returns the per-operator annotated plan when a certified
-    /// naïve pass ran on a compiled plan (the query as written, or its normal
-    /// form on a normalized dispatch) — inclusive wall time, output rows, and
+    /// log, exactly like `EVAL` and `TRACE`) given a profile slot of its own.
+    /// When a certified naïve pass ran on a compiled plan (the query as
+    /// written, or its normal form on a normalized dispatch), the slot holds
+    /// the per-operator annotated plan — inclusive wall time, output rows, and
     /// the `nev-opt` cost model's estimate for every executed operator,
     /// including each pairwise join fold in the greedy order. Other dispatches
-    /// (interpreter fallback, symbolic, oracle) run normally and report
+    /// (interpreter fallback, symbolic, oracle) leave it empty and report
     /// `compiled=false`.
     pub fn profile(
         &self,
@@ -432,10 +434,10 @@ impl ServeState {
         semantics: Semantics,
         query_text: &str,
     ) -> Result<String, ServeError> {
-        let (plan, mut evaluation, _) = self.evaluate(name, semantics, query_text, true)?;
-        let profile = evaluation.profile.take();
+        let slot = OnceCell::new();
+        let (plan, evaluation, _) = self.evaluate(name, semantics, query_text, Some(&slot))?;
         let response = EvalResponse::of(evaluation);
-        Ok(match profile {
+        Ok(match slot.into_inner() {
             Some(profile) => format!(
                 "profile plan={} certain={} exec_us={} ops=[{}]",
                 response.plan,

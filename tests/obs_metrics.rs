@@ -26,6 +26,7 @@
 //!   surrounding exec span, and flagged row counts reconciling exactly with
 //!   `ExecStats::intermediate_rows`.
 
+use std::cell::OnceCell;
 use std::sync::Arc;
 use std::thread;
 
@@ -250,14 +251,15 @@ fn profile_reconciles_with_the_exec_accounting() {
         .prepare("Q(x) :- exists y z . R(x, y) & R(y, z)")
         .expect("a join chain compiles");
     let span = Timer::start();
+    let slot = OnceCell::new();
     let options = DispatchOptions {
-        profile: true,
+        profile: Some(&slot),
         ..DispatchOptions::default()
     };
     let evaluation = engine.dispatch(&Snapshot::new(&d), Semantics::Owa, &prepared, &options);
-    let (answers, stats, profile) = (evaluation.certain, evaluation.exec, evaluation.profile);
+    let (answers, stats) = (evaluation.certain, evaluation.exec);
     let span_us = span.elapsed_us();
-    let profile = profile.expect("compiled dispatch yields a profile");
+    let profile = slot.into_inner().expect("compiled dispatch fills the slot");
     // Rows: the flagged samples sum to exactly the executor's counter.
     assert_eq!(profile.intermediate_rows(), stats.intermediate_rows);
     // Times: per-op self times telescope to the root, which the span bounds.

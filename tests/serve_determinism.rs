@@ -12,7 +12,7 @@
 
 use naive_eval::bench::figure1::{render_markdown, run_cells, Figure1Config};
 use naive_eval::bench::workloads::cell_workload;
-use naive_eval::core::engine::{CertainEngine, DispatchOptions, Evaluation, PreparedQuery};
+use naive_eval::core::engine::{CertainEngine, DispatchOptions, PreparedQuery};
 use naive_eval::core::summary::Expectation;
 use naive_eval::core::{Semantics, WorldBounds};
 use naive_eval::incomplete::builder::x;
@@ -112,25 +112,12 @@ fn compiled_exec_responses_are_byte_identical_across_replays() {
     );
 }
 
-/// Field-by-field agreement of two evaluations: plan (with its certificate,
-/// `core_checked` included), naïve and certain answers, worlds visited and
-/// truncation.
-fn assert_same_evaluation(served: &Evaluation, fresh: &Evaluation, context: &str) {
-    assert_eq!(served.plan, fresh.plan, "{context}");
-    assert_eq!(served.naive, fresh.naive, "{context}");
-    assert_eq!(served.certain, fresh.certain, "{context}");
-    assert_eq!(
-        served.worlds_enumerated, fresh.worlds_enumerated,
-        "{context}"
-    );
-    assert_eq!(served.truncated, fresh.truncated, "{context}");
-}
-
 /// Derived state cached on a catalog entry changes no answer: repeated
 /// requests on one snapshot — the first builds its interned form and core
 /// bit, the rest reuse them — equal a fresh `CertainEngine::evaluate` on the
-/// bare instance, for every Figure 1 workload query under every semantics,
-/// world counts included.
+/// bare instance, for every Figure 1 workload query under every semantics:
+/// the whole `Evaluation` compares equal, world counts and exec counters
+/// included.
 #[test]
 fn cached_snapshot_state_matches_fresh_evaluations_on_every_figure1_query() {
     let engine = CertainEngine::with_bounds(bounds());
@@ -154,7 +141,7 @@ fn cached_snapshot_state_matches_fresh_evaluations_on_every_figure1_query() {
                         .dispatch(&name, semantics, &text, &DispatchOptions::default())
                         .expect("served");
                     let context = format!("{semantics} × {text} request {request} on\n{instance}");
-                    assert_same_evaluation(&served, &fresh, &context);
+                    assert_eq!(served, fresh, "{context}");
                     compared += 1;
                 }
             }
@@ -184,7 +171,7 @@ fn cached_snapshot_state_matches_fresh_evaluations_on_every_figure1_query() {
         Semantics::MinimalCwa,
         &PreparedQuery::parse(ladder).unwrap(),
     );
-    assert_same_evaluation(&served, &fresh, ladder);
+    assert_eq!(served, fresh, "{ladder}");
     let certified = "forall u v . D(u, v) -> exists w . D(v, w)";
     let (_, served) = state
         .dispatch(
@@ -202,7 +189,7 @@ fn cached_snapshot_state_matches_fresh_evaluations_on_every_figure1_query() {
         Semantics::MinimalCwa,
         &PreparedQuery::parse(certified).unwrap(),
     );
-    assert_same_evaluation(&served, &fresh, certified);
+    assert_eq!(served, fresh, "{certified}");
 }
 
 const FRAGMENTS: [Fragment; 5] = [

@@ -162,9 +162,7 @@ fn evals_racing_reloads_pair_every_answer_with_one_version() {
                         .expect("served");
                     let pair = &reference[(reader + served) % requests.len()];
                     assert!(
-                        pair.iter().any(|r| r.plan == evaluation.plan
-                            && r.certain == evaluation.certain
-                            && r.naive == evaluation.naive),
+                        pair.contains(&evaluation),
                         "{text} under {semantics}: {evaluation:?}"
                     );
                     // Whatever version a reader resolves carries derived state
